@@ -226,9 +226,18 @@ def additivity_probe(ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, see
     """Compare the two-copy optimum against twice the single-copy optimum."""
     if n != 2:
         raise SizeLimit("only n = 2 is supported")
+    return _two_copy_probe(ch, restarts, seed)
+
+
+def _two_copy_probe(
+    ch: chmod.KrausChannel, restarts: int, seed: int, single: CoherentInfoResult | None = None
+) -> dict:
+    """Body of :func:`additivity_probe`; ``single``, when given, is the
+    single-copy optimum found with the same restarts and seed."""
     if ch.dim_in**2 > MAX_OPT_DIM:
         raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
-    single = maximize_coherent_information(ch, restarts=restarts, seed=seed)
+    if single is None:
+        single = maximize_coherent_information(ch, restarts=restarts, seed=seed)
     joint_ch = chmod.tensor(ch, ch)
     product_seed = np.kron(single.argmax_state, single.argmax_state)
     joint = maximize_coherent_information(

@@ -1,9 +1,11 @@
 """Quantum channel representations and structural conversions.
 
-A channel is carried as a :class:`KrausChannel`: a list of d_out x d_in
-operators N_i with sum_i N_i^dag N_i = I. Conversions to the Stinespring
-isometry, the complementary channel, and the (trace-normalized) Choi matrix
-all fix the environment basis to the Kraus index basis so results are
+A channel is carried as a :class:`KrausChannel`: one stacked
+``(K, d_out, d_in)`` array of operators N_i with sum_i N_i^dag N_i = I.
+Every other representation is one array expression on that stack: the
+Stinespring isometry is a reshape, the complementary channel a transpose,
+and the Choi matrix and the action a batched product summed over the Kraus
+index. The environment basis is the Kraus index basis, so results are
 reproducible.
 """
 
@@ -21,39 +23,49 @@ from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 @dataclass
 class KrausChannel:
-    """CPTP map in Kraus form. ``kraus[i]`` has shape (dim_out, dim_in)."""
+    """CP map in Kraus form, carried as one stacked array.
 
-    kraus: list
+    ``kraus`` is a complex128 array of shape (K, dim_out, dim_in) whose
+    slice ``kraus[i]`` is the operator N_i; any sequence of equally shaped
+    matrices is accepted and stacked. ``kraus_adj`` is the stack of the
+    adjoints N_i^dag, formed once here.
+    """
+
+    kraus: np.ndarray
     dim_in: int
     dim_out: int
     name: str = ""
-    # set by loaders/constructors when the operator set fails trace
-    # preservation as given; flagged channels are never silently repaired
-    flagged: bool = False
+    kraus_adj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.kraus:
+        try:
+            ops = np.ascontiguousarray(self.kraus, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DimMismatch(f"Kraus operators do not stack: {exc}") from exc
+        if ops.ndim != 3 or len(ops) == 0:
             raise DimMismatch("channel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus:
-            k = qmat.as_matrix(k)
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimMismatch(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-            ops.append(k)
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise DimMismatch(
+                f"Kraus operator shape {ops.shape[1:]} != ({self.dim_out}, {self.dim_in})"
+            )
+        if not np.all(np.isfinite(ops)):
+            raise DimMismatch("Kraus operators contain NaN or Inf entries")
         self.kraus = ops
+        self.kraus_adj = ops.conj().transpose(0, 2, 1)
 
     @property
     def dim_env(self) -> int:
         return len(self.kraus)
 
+    @property
+    def flagged(self) -> bool:
+        """True when the operator set fails trace preservation as given;
+        flagged channels are never silently repaired."""
+        return self.tp_residual() > TOL.residual_tol
+
     def completeness(self) -> np.ndarray:
         """sum_i N_i^dag N_i (should be the identity for a TP channel)."""
-        s = np.zeros((self.dim_in, self.dim_in), dtype=np.complex128)
-        for k in self.kraus:
-            s += k.conj().T @ k
-        return s
+        return (self.kraus_adj @ self.kraus).sum(axis=0)
 
     def tp_residual(self) -> float:
         return float(np.max(np.abs(self.completeness() - np.eye(self.dim_in))))
@@ -107,25 +119,20 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     rho = qmat.check_square(rho)
     if rho.shape[0] != ch.dim_in:
         raise DimMismatch(f"state side {rho.shape[0]} != channel dim_in {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    return (ch.kraus @ rho @ ch.kraus_adj).sum(axis=0)
+
+
+def _require_tp(ch: KrausChannel) -> None:
+    tp = ch.tp_residual()
+    if tp > TOL.residual_tol:
+        raise NotTracePreserving(f"tp_residual {tp:.3e} > {TOL.residual_tol}")
 
 
 def stinespring(ch: KrausChannel) -> StinespringIsometry:
     """V = sum_i N_i (x) |i>_E, environment basis = Kraus index basis."""
-    if ch.tp_residual() > TOL.residual_tol:
-        raise NotTracePreserving(
-            f"tp_residual {ch.tp_residual():.3e} > {TOL.residual_tol}"
-        )
-    d_e = ch.dim_env
-    v = np.zeros((ch.dim_out * d_e, ch.dim_in), dtype=np.complex128)
-    for i, k in enumerate(ch.kraus):
-        e = np.zeros((d_e, 1), dtype=np.complex128)
-        e[i, 0] = 1.0
-        v += np.kron(k, e)
-    return StinespringIsometry(v=v, dim_in=ch.dim_in, dim_out=ch.dim_out, dim_env=d_e)
+    _require_tp(ch)
+    v = ch.kraus.transpose(1, 0, 2).reshape(ch.dim_out * ch.dim_env, ch.dim_in)
+    return StinespringIsometry(v=v, dim_in=ch.dim_in, dim_out=ch.dim_out, dim_env=ch.dim_env)
 
 
 def complementary(ch: KrausChannel) -> KrausChannel:
@@ -134,17 +141,11 @@ def complementary(ch: KrausChannel) -> KrausChannel:
     The Kraus operators M_b (one per output-basis index b of the original
     channel) have entries (M_b)[i, a] = (N_i)[b, a].
     """
-    if ch.tp_residual() > TOL.residual_tol:
-        raise NotTracePreserving(
-            f"tp_residual {ch.tp_residual():.3e} > {TOL.residual_tol}"
-        )
-    d_e = ch.dim_env
-    stack = np.stack(ch.kraus)  # (d_e, d_out, d_in)
-    ops = [np.ascontiguousarray(stack[:, b, :]) for b in range(ch.dim_out)]
+    _require_tp(ch)
     return KrausChannel(
-        kraus=ops,
+        kraus=ch.kraus.transpose(1, 0, 2),
         dim_in=ch.dim_in,
-        dim_out=d_e,
+        dim_out=ch.dim_env,
         name=f"complementary({ch.name})" if ch.name else "complementary",
     )
 
@@ -154,45 +155,42 @@ def to_choi(ch: KrausChannel, check_tp: bool = True) -> ChoiMatrix:
 
     Factor order is input (slow) then output (fast).
     """
-    if check_tp and ch.tp_residual() > TOL.residual_tol:
-        raise NotTracePreserving(
-            f"tp_residual {ch.tp_residual():.3e} > {TOL.residual_tol}"
-        )
+    if check_tp:
+        _require_tp(ch)
     d_a, d_b = ch.dim_in, ch.dim_out
-    j = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    # (I (x) N)|Psi><Psi| = (1/d_a) sum_k (I (x) N_k) |Omega><Omega| (I (x) N_k)^dag
-    for k in ch.kraus:
-        w = k.T.reshape(-1)  # vector with entries w[(a, b)] = k[b, a]
-        j += np.outer(w, w.conj())
+    # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]
+    w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
+    j = (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
     return ChoiMatrix(matrix=j / d_a, dim_in=d_a, dim_out=d_b)
 
 
 def choi_rank(c: ChoiMatrix, cutoff: float = TOL.pinv_cutoff) -> int:
     w, _ = qmat.eigh(c.matrix)
-    top = float(w[0]) if w.size else 0.0
-    if top <= 0:
-        return 0
-    return int(np.sum(w > cutoff * top))
+    return qmat.numerical_rank(w, cutoff)
 
 
 def kraus_from_choi(
     matrix: np.ndarray, dim_in: int, dim_out: int, cutoff: float = TOL.pinv_cutoff
-) -> list:
-    """Extract Kraus operators from an (unnormalized or normalized) Choi matrix.
+) -> np.ndarray:
+    """Extract a (K, dim_out, dim_in) Kraus stack from an (unnormalized or
+    normalized) Choi matrix.
 
     Assumes input-slow/output-fast factor order. Eigenvalues below
     cutoff * lambda_max are dropped; small negative tails are clipped.
     """
     w, v = qmat.eigh((matrix + matrix.conj().T) / 2)
-    top = float(w[0]) if w.size else 0.0
-    ops = []
-    for lam, col in zip(w, v.T):
-        if top <= 0 or lam <= cutoff * top:
-            break
-        ops.append(np.sqrt(lam) * col.reshape(dim_in, dim_out).T)
-    if not ops:
-        ops = [np.zeros((dim_out, dim_in), dtype=np.complex128)]
-    return ops
+    r = qmat.numerical_rank(w, cutoff)
+    if r == 0:
+        return np.zeros((1, dim_out, dim_in), dtype=np.complex128)
+    cols = v[:, :r] * np.sqrt(w[:r])
+    return cols.T.reshape(r, dim_in, dim_out).transpose(0, 2, 1)
+
+
+def _pruned(ops: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
+    """Drop numerically-zero operators from a (K, dim_out, dim_in) stack."""
+    ops = ops.reshape(-1, dim_out, dim_in)
+    ops = ops[np.linalg.norm(ops, axis=(1, 2)) >= 1e-12]
+    return ops if len(ops) else np.zeros((1, dim_out, dim_in), dtype=np.complex128)
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -201,20 +199,12 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
         raise DimMismatch(
             f"cannot compose: first.dim_out={first.dim_out} != then.dim_in={then.dim_in}"
         )
-    ops = []
-    for m in then.kraus:
-        for n in first.kraus:
-            p = m @ n
-            if np.linalg.norm(p) >= 1e-12:  # prune numerically-zero products
-                ops.append(p)
-    if not ops:
-        ops = [np.zeros((then.dim_out, first.dim_in), dtype=np.complex128)]
+    ops = then.kraus[:, None] @ first.kraus[None, :]  # [m, n] = M_m N_n
     return KrausChannel(
-        kraus=ops,
+        kraus=_pruned(ops, then.dim_out, first.dim_in),
         dim_in=first.dim_in,
         dim_out=then.dim_out,
         name=f"{first.name};{then.name}" if first.name or then.name else "",
-        flagged=first.flagged or then.flagged,
     )
 
 
@@ -222,24 +212,20 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     cap = max_dim()
     if a.dim_out * b.dim_out > cap or a.dim_in * b.dim_in > cap:
         raise SizeLimit(f"tensor product exceeds side cap {cap}")
-    ops = []
-    for ka in a.kraus:
-        for kb in b.kraus:
-            p = np.kron(ka, kb)
-            if np.linalg.norm(p) >= 1e-12:
-                ops.append(p)
+    # [i, j, r, s, c, t] = A_i[r, c] B_j[s, t], i.e. kron(A_i, B_j)
+    ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
+    d_out, d_in = a.dim_out * b.dim_out, a.dim_in * b.dim_in
     return KrausChannel(
-        kraus=ops,
-        dim_in=a.dim_in * b.dim_in,
-        dim_out=a.dim_out * b.dim_out,
+        kraus=_pruned(ops, d_out, d_in),
+        dim_in=d_in,
+        dim_out=d_out,
         name=f"{a.name}(x){b.name}" if a.name or b.name else "",
-        flagged=a.flagged or b.flagged,
     )
 
 
 def conjugate(ch: KrausChannel) -> KrausChannel:
     """Entrywise complex conjugation of every Kraus operator."""
-    return replace(ch, kraus=[k.conj() for k in ch.kraus])
+    return replace(ch, kraus=ch.kraus.conj())
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -270,27 +256,20 @@ def flagged_direct_sum(x: float, inner: KrausChannel, flag_dim_out: int | None =
         raise DimMismatch(
             f"flag_dim_out {flag_dim_out} != 2 * inner.dim_out = {2 * d_block}"
         )
-    flag0 = np.zeros((2, 1), dtype=np.complex128)
-    flag0[0, 0] = 1.0
-    flag1 = np.zeros((2, 1), dtype=np.complex128)
-    flag1[1, 0] = 1.0
-    ops = []
+    # the flag is the slow output factor: flag 0 on the top block rows
+    blocks = []
     if x > 0:
-        coef = np.sqrt(x / d_block)
-        for m in range(d_block):
-            for k in range(d_in):
-                op = np.zeros((d_block, d_in), dtype=np.complex128)
-                op[m, k] = coef
-                ops.append(np.kron(flag0, op))
+        # one operator sqrt(x / d_block) |m><k| per (m, k), m slow
+        units = np.sqrt(x / d_block) * np.eye(d_block * d_in).reshape(-1, d_block, d_in)
+        blocks.append(np.concatenate([units, np.zeros_like(units)], axis=1))
     if x < 1:
-        for k in inner.kraus:
-            ops.append(np.kron(flag1, np.sqrt(1.0 - x) * k))
+        ops = np.sqrt(1.0 - x) * inner.kraus
+        blocks.append(np.concatenate([np.zeros_like(ops), ops], axis=1))
     return KrausChannel(
-        kraus=ops,
+        kraus=np.concatenate(blocks),
         dim_in=d_in,
         dim_out=2 * d_block,
         name=f"flagged_direct_sum(x={x},{inner.name})",
-        flagged=inner.flagged,
     )
 
 
@@ -329,9 +308,7 @@ def channel_from_dict(d: dict) -> KrausChannel:
                 f"kraus[{idx}] has shape {a.shape}, expected ({dim_out}, {dim_in}, 2)"
             )
         ops.append(a[..., 0] + 1j * a[..., 1])
-    ch = KrausChannel(kraus=ops, dim_in=dim_in, dim_out=dim_out, name=name)
-    ch.flagged = ch.tp_residual() > TOL.residual_tol
-    return ch
+    return KrausChannel(kraus=ops, dim_in=dim_in, dim_out=dim_out, name=name)
 
 
 def save_channel(ch: KrausChannel, path: str) -> None:

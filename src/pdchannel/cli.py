@@ -109,8 +109,9 @@ def cmd_capacity(args) -> int:
     if args.tensor:
         if args.tensor != 2:
             raise PdChannelError("--tensor only supports 2")
-        out["additivity"] = capmod.additivity_probe(
-            ch, n=2, restarts=args.restarts, seed=args.seed
+        # the single-copy optimum above is the one the probe would compute
+        out["additivity"] = capmod._two_copy_probe(
+            ch, args.restarts, args.seed, single=result
         )
     _emit(out, args)
     return EXIT_OK

@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, asdict
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -18,7 +20,7 @@ class Tolerances:
     psd_tol: float = -1e-9
     # generic residual bound for reconstruction / composition checks
     residual_tol: float = 1e-8
-    # relative singular-value cutoff for pseudo-inverse and nullspace
+    # relative cutoff for the pseudo-inverse and for numerical rank
     pinv_cutoff: float = 1e-10
 
     def as_dict(self) -> dict:
@@ -31,8 +33,11 @@ DEFAULT_MAX_DIM = 4096
 
 
 def max_dim() -> int:
-    """Matrix side cap; overridable via the QPD_MAX_DIM environment variable."""
+    """Matrix side cap; overridable via the QPD_MAX_DIM environment variable,
+    which must then hold an integer >= 1."""
     raw = os.environ.get("QPD_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_DIM
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise DomainError(f"QPD_MAX_DIM must be an integer >= 1, got {raw!r}")
     return int(raw)

@@ -22,10 +22,10 @@ from .errors import DimMismatch
 
 def transfer_matrix(ch: chmod.KrausChannel) -> np.ndarray:
     """Superoperator T with vec(N(rho)) = T vec(rho), column-major vec."""
-    t = np.zeros((ch.dim_out**2, ch.dim_in**2), dtype=np.complex128)
-    for k in ch.kraus:
-        t += np.kron(k.conj(), k)
-    return t
+    # [i, r, s, c, t] = conj(N_i)[r, c] N_i[s, t], i.e. kron(conj(N_i), N_i)
+    k = ch.kraus
+    t = k.conj()[:, :, None, :, None] * k[:, None, :, None, :]
+    return t.reshape(ch.dim_env, ch.dim_out**2, ch.dim_in**2).sum(axis=0)
 
 
 def choi_of_transfer(t: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -41,19 +41,22 @@ def transfer_of_choi(j: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 def probe_states(d: int) -> list:
     """Symmetrized matrix units: d^2 valid states spanning Hermitian space."""
-    probes = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, i] = 1.0
-        probes.append(e)
+    eye = np.eye(d, dtype=np.complex128)
+    probes = [np.outer(e, e) for e in eye]
     for i in range(d):
         for j in range(i + 1, d):
             for phase in (1.0, 1j):
-                v = np.zeros((d, 1), dtype=np.complex128)
-                v[i, 0] = 1.0
-                v[j, 0] = phase
-                probes.append(v @ v.conj().T / 2)
+                v = eye[i] + phase * eye[j]
+                probes.append(np.outer(v, v.conj()) / 2)
     return probes
+
+
+def _probe_residual(r: np.ndarray, d: int) -> float:
+    """max |R vec(rho)| over the probe states of side d, for a superoperator
+    R acting on column-major vec."""
+    p = np.stack(probe_states(d))
+    vecs = p.transpose(0, 2, 1).reshape(len(p), d * d).T  # column i = vec(rho_i)
+    return float(np.max(np.abs(r @ vecs)))
 
 
 @dataclass
@@ -62,7 +65,6 @@ class DegradingSolution:
     residual: float
     cp_min_eig: float
     tp_residual: float
-    transfer: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def success(self) -> bool:
@@ -81,20 +83,17 @@ class DegradingSolution:
         }
 
 
-def _certify(t_d, from_ch, to_ch, probes):
-    d_mid, d_out = from_ch.dim_out, to_ch.dim_out
-    residual = 0.0
-    for rho in probes:
-        lhs = chmod.apply(to_ch, rho)
-        mid = chmod.apply(from_ch, rho)
-        rhs = qmat.unvec(t_d @ qmat.vec(mid), d_out)
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
+    """Certificates of the candidate T_d, with no Kraus map attached yet."""
+    residual = _probe_residual(t_to - t_d @ t_from, d_in)
     choi = choi_of_transfer(t_d, d_mid, d_out)
     choi_h = (choi + choi.conj().T) / 2
     cp_min_eig = float(np.linalg.eigvalsh(choi_h)[0])
     tr_out = qmat.partial_trace(choi_h, (d_mid, d_out), keep=[0])
     tp_residual = float(np.max(np.abs(tr_out - np.eye(d_mid))))
-    return residual, cp_min_eig, tp_residual, choi_h
+    return DegradingSolution(
+        map=None, residual=residual, cp_min_eig=cp_min_eig, tp_residual=tp_residual
+    )
 
 
 def _cptp_refine(t0, t_from, t_to, d_mid, d_out, max_iter=2000):
@@ -144,20 +143,18 @@ def solve_degrading_map(
         raise DimMismatch(
             f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}"
         )
-    d_mid, d_out = from_ch.dim_out, to_ch.dim_out
-    probes = probe_states(from_ch.dim_in)
+    d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
+    t_from = transfer_matrix(from_ch)
+    t_to = transfer_matrix(to_ch)
 
     if warm_start is not None:
         if (warm_start.dim_in, warm_start.dim_out) != (d_mid, d_out):
             raise DimMismatch("warm start has wrong dimensions")
         t_w = transfer_matrix(warm_start)
-        res, cp, tp, _ = _certify(t_w, from_ch, to_ch, probes)
-        sol = _finish(t_w, res, cp, tp, d_mid, d_out)
+        sol = _certify(t_w, t_from, t_to, d_in, d_mid, d_out)
         if sol.success:
-            return sol
+            return _finish(t_w, sol, d_mid, d_out)
 
-    t_from = transfer_matrix(from_ch)
-    t_to = transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
     t_ls = t_to @ f_pinv
     # trace-fixing completion on the orthogonal complement of range(T_from)
@@ -165,32 +162,23 @@ def solve_degrading_map(
     tr_row = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - proj)
     t_d = t_ls + np.outer(qmat.vec(np.eye(d_out) / d_out), tr_row.ravel())
 
-    res, cp, tp, _ = _certify(t_d, from_ch, to_ch, probes)
-    if res <= TOL.residual_tol and not (cp >= TOL.psd_tol and tp <= TOL.residual_tol):
+    sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
+    if sol.residual <= TOL.residual_tol and not sol.success:
         t_ref = _cptp_refine(t_d, t_from, t_to, d_mid, d_out)
-        res2, cp2, tp2, _ = _certify(t_ref, from_ch, to_ch, probes)
+        refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
         # keep the refinement only if it actually certifies
-        if (
-            res2 <= TOL.residual_tol
-            and cp2 >= TOL.psd_tol
-            and tp2 <= TOL.residual_tol
-        ):
-            t_d, res, cp, tp = t_ref, res2, cp2, tp2
-    return _finish(t_d, res, cp, tp, d_mid, d_out)
+        if refined.success:
+            t_d, sol = t_ref, refined
+    return _finish(t_d, sol, d_mid, d_out)
 
 
-def _finish(t_d, res, cp, tp, d_mid, d_out) -> DegradingSolution:
-    ok = res <= TOL.residual_tol and cp >= TOL.psd_tol and tp <= TOL.residual_tol
-    mapped = None
-    if ok:
+def _finish(t_d, sol: DegradingSolution, d_mid, d_out) -> DegradingSolution:
+    """Attach the Kraus map of T_d to a certified solution."""
+    if sol.success:
         choi = choi_of_transfer(t_d, d_mid, d_out)
         ops = chmod.kraus_from_choi(choi, d_mid, d_out)
-        mapped = chmod.KrausChannel(
-            kraus=ops, dim_in=d_mid, dim_out=d_out, name="degrading"
-        )
-    return DegradingSolution(
-        map=mapped, residual=res, cp_min_eig=cp, tp_residual=tp, transfer=t_d
-    )
+        sol.map = chmod.KrausChannel(ops, d_mid, d_out, name="degrading")
+    return sol
 
 
 def is_degradable(ch: chmod.KrausChannel) -> DegradingSolution:
@@ -207,22 +195,14 @@ def verify_pd_identity(n_ab, d_b_to_eprime, n_ae, d_e_to_eprime) -> float:
     right = chmod.compose(n_ae, d_e_to_eprime)
     if left.dim_in != right.dim_in or left.dim_out != right.dim_out:
         raise DimMismatch("composed maps have mismatched endpoints")
-    residual = 0.0
-    for rho in probe_states(left.dim_in):
-        residual = max(
-            residual,
-            float(np.max(np.abs(chmod.apply(left, rho) - chmod.apply(right, rho)))),
-        )
-    return residual
+    return _probe_residual(transfer_matrix(left) - transfer_matrix(right), left.dim_in)
 
 
 def _acts_as_identity(ch: chmod.KrausChannel) -> bool:
     if ch.dim_in != ch.dim_out:
         return False
-    for rho in probe_states(ch.dim_in):
-        if np.max(np.abs(chmod.apply(ch, rho) - rho)) > TOL.residual_tol:
-            return False
-    return True
+    r = transfer_matrix(ch) - np.eye(ch.dim_in**2)
+    return _probe_residual(r, ch.dim_in) <= TOL.residual_tol
 
 
 @dataclass

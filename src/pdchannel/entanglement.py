@@ -155,11 +155,9 @@ class EbReport:
         return {"verdict": self.verdict, "witness": self.witness}
 
 
-def _numerical_rank(m, cutoff: float = TOL.pinv_cutoff) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
+def _all_rank_one(ops: np.ndarray) -> bool:
+    """Whether every operator of a (K, m, n) stack has numerical rank <= 1."""
+    return all(qmat.numerical_rank(s) <= 1 for s in np.linalg.svd(ops, compute_uv=False))
 
 
 def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
@@ -171,7 +169,7 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
     no: the Choi is NPT.
     undetermined: everything else.
     """
-    if all(_numerical_rank(k) <= 1 for k in ch.kraus):
+    if _all_rank_one(ch.kraus):
         return EbReport(verdict="yes", witness="all given Kraus operators are rank one")
     choi = chmod.to_choi(ch, check_tp=False)
     dims = (ch.dim_in, ch.dim_out)
@@ -182,7 +180,7 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
             witness=f"Choi is NPT (min PT eigenvalue {min(ppt.min_eig_ta, ppt.min_eig_tb):.3e})",
         )
     eig_ops = chmod.kraus_from_choi(choi.matrix, ch.dim_in, ch.dim_out)
-    if all(_numerical_rank(k) <= 1 for k in eig_ops):
+    if _all_rank_one(eig_ops):
         return EbReport(
             verdict="yes", witness="Choi eigendecomposition yields rank-one Kraus operators"
         )

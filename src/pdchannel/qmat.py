@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import TOL, max_dim
-from .errors import DimMismatch, NotHermitian, SizeLimit, Unsupported
+from .config import TOL
+from .errors import DimMismatch, NotHermitian, Unsupported
 
 
 def as_matrix(m) -> np.ndarray:
@@ -38,19 +38,6 @@ def check_square(m: np.ndarray, dims: Sequence[int] | None = None) -> np.ndarray
     if dims is not None and prod(dims) != m.shape[0]:
         raise DimMismatch(f"dims {tuple(dims)} inconsistent with side {m.shape[0]}")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    cap = max_dim()
-    if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
-        raise SizeLimit(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds side cap {cap}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -124,14 +111,13 @@ def pinv(m, cutoff: float = TOL.pinv_cutoff) -> np.ndarray:
     return np.linalg.pinv(m, rcond=cutoff)
 
 
-def svd_nullspace(m, cutoff: float = TOL.pinv_cutoff) -> np.ndarray:
-    """Orthonormal basis (as columns) of the right nullspace of ``m``."""
-    m = as_matrix(m)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    # rank = singular values above the relative cutoff
-    rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
-    return vh[rank:].conj().T
+def numerical_rank(spectrum, cutoff: float = TOL.pinv_cutoff) -> int:
+    """Count the entries of a descending spectrum (eigenvalues or singular
+    values) above ``cutoff`` times its top entry; 0 when the top is <= 0."""
+    top = float(spectrum[0]) if len(spectrum) else 0.0
+    if top <= 0:
+        return 0
+    return int(np.sum(spectrum > cutoff * top))
 
 
 def vec(m) -> np.ndarray:

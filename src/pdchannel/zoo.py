@@ -35,12 +35,6 @@ def _ket(i: int, d: int) -> np.ndarray:
     return v
 
 
-def _flag_channel(ops, dim_in, dim_out, name) -> chmod.KrausChannel:
-    ch = chmod.KrausChannel(kraus=ops, dim_in=dim_in, dim_out=dim_out, name=name)
-    ch.flagged = ch.tp_residual() > TOL.residual_tol
-    return ch
-
-
 def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
     """Right-rescale by (sum N^dag N)^{-1/2}; complete any untouched input
     subspace with trace-collecting terms into |0><0| so the result is TP."""
@@ -50,14 +44,12 @@ def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
     support = w > TOL.pinv_cutoff * max(float(w[0]), 1.0)
     for lam, col in zip(w[support], v[:, support].T):
         inv_sqrt += np.outer(col, col.conj()) / np.sqrt(lam)
-    ops = [k @ inv_sqrt for k in ch.kraus]
+    ops = list(ch.kraus @ inv_sqrt)
     for col in v[:, ~support].T:
         ops.append(_ket(0, ch.dim_out) @ col.conj().reshape(1, -1))
-    out = chmod.KrausChannel(
+    return chmod.KrausChannel(
         kraus=ops, dim_in=ch.dim_in, dim_out=ch.dim_out, name=ch.name + " [repaired]"
     )
-    out.flagged = out.tp_residual() > TOL.residual_tol
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +69,7 @@ def horodecki_channel(alpha: float) -> chmod.KrausChannel:
     for k in range(3):
         l = (k - 1) % 3
         ops.append(np.sqrt((5.0 - alpha) / 7.0) * (_ket(l, 3) @ _ket(k, 3).conj().T))
-    return _flag_channel(ops, 3, 3, f"horodecki(alpha={alpha})")
+    return chmod.KrausChannel(ops, 3, 3, f"horodecki(alpha={alpha})")
 
 
 def horodecki_state(alpha: float) -> np.ndarray:
@@ -126,7 +118,7 @@ def m_ae_channel(repair: bool = False) -> chmod.KrausChannel:
         w56 * np.kron(_X, d5),
         w56 * np.kron(_Y, d6),
     ]
-    ch = _flag_channel(ops, 4, 4, "m_ae")
+    ch = chmod.KrausChannel(ops, 4, 4, "m_ae")
     return _repair(ch) if repair else ch
 
 
@@ -138,7 +130,7 @@ def composite_complementary(x: float, repair: bool = False) -> chmod.KrausChanne
     ops = [np.sqrt(x) * np.kron(_ket(0, 2), np.eye(4, dtype=np.complex128))]
     ops += [np.sqrt(1.0 - x) * np.kron(_ket(1, 2), k) for k in inner.kraus]
     name = f"composite_complementary(x={x})" + (" [repaired]" if repair else "")
-    return _flag_channel([o for o in ops if np.linalg.norm(o) > 0] or ops, 4, 8, name)
+    return chmod.KrausChannel([o for o in ops if np.linalg.norm(o) > 0] or ops, 4, 8, name)
 
 
 def default_inner() -> chmod.KrausChannel:
@@ -182,7 +174,7 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     n1 = np.zeros((2, 8), dtype=np.complex128)
     n1[0, 0] = np.sqrt(1.0 - a1)
     n1[1, 1] = np.sqrt(1.0 - a2)
-    ch = _flag_channel([n0, n1], 8, 2, f"d_e_to_eprime(a1={a1},a2={a2})")
+    ch = chmod.KrausChannel([n0, n1], 8, 2, f"d_e_to_eprime(a1={a1},a2={a2})")
     return _repair(ch) if repair else ch
 
 
@@ -219,7 +211,7 @@ def d_b_to_eprime(x: float, n_ae_prime_kraus: list | None = None) -> chmod.Kraus
         c = np.zeros((2, 12), dtype=np.complex128)
         c[0, j] = coef_c
         ops.append(c)
-    return _flag_channel(ops, 12, 2, f"d_b_to_eprime(x={x})")
+    return chmod.KrausChannel(ops, 12, 2, f"d_b_to_eprime(x={x})")
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +235,9 @@ def symmetric_pd_channel() -> tuple:
     symmetric-subspace isometry; swap symmetry makes them equal in action."""
     v = symmetric_isometry()
     t = v.reshape(8, 8, 4)
-    ops_b = [np.ascontiguousarray(t[:, k, :]) for k in range(8)]  # trace the fast factor
-    ops_e = [np.ascontiguousarray(t[k, :, :]) for k in range(8)]  # trace the slow factor
-    n_ab = chmod.KrausChannel(kraus=ops_b, dim_in=4, dim_out=8, name="symmetric_pd_ab")
-    n_ae = chmod.KrausChannel(kraus=ops_e, dim_in=4, dim_out=8, name="symmetric_pd_ae")
+    # the Kraus index is the traced factor: fast for B, slow for E
+    n_ab = chmod.KrausChannel(t.transpose(1, 0, 2), 4, 8, name="symmetric_pd_ab")
+    n_ae = chmod.KrausChannel(t, 4, 8, name="symmetric_pd_ae")
     return n_ab, n_ae
 
 
@@ -277,7 +268,7 @@ def corollary4_degrading_map(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
     # bras as printed (no conjugation applied to the phase factors)
     ops.append((1.0 / 8.0) * (gamma @ gamma.reshape(1, 3)))
     ops.append((1.0 / 8.0) * (kappa @ kappa.reshape(1, 3)))
-    return _flag_channel(ops, 3, 3, f"corollary4_degrading(n={n_vec})")
+    return chmod.KrausChannel(ops, 3, 3, f"corollary4_degrading(n={n_vec})")
 
 
 def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
@@ -290,7 +281,7 @@ def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
         theta = (complex(-1.0) ** (n / 2.0)) * _ket(j, 3)
         dyad = (ups @ ups.reshape(1, 3)) @ (theta @ theta.reshape(1, 3))
         ops.append((1.0 / 8.0) * dyad)
-    return _flag_channel(ops, 3, 3, f"corollary4_rank_one(n={n_vec})")
+    return chmod.KrausChannel(ops, 3, 3, f"corollary4_rank_one(n={n_vec})")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ def test_stinespring_reproduces_action_and_complementary():
 
 def test_stinespring_rejects_non_tp():
     bad = ch.KrausChannel(kraus=[0.5 * np.eye(2)], dim_in=2, dim_out=2)
+    assert bad.flagged
     with pytest.raises(NotTracePreserving):
         ch.stinespring(bad)
     with pytest.raises(NotTracePreserving):
@@ -76,6 +77,7 @@ def test_choi_normalization_and_rank():
     assert np.allclose(marg, np.eye(2) / 2)
     assert ch.choi_rank(choi) == 2
     assert ch.choi_rank(ch.to_choi(ch.identity_channel(3))) == 1
+    assert qmat.numerical_rank(np.zeros(4)) == 0
 
 
 def test_kraus_from_choi_roundtrip():

@@ -72,6 +72,14 @@ def test_capacity_report(tmp_path, capsys):
     assert report["env"]["seed"] == 7 and report["env"]["restarts"] == 4
 
 
+def test_bad_max_dim_env_exits_2(monkeypatch, capsys):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("QPD_MAX_DIM", value)
+        code, _, err = _run(capsys, ["zoo", "list"])
+        assert code == 2
+        assert "QPD_MAX_DIM" in err and repr(value) in err
+
+
 def test_capacity_tensor_gate(tmp_path, capsys):
     path = _save(tmp_path, zoo.dephasing(0.3))
     code, _, err = _run(capsys, ["capacity", path, "--tensor", "3"])

@@ -91,6 +91,17 @@ def test_verify_pd_identity_exact_and_mismatch():
     n_ab, n_ae = zoo.symmetric_pd_channel()
     ident = ch.identity_channel(8)
     assert deg.verify_pd_identity(n_ab, ident, n_ae, ident) == 0.0
+    # composites that differ: the residual is the largest action mismatch
+    # over the probe states
+    ad = zoo.amplitude_damping(0.2)
+    comp, ident2 = ch.complementary(ad), ch.identity_channel(2)
+    left, right = ch.compose(ad, ident2), ch.compose(comp, ident2)
+    expected = max(
+        np.max(np.abs(ch.apply(left, rho) - ch.apply(right, rho)))
+        for rho in deg.probe_states(2)
+    )
+    assert expected > 0.1
+    assert deg.verify_pd_identity(ad, ident2, comp, ident2) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(DimMismatch):
         deg.verify_pd_identity(n_ab, ident, zoo.amplitude_damping(0.1), ident)
 

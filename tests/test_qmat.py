@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdchannel import qmat
-from pdchannel.errors import DimMismatch, NotHermitian, SizeLimit, Unsupported
+from pdchannel.errors import DimMismatch, NotHermitian, Unsupported
 
 
 def test_as_matrix_promotes_vectors_and_rejects_nonfinite():
@@ -20,21 +20,6 @@ def test_check_square_dims():
     with pytest.raises(DimMismatch):
         qmat.check_square(np.eye(4), dims=(2, 3))
     qmat.check_square(np.eye(6), dims=(2, 3))
-
-
-def test_kron_matches_numpy_and_orders_left_slow():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1], [1, 0]], dtype=complex)
-    k = qmat.kron(a, b)
-    assert np.array_equal(k, np.kron(a, b))
-    # left factor on the slow axis: block (i, j) is a[i, j] * b
-    assert np.allclose(k[:2, :2], a[0, 0] * b)
-
-
-def test_kron_respects_size_cap(monkeypatch):
-    monkeypatch.setenv("QPD_MAX_DIM", "3")
-    with pytest.raises(SizeLimit):
-        qmat.kron(np.eye(2), np.eye(2))
 
 
 def test_partial_trace_product_state():
@@ -98,10 +83,6 @@ def test_pinv_and_nullspace():
     p = qmat.pinv(m)
     assert np.allclose(m @ p @ m, m)
     assert np.allclose(qmat.pinv(np.zeros((2, 3))), np.zeros((3, 2)))
-    ns = qmat.svd_nullspace(m)
-    assert ns.shape == (3, 2)
-    assert np.allclose(m @ ns, 0.0)
-    assert np.allclose(ns.conj().T @ ns, np.eye(2))
 
 
 def test_vec_unvec_roundtrip_column_major():
