@@ -168,7 +168,6 @@ def _fd_gradient(f, x, step=_FD_STEP):
 def maximize_coherent_information(
     ch: chmod.KrausChannel,
     restarts: int = 32,
-    max_iters: int = 300,
     tol: float = 1e-6,
     seed: int = 42,
     extra_seed_states: list | None = None,
@@ -206,7 +205,7 @@ def maximize_coherent_information(
             x0,
             jac=lambda x: _fd_gradient(objective, x),
             method="L-BFGS-B",
-            options={"maxiter": max_iters, "ftol": 1e-12, "gtol": 1e-10},
+            options={"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10},
         )
         values.append(-float(res.fun))
         if best_x is None or values[-1] > max(values[:-1]):

@@ -164,22 +164,20 @@ def to_choi(ch: KrausChannel, check_tp: bool = True) -> ChoiMatrix:
     return ChoiMatrix(matrix=j / d_a, dim_in=d_a, dim_out=d_b)
 
 
-def choi_rank(c: ChoiMatrix, cutoff: float = TOL.pinv_cutoff) -> int:
+def choi_rank(c: ChoiMatrix) -> int:
     w, _ = qmat.eigh(c.matrix)
-    return qmat.numerical_rank(w, cutoff)
+    return qmat.numerical_rank(w)
 
 
-def kraus_from_choi(
-    matrix: np.ndarray, dim_in: int, dim_out: int, cutoff: float = TOL.pinv_cutoff
-) -> np.ndarray:
+def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
     """Extract a (K, dim_out, dim_in) Kraus stack from an (unnormalized or
     normalized) Choi matrix.
 
     Assumes input-slow/output-fast factor order. Eigenvalues below
-    cutoff * lambda_max are dropped; small negative tails are clipped.
+    TOL.pinv_cutoff * lambda_max are dropped; small negative tails are clipped.
     """
     w, v = qmat.eigh((matrix + matrix.conj().T) / 2)
-    r = qmat.numerical_rank(w, cutoff)
+    r = qmat.numerical_rank(w)
     if r == 0:
         return np.zeros((1, dim_out, dim_in), dtype=np.complex128)
     cols = v[:, :r] * np.sqrt(w[:r])
@@ -235,13 +233,11 @@ def identity_channel(d: int) -> KrausChannel:
 def minimal_kraus(ch: KrausChannel) -> KrausChannel:
     """Re-extract a minimal Kraus set via the Choi eigendecomposition."""
     choi = to_choi(ch, check_tp=False)
-    ops = kraus_from_choi(
-        choi.matrix * ch.dim_in, ch.dim_in, ch.dim_out, TOL.pinv_cutoff
-    )
+    ops = kraus_from_choi(choi.matrix * ch.dim_in, ch.dim_in, ch.dim_out)
     return replace(ch, kraus=ops)
 
 
-def flagged_direct_sum(x: float, inner: KrausChannel, flag_dim_out: int | None = None) -> KrausChannel:
+def flagged_direct_sum(x: float, inner: KrausChannel) -> KrausChannel:
     """Flag-qubit direct sum: rho -> x |0><0| (x) pi Tr(rho) + (1-x) |1><1| (x) inner(rho).
 
     The x-branch is a trace-and-replace channel onto the maximally mixed
@@ -252,10 +248,6 @@ def flagged_direct_sum(x: float, inner: KrausChannel, flag_dim_out: int | None =
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be in [0, 1], got {x}")
     d_in, d_block = inner.dim_in, inner.dim_out
-    if flag_dim_out is not None and flag_dim_out != 2 * d_block:
-        raise DimMismatch(
-            f"flag_dim_out {flag_dim_out} != 2 * inner.dim_out = {2 * d_block}"
-        )
     # the flag is the slow output factor: flag 0 on the top block rows
     blocks = []
     if x > 0:

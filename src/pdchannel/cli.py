@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from . import capacity as capmod
 from . import channel as chmod
 from . import degradability as degmod
 from . import polar as polmod
@@ -60,9 +59,11 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _load_channel(path: str) -> chmod.KrausChannel:
+def _load(loader, path: str):
+    """Read an input file with ``loader``, turning a missing file or
+    malformed JSON into an input error."""
     try:
-        return chmod.load_channel(path)
+        return loader(path)
     except FileNotFoundError:
         raise PdChannelError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
@@ -70,7 +71,7 @@ def _load_channel(path: str) -> chmod.KrausChannel:
 
 
 def cmd_inspect(args) -> int:
-    ch = _load_channel(args.file)
+    ch = _load(chmod.load_channel, args.file)
     report = chmod.validate(ch)
     choi = chmod.to_choi(ch, check_tp=False)
     rank = chmod.choi_rank(choi)
@@ -92,8 +93,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ch = _load_channel(args.file)
-    degrading = _load_channel(args.degrading) if args.degrading else None
+    ch = _load(chmod.load_channel, args.file)
+    degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
     result = degmod.classify_pd(ch, degrading, try_conjugate=args.conjugate)
     out = {"env": _report_env(args), **result.as_dict()}
     _emit(out, args)
@@ -101,7 +102,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    ch = _load_channel(args.file)
+    # imported here: only this command needs scipy
+    from . import capacity as capmod
+
+    ch = _load(chmod.load_channel, args.file)
     result = capmod.maximize_coherent_information(
         ch, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
@@ -118,12 +122,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_polar(args) -> int:
-    try:
-        ledger = polmod.load_ledger(args.file)
-    except FileNotFoundError:
-        raise PdChannelError(f"no such file: {args.file}")
-    except json.JSONDecodeError as exc:
-        raise PdChannelError(f"invalid JSON in {args.file}: {exc.msg}")
+    ledger = _load(polmod.load_ledger, args.file)
     violations = polmod.validate_partition(ledger)
     rates = {"delta": str(polmod.delta(ledger))}
     if ledger.regime in ("DEGRADABLE", "DEGRADABLE_PD"):
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("inspect", help="validate a channel JSON file")
     p.add_argument("file")
@@ -199,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="maximize coherent information")
     p.add_argument("file")
     p.add_argument("--tensor", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_capacity)
 

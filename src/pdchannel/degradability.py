@@ -96,13 +96,13 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
     )
 
 
-def _cptp_refine(t0, t_from, t_to, d_mid, d_out, max_iter=2000):
+def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):
     """Cyclic projections onto {T: T T_from = T_to}, the PSD-Choi cone, and
-    the TP affine set. Used only when the direct least-squares completion
-    fails its CP/TP certificates; deterministic."""
-    f_pinv = qmat.pinv(t_from)
+    the TP affine set, for at most 2000 rounds; ``f_pinv`` is pinv(T_from).
+    Used only when the direct least-squares completion fails its CP/TP
+    certificates; deterministic."""
     t = t0.copy()
-    for _ in range(max_iter):
+    for _ in range(2000):
         # affine composition constraint
         t = t - (t @ t_from - t_to) @ f_pinv
         # PSD projection in Choi coordinates (an entrywise permutation of T,
@@ -124,11 +124,7 @@ def _cptp_refine(t0, t_from, t_to, d_mid, d_out, max_iter=2000):
     return t
 
 
-def solve_degrading_map(
-    from_ch: chmod.KrausChannel,
-    to_ch: chmod.KrausChannel,
-    warm_start: chmod.KrausChannel | None = None,
-) -> DegradingSolution:
+def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> DegradingSolution:
     """Find a CPTP map D with to = D o from, if the linear algebra allows.
 
     The candidate is T_to pinv(T_from) on the range of T_from. Off-range
@@ -146,15 +142,6 @@ def solve_degrading_map(
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
     t_from = transfer_matrix(from_ch)
     t_to = transfer_matrix(to_ch)
-
-    if warm_start is not None:
-        if (warm_start.dim_in, warm_start.dim_out) != (d_mid, d_out):
-            raise DimMismatch("warm start has wrong dimensions")
-        t_w = transfer_matrix(warm_start)
-        sol = _certify(t_w, t_from, t_to, d_in, d_mid, d_out)
-        if sol.success:
-            return _finish(t_w, sol, d_mid, d_out)
-
     f_pinv = qmat.pinv(t_from)
     t_ls = t_to @ f_pinv
     # trace-fixing completion on the orthogonal complement of range(T_from)
@@ -164,7 +151,7 @@ def solve_degrading_map(
 
     sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
     if sol.residual <= TOL.residual_tol and not sol.success:
-        t_ref = _cptp_refine(t_d, t_from, t_to, d_mid, d_out)
+        t_ref = _cptp_refine(t_d, t_from, f_pinv, t_to, d_mid, d_out)
         refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
         # keep the refinement only if it actually certifies
         if refined.success:
@@ -229,22 +216,27 @@ SOLVE_KEYS = ("B->E", "E->B", "B->E'", "E'->B")
 def _classify_once(ch, d_e_to_eprime):
     n_ab = ch
     n_ae = chmod.complementary(ch)
-    if d_e_to_eprime is None:
-        d_e_to_eprime = chmod.identity_channel(n_ae.dim_out)
-    if d_e_to_eprime.dim_in != n_ae.dim_out:
+    if d_e_to_eprime is not None and d_e_to_eprime.dim_in != n_ae.dim_out:
         raise DimMismatch(
             f"degrading map dim_in {d_e_to_eprime.dim_in} != environment dim {n_ae.dim_out}"
         )
-    n_aep = chmod.compose(n_ae, d_e_to_eprime)
-
     solutions = {
         "B->E": solve_degrading_map(n_ab, n_ae),
         "E->B": solve_degrading_map(n_ae, n_ab),
-        "B->E'": solve_degrading_map(n_ab, n_aep),
-        "E'->B": solve_degrading_map(n_aep, n_ab),
     }
+    if d_e_to_eprime is None:
+        # the default E->E' map is the identity: E' is E, so the primed
+        # problems are the unprimed ones and share their solutions
+        n_aep = n_ae
+        solutions["B->E'"] = solutions["B->E"]
+        solutions["E'->B"] = solutions["E->B"]
+        trivial_degrading = True
+    else:
+        n_aep = chmod.compose(n_ae, d_e_to_eprime)
+        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep)
+        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab)
+        trivial_degrading = _acts_as_identity(d_e_to_eprime)
     ok = {k: v.success for k, v in solutions.items()}
-    trivial_degrading = _acts_as_identity(d_e_to_eprime)
 
     if ok["B->E'"] and ok["E'->B"]:
         # output and degraded environment simulate each other

@@ -89,35 +89,36 @@ def herm_residual(m) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def eigh(m, herm_tol: float = TOL.herm_tol) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns ``(w, v)`` with columns of ``v`` the eigenvectors, so that
     ``m @ v ~= v @ diag(w)``.
     """
     m = check_square(m)
-    if herm_residual(m) > herm_tol:
-        raise NotHermitian(f"Hermiticity residual {herm_residual(m):.3e} > {herm_tol}")
+    if herm_residual(m) > TOL.herm_tol:
+        raise NotHermitian(f"Hermiticity residual {herm_residual(m):.3e} > {TOL.herm_tol}")
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
     return w[order].real, v[:, order]
 
 
-def pinv(m, cutoff: float = TOL.pinv_cutoff) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff."""
     m = as_matrix(m)
     if not m.size or not np.any(m):
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(m, rcond=cutoff)
+    return np.linalg.pinv(m, rcond=TOL.pinv_cutoff)
 
 
-def numerical_rank(spectrum, cutoff: float = TOL.pinv_cutoff) -> int:
+def numerical_rank(spectrum) -> int:
     """Count the entries of a descending spectrum (eigenvalues or singular
-    values) above ``cutoff`` times its top entry; 0 when the top is <= 0."""
+    values) above ``TOL.pinv_cutoff`` times its top entry; 0 when the top
+    entry is not positive."""
     top = float(spectrum[0]) if len(spectrum) else 0.0
     if top <= 0:
         return 0
-    return int(np.sum(spectrum > cutoff * top))
+    return int(np.sum(spectrum > TOL.pinv_cutoff * top))
 
 
 def vec(m) -> np.ndarray:

@@ -178,7 +178,7 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     return _repair(ch) if repair else ch
 
 
-def d_b_to_eprime(x: float, n_ae_prime_kraus: list | None = None) -> chmod.KrausChannel:
+def d_b_to_eprime(x: float) -> chmod.KrausChannel:
     """Best-effort verbatim 12->2 map from the printed operator family.
 
     The printed shapes do not reconcile (a 2x2 selector tensored with 2x4
@@ -187,15 +187,12 @@ def d_b_to_eprime(x: float, n_ae_prime_kraus: list | None = None) -> chmod.Kraus
     """
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must be in (0, 1], got {x}")
-    if n_ae_prime_kraus is None:
-        blocks = []
-        for w1, w2 in ((1.0 / SQ2, 1.0 / SQ2), (1.0 - 1.0 / SQ2, 1.0 - 1.0 / SQ2)):
-            b = np.zeros((2, 4), dtype=np.complex128)
-            b[0, 0] = np.sqrt(w1)
-            b[1, 1] = np.sqrt(w2)
-            blocks.append(b)
-    else:
-        blocks = [qmat.as_matrix(b) for b in n_ae_prime_kraus]
+    blocks = []
+    for w1, w2 in ((1.0 / SQ2, 1.0 / SQ2), (1.0 - 1.0 / SQ2, 1.0 - 1.0 / SQ2)):
+        b = np.zeros((2, 4), dtype=np.complex128)
+        b[0, 0] = np.sqrt(w1)
+        b[1, 1] = np.sqrt(w2)
+        blocks.append(b)
     ops = []
     for j in range(6):
         a = np.zeros((2, 12), dtype=np.complex128)

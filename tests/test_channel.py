@@ -149,8 +149,6 @@ def test_flagged_direct_sum_is_tp_and_block_structured():
     assert np.allclose(blocks[0, :, 1, :], 0.0)
     with pytest.raises(DomainError):
         ch.flagged_direct_sum(1.5, inner)
-    with pytest.raises(DimMismatch):
-        ch.flagged_direct_sum(0.5, inner, flag_dim_out=7)
 
 
 def test_json_roundtrip(tmp_path):

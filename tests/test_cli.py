@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +46,28 @@ def test_inspect_bad_json_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["inspect", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_polar_missing_file_exits_2(tmp_path, capsys):
+    code, _, err = _run(capsys, ["polar", str(tmp_path / "nope.json")])
+    assert code == 2
+    assert "no such file" in err
+
+
+def test_polar_bad_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, _, err = _run(capsys, ["polar", str(path)])
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed by the capacity command alone and loads on its first use
+    code = "import sys, pdchannel.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_classify_degradable(tmp_path, capsys):

@@ -63,16 +63,6 @@ def test_erasure_degradability_switch():
     assert deg.is_antidegradable(zoo.erasure(0.75)).success
 
 
-def test_warm_start_short_circuits():
-    c = zoo.amplitude_damping(0.2)
-    comp = ch.complementary(c)
-    base = deg.solve_degrading_map(c, comp)
-    warm = deg.solve_degrading_map(c, comp, warm_start=base.map)
-    assert warm.success
-    with pytest.raises(DimMismatch):
-        deg.solve_degrading_map(c, comp, warm_start=ch.identity_channel(3))
-
-
 def test_solve_rejects_mismatched_inputs():
     with pytest.raises(DimMismatch):
         deg.solve_degrading_map(zoo.amplitude_damping(0.2), zoo.horodecki_channel(3.5))
@@ -125,12 +115,36 @@ def test_classify_symmetric_pd():
     assert d["solutions"]["E'->B"]["success"]
 
 
-def test_classify_degradable_pd_with_lossy_degrading():
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = deg.solve_degrading_map
+
+    def counted(from_ch, to_ch):
+        calls.append((from_ch.dim_out, to_ch.dim_out))
+        return solve(from_ch, to_ch)
+
+    monkeypatch.setattr(deg, "solve_degrading_map", counted)
+    return calls
+
+
+def test_classify_default_map_solves_each_problem_once(monkeypatch):
+    # with no E->E' map, E' is E: B->E' and E'->B are B->E and E->B
+    calls = _count_solves(monkeypatch)
+    res = deg.classify_pd(zoo.amplitude_damping(0.2))
+    assert len(calls) == 2
+    assert res.label == "DEGRADABLE"
+    assert res.solutions["B->E'"] is res.solutions["B->E"]
+    assert res.solutions["E'->B"] is res.solutions["E->B"]
+
+
+def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
     # the repaired 8->2 degrading keeps only one input weight, so the
     # reverse (degraded environment back to output) solve fails and the
     # one-directional PD label applies
     n_ab, _ = zoo.symmetric_pd_channel()
+    calls = _count_solves(monkeypatch)
     res = deg.classify_pd(n_ab, zoo.d_e_to_eprime(repair=True))
+    assert len(calls) == 4
     assert res.label == "DEGRADABLE_PD"
     assert res.solutions["B->E'"].success
     assert not res.solutions["E'->B"].success
