@@ -1,7 +1,7 @@
 """Coherent-information maximization: calibration against channels with
 known optima, then the two-copy additivity probe.
 
-Run: python3 demos/06_capacity.py  (takes a couple of minutes)
+Run: python3 demos/06_capacity.py  (a few seconds)
 """
 
 import numpy as np

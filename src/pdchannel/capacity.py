@@ -16,7 +16,6 @@ from . import qmat
 from .errors import DimMismatch, SizeLimit
 
 MAX_OPT_DIM = 16
-_FD_STEP = 1e-5
 
 
 def coherent_information(ch: chmod.KrausChannel, rho) -> float:
@@ -102,11 +101,20 @@ def coherent_information_pd(iso: PdIsometries, rho) -> dict:
 
 @dataclass
 class CoherentInfoResult:
+    """Best coherent information over the restarts.
+
+    ``converged`` means only that the top two restarts agree within
+    10 * max(tol, 1e-6); it says nothing about any single L-BFGS run, whose
+    iteration count, evaluation count and stop message are in
+    ``per_restart_status`` (one dict per restart, in restart order).
+    """
+
     value: float
     argmax_state: np.ndarray
     restarts_used: int
     converged: bool
     per_restart_values: list
+    per_restart_status: list
 
     def as_dict(self) -> dict:
         return {
@@ -114,55 +122,83 @@ class CoherentInfoResult:
             "restarts_used": self.restarts_used,
             "converged": self.converged,
             "per_restart_values": self.per_restart_values,
+            "per_restart_status": self.per_restart_status,
             "argmax_state": [
                 [[z.real, z.imag] for z in row] for row in self.argmax_state
             ],
         }
 
 
-def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
-    """Map a real parameter vector of length d^2 to a density matrix via a
-    lower-triangular factor rho = L L^dag / Tr(L L^dag)."""
-    l = np.zeros((d, d), dtype=np.complex128)
-    idx = d
-    for i in range(d):
-        l[i, i] = x[i]
-    for i in range(d):
-        for j in range(i):
-            l[i, j] = x[idx] + 1j * x[idx + 1]
-            idx += 2
+# Parameter layout of a d x d lower-triangular factor L: x[:d] is the real
+# diagonal, then each strictly-lower entry, in np.tril_indices(d, -1) order,
+# as a (real, imaginary) pair.
+
+
+def _params_to_factor(x: np.ndarray, d: int) -> np.ndarray:
+    l = np.diag(x[:d]).astype(np.complex128)
+    rows, cols = np.tril_indices(d, -1)
+    l[rows, cols] = x[d::2] + 1j * x[d + 1 :: 2]
+    return l
+
+
+def _factor_to_params(m: np.ndarray) -> np.ndarray:
+    """Read the parameter layout off the diagonal and lower triangle of m."""
+    d = m.shape[0]
+    rows, cols = np.tril_indices(d, -1)
+    x = np.empty(d * d)
+    x[:d] = m.diagonal().real
+    x[d::2] = m[rows, cols].real
+    x[d + 1 :: 2] = m[rows, cols].imag
+    return x
+
+
+def _factor_to_state(l: np.ndarray) -> tuple[np.ndarray, float]:
+    """(rho, t) with t = Tr(L L^dag) and rho = L L^dag / t, or the maximally
+    mixed state when t underflows."""
     g = l @ l.conj().T
     tr = np.trace(g).real
     if tr < 1e-300:
-        return np.eye(d) / d
-    return g / tr
+        return np.eye(len(l)) / len(l), tr
+    return g / tr, tr
+
+
+def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
+    """Map a real parameter vector of length d^2 to a density matrix via a
+    lower-triangular factor rho = L L^dag / Tr(L L^dag)."""
+    return _factor_to_state(_params_to_factor(x, d))[0]
 
 
 def _state_to_params(rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     # Cholesky of a slightly smoothed copy so boundary states have a factor
     eps = 1e-12
-    l = np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d))
-    x = np.empty(d * d)
-    x[:d] = l.diagonal().real
-    idx = d
-    for i in range(d):
-        for j in range(i):
-            x[idx] = l[i, j].real
-            x[idx + 1] = l[i, j].imag
-            idx += 2
-    return x
+    return _factor_to_params(np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d)))
 
 
-def _fd_gradient(f, x, step=_FD_STEP):
-    g = np.empty_like(x)
-    for k in range(x.size):
-        xp = x.copy()
-        xp[k] += step
-        xm = x.copy()
-        xm[k] -= step
-        g[k] = (f(xp) - f(xm)) / (2 * step)
-    return g
+def _objective(ch: chmod.KrausChannel, comp: chmod.KrausChannel):
+    """-I_coh over the parameter layout, with its exact gradient.
+
+    With sigma_B = N(rho) and sigma_E = N_c(rho), the gradient in rho is
+    A = N^dag(log2 sigma_B) - N_c^dag(log2 sigma_E) (the identity terms of
+    d(-Tr s log2 s) cancel, since N and N_c share sum_i N_i^dag N_i). Through
+    rho = L L^dag / t it is B = 2 (A - Tr(A rho) I) L / t in L, read off as
+    (Re B_ii; Re B_ij, Im B_ij).
+    """
+    d = ch.dim_in
+
+    def objective(x):
+        l = _params_to_factor(x, d)
+        rho, t = _factor_to_state(l)
+        h_b, log_b = ent.entropy_and_log2(chmod.apply(ch, rho))
+        h_e, log_e = ent.entropy_and_log2(chmod.apply(comp, rho))
+        if t < 1e-300:
+            return -(h_b - h_e), np.zeros_like(x)
+        a = (ch.kraus_adj @ log_b @ ch.kraus).sum(axis=0)
+        a -= (comp.kraus_adj @ log_e @ comp.kraus).sum(axis=0)
+        b = 2 * (a @ l - np.trace(a @ rho).real * l) / t
+        return -(h_b - h_e), _factor_to_params(b)
+
+    return objective
 
 
 def maximize_coherent_information(
@@ -172,16 +208,14 @@ def maximize_coherent_information(
     seed: int = 42,
     extra_seed_states: list | None = None,
 ) -> CoherentInfoResult:
-    """Multi-start ascent of I_coh over the Cholesky-parameterized simplex
-    of density matrices. Deterministic given the seed."""
+    """Multi-start L-BFGS ascent of I_coh over the Cholesky-parameterized
+    density matrices, with the analytic gradient. Deterministic given the
+    seed. ``tol`` only sets how close the top two restarts must agree for
+    ``converged``."""
     d = ch.dim_in
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
-    comp = chmod.complementary(ch)
-
-    def objective(x):
-        rho = _params_to_state(x, d)
-        return -(ent.entropy(chmod.apply(ch, rho)) - ent.entropy(chmod.apply(comp, rho)))
+    objective = _objective(ch, chmod.complementary(ch))
 
     rng = np.random.default_rng(seed)
     starts = [_state_to_params(np.eye(d) / d)]
@@ -198,16 +232,17 @@ def maximize_coherent_information(
     if len(starts) > restarts:
         starts = starts[:restarts]
 
-    values, best_x = [], None
+    values, status, best_x = [], [], None
     for x0 in starts:
         res = optimize.minimize(
             objective,
             x0,
-            jac=lambda x: _fd_gradient(objective, x),
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10},
         )
         values.append(-float(res.fun))
+        status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
         if best_x is None or values[-1] > max(values[:-1]):
             best_x = res.x
     ordered = sorted(values, reverse=True)
@@ -218,6 +253,7 @@ def maximize_coherent_information(
         restarts_used=len(values),
         converged=converged,
         per_restart_values=values,
+        per_restart_status=status,
     )
 
 

@@ -285,6 +285,10 @@ def classify_pd(
 ) -> PdClassification:
     result = _classify_once(ch, d_e_to_eprime)
     if try_conjugate and result.label == "UNDETERMINED":
+        maps = (ch,) if d_e_to_eprime is None else (ch, d_e_to_eprime)
+        if not any(np.any(m.kraus.imag) for m in maps):
+            # real Kraus operators are their own conjugates: nothing new to classify
+            return result
         conj_d = chmod.conjugate(d_e_to_eprime) if d_e_to_eprime is not None else None
         conj = _classify_once(chmod.conjugate(ch), conj_d)
         if conj.label != "UNDETERMINED":

@@ -45,9 +45,7 @@ def assert_density_matrix(rho) -> np.ndarray:
     return rho
 
 
-def _spectrum(rho) -> np.ndarray:
-    rho = qmat.check_square(rho)
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+def _clamped(w: np.ndarray) -> np.ndarray:
     if w.min() < -_CLAMP or w.max() > 1.0 + _CLAMP:
         raise NotDensityMatrix(
             f"eigenvalues [{w.min():.3e}, {w.max():.3e}] outside clamping window"
@@ -55,13 +53,35 @@ def _spectrum(rho) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
+def _spectrum(rho) -> np.ndarray:
+    rho = qmat.check_square(rho)
+    return _clamped(np.linalg.eigvalsh((rho + rho.conj().T) / 2))
+
+
+def _entropy_bits(w: np.ndarray) -> float:
+    nz = w[w > 0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
 def entropy(rho) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
     if isinstance(rho, DensityMatrix):
         rho = rho.mat
-    w = _spectrum(rho)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return _entropy_bits(_spectrum(rho))
+
+
+def entropy_and_log2(rho) -> tuple[float, np.ndarray]:
+    """Von Neumann entropy in bits and the matrix log2(rho), both from one
+    eigendecomposition under the clamping window of :func:`entropy`.
+
+    The logarithm is taken on the support and set to 0 on the kernel (the
+    0 log 0 = 0 convention), so it is always finite.
+    """
+    rho = qmat.check_square(rho)
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    w = _clamped(w)
+    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
+    return _entropy_bits(w), (v * log_w) @ v.conj().T
 
 
 def _resolve(rho, dims=None):

@@ -93,6 +93,53 @@ def test_params_state_roundtrip():
     assert np.allclose(cap._params_to_state(np.zeros(9), 3), np.eye(3) / 3)
 
 
+def test_parameter_layout_is_row_major_lower_triangle():
+    # reference: the diagonal, then (re, im) pairs row by row below it
+    d = 4
+    x = np.arange(1.0, d * d + 1)
+    want = np.zeros((d, d), dtype=complex)
+    want[np.diag_indices(d)] = x[:d]
+    idx = d
+    for i in range(d):
+        for j in range(i):
+            want[i, j] = x[idx] + 1j * x[idx + 1]
+            idx += 2
+    assert np.array_equal(cap._params_to_factor(x, d), want)
+    assert np.array_equal(cap._factor_to_params(want), x)
+
+
+def test_objective_at_zero_params_is_maximally_mixed():
+    c = zoo.amplitude_damping(0.2)
+    value, grad = cap._objective(c, ch.complementary(c))(np.zeros(4))
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert value == pytest.approx(-cap.coherent_information(c, np.eye(2) / 2), abs=1e-12)
+
+
+def test_analytic_gradient_matches_central_differences():
+    rng = np.random.default_rng(11)
+    step = 1e-5
+    channels = (
+        zoo.amplitude_damping(0.2),
+        ch.tensor(zoo.amplitude_damping(0.3), zoo.amplitude_damping(0.3)),
+        ch.tensor(zoo.dephasing(0.3), zoo.dephasing(0.3)),
+        zoo.erasure(0.25),
+    )
+    for c in channels:
+        objective = cap._objective(c, ch.complementary(c))
+        n = c.dim_in**2
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            value, grad = objective(x)
+            rho = cap._params_to_state(x, c.dim_in)
+            assert value == pytest.approx(-cap.coherent_information(c, rho), abs=1e-12)
+            central = np.empty(n)
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = step
+                central[k] = (objective(x + e)[0] - objective(x - e)[0]) / (2 * step)
+            assert np.max(np.abs(grad - central)) <= 1e-8, c.name
+
+
 def test_maximizer_dephasing():
     res = cap.maximize_coherent_information(zoo.dephasing(0.1), restarts=8, seed=1)
     assert res.value == pytest.approx(1.0 - _h2(0.1), abs=1e-4)
@@ -101,6 +148,16 @@ def test_maximizer_dephasing():
     assert res.argmax_state.shape == (2, 2)
     d = res.as_dict()
     assert d["value"] == res.value
+
+
+def test_maximizer_reports_per_restart_status():
+    res = cap.maximize_coherent_information(zoo.amplitude_damping(0.2), restarts=6, seed=3)
+    status = res.as_dict()["per_restart_status"]
+    assert len(status) == 6
+    for entry in status:
+        assert set(entry) == {"nit", "nfev", "message"}
+        assert entry["nfev"] >= entry["nit"] >= 1
+        assert isinstance(entry["message"], str) and entry["message"]
 
 
 def test_maximizer_rejects_large_inputs():

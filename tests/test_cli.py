@@ -166,6 +166,17 @@ def test_text_format_renders_report(tmp_path, capsys):
     assert "tolerances:" in text
 
 
+def test_text_format_renders_capacity_report(tmp_path, capsys):
+    path = _save(tmp_path, zoo.erasure(0.25))
+    code, out, _ = _run(
+        capsys, ["capacity", path, "--restarts", "4", "--seed", "7", "--format", "text"]
+    )
+    assert code == 0
+    assert "converged: " in out
+    status = next(line for line in out.splitlines() if line.startswith("per_restart_status: "))
+    assert len(json.loads(status.split(": ", 1)[1])) == 4
+
+
 def test_report_to_file_is_valid_json(tmp_path, capsys):
     path = _save(tmp_path, zoo.dephasing(0.3))
     out_file = tmp_path / "report.json"

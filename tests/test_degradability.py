@@ -158,6 +158,23 @@ def test_classify_conjugate_fallback_passthrough():
     assert res.conjugate_label is None
 
 
+def test_classify_conjugate_skips_real_channel(monkeypatch):
+    # a channel with real Kraus operators is its own conjugate, so an
+    # UNDETERMINED result is final without a second classification
+    calls = []
+    once = deg._classify_once
+
+    def counted(c, d_e_to_eprime):
+        calls.append(c.name)
+        return once(c, d_e_to_eprime)
+
+    monkeypatch.setattr(deg, "_classify_once", counted)
+    res = deg.classify_pd(zoo.horodecki_channel(3.5), try_conjugate=True)
+    assert len(calls) == 1
+    assert res.label == "UNDETERMINED"
+    assert res.conjugate_label is None
+
+
 def test_theorem3_exclusions():
     findings = deg.check_theorem3_exclusions(ch.identity_channel(2))
     assert findings["identity"] and findings["disqualified"]

@@ -1,9 +1,4 @@
-"""Every demo runs to completion.
-
-``06_capacity.py`` is left out: its coherent-information maximizations take
-about 15 s with finite-difference gradients, and it joins this smoke test
-once the maximizer has an analytic gradient (ROADMAP item 3).
-"""
+"""Every demo in ``demos/`` runs to completion."""
 
 import os
 import subprocess
@@ -13,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py") if p.name != "06_capacity.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
