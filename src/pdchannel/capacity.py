@@ -4,16 +4,16 @@ multi-start maximization over input states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
-from scipy import optimize
 
 from . import channel as chmod
 from . import entanglement as ent
-from . import qmat
-from .errors import DimMismatch, SizeLimit
+from . import optimize, qmat
+from .errors import DimMismatch, DomainError, SizeLimit
 
 MAX_OPT_DIM = 16
 
@@ -134,9 +134,18 @@ class CoherentInfoResult:
 # as a (real, imaginary) pair.
 
 
+@functools.lru_cache(maxsize=None)
+def _tril(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(d, -1), built once per side and read-only, since
+    every call shares the arrays."""
+    rows, cols = np.tril_indices(d, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _params_to_factor(x: np.ndarray, d: int) -> np.ndarray:
     l = np.diag(x[:d]).astype(np.complex128)
-    rows, cols = np.tril_indices(d, -1)
+    rows, cols = _tril(d)
     l[rows, cols] = x[d::2] + 1j * x[d + 1 :: 2]
     return l
 
@@ -144,7 +153,7 @@ def _params_to_factor(x: np.ndarray, d: int) -> np.ndarray:
 def _factor_to_params(m: np.ndarray) -> np.ndarray:
     """Read the parameter layout off the diagonal and lower triangle of m."""
     d = m.shape[0]
-    rows, cols = np.tril_indices(d, -1)
+    rows, cols = _tril(d)
     x = np.empty(d * d)
     x[:d] = m.diagonal().real
     x[d::2] = m[rows, cols].real
@@ -211,7 +220,14 @@ def maximize_coherent_information(
     """Multi-start L-BFGS ascent of I_coh over the Cholesky-parameterized
     density matrices, with the analytic gradient. Deterministic given the
     seed. ``tol`` only sets how close the top two restarts must agree for
-    ``converged``."""
+    ``converged``. ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is
+    negative or not finite raise :class:`DomainError`."""
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     d = ch.dim_in
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
@@ -234,13 +250,7 @@ def maximize_coherent_information(
 
     values, status, best_x = [], [], None
     for x0 in starts:
-        res = optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10},
-        )
+        res = optimize.minimize(objective, x0, jac=True)
         values.append(-float(res.fun))
         status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
         if best_x is None or values[-1] > max(values[:-1]):

@@ -284,17 +284,26 @@ def channel_to_dict(ch: KrausChannel) -> dict:
     }
 
 
-def channel_from_dict(d: dict) -> KrausChannel:
+def channel_from_dict(d) -> KrausChannel:
+    """Channel from a record as written by :func:`channel_to_dict`; a
+    record that does not fit that format raises :class:`DimMismatch`."""
+    if not isinstance(d, dict):
+        raise DimMismatch(f"malformed channel record: expected an object, got {type(d).__name__}")
     try:
         name = str(d.get("name", ""))
         dim_in = int(d["dim_in"])
         dim_out = int(d["dim_out"])
         raw = d["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimMismatch(f"malformed channel record: {exc}") from exc
+    if not isinstance(raw, list):
+        raise DimMismatch(f"malformed channel record: kraus is a {type(raw).__name__}, not a list")
     ops = []
     for idx, op in enumerate(raw):
-        a = np.asarray(op, dtype=np.float64)
+        try:
+            a = np.asarray(op, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimMismatch(f"kraus[{idx}] is not an array of numbers: {exc}") from exc
         if a.ndim != 3 or a.shape != (dim_out, dim_in, 2):
             raise DimMismatch(
                 f"kraus[{idx}] has shape {a.shape}, expected ({dim_out}, {dim_in}, 2)"

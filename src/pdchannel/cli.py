@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from . import capacity as capmod
 from . import channel as chmod
 from . import degradability as degmod
 from . import polar as polmod
@@ -60,14 +61,19 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 
 def _load(loader, path: str):
-    """Read an input file with ``loader``, turning a missing file or
-    malformed JSON into an input error."""
+    """Read an input file with ``loader``, turning a missing file or a file
+    that does not parse as JSON into an input error."""
     try:
         return loader(path)
     except FileNotFoundError:
         raise PdChannelError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise PdChannelError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer literal over Python's digit limit
+        raise PdChannelError(f"cannot read {path}: {exc}")
+    except RecursionError:
+        raise PdChannelError(f"cannot read {path}: JSON nested too deeply")
 
 
 def cmd_inspect(args) -> int:
@@ -102,9 +108,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    # imported here: only this command needs scipy
-    from . import capacity as capmod
-
     ch = _load(chmod.load_channel, args.file)
     result = capmod.maximize_coherent_information(
         ch, restarts=args.restarts, seed=args.seed, tol=args.tol

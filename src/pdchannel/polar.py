@@ -25,7 +25,13 @@ _FIELDS = ("g_amp", "g_phase", "p1", "p1_prime", "p2", "p2_prime", "b")
 def _frac(value) -> Fraction:
     if isinstance(value, float):
         raise DomainError("ledger fractions must be exact rationals, not floats")
-    return Fraction(value)
+    # no exponents: Fraction("1e999999999") would build a billion-digit integer
+    if isinstance(value, str) and "e" in value.lower():
+        raise DomainError(f"ledger fraction {value!r} is not an integer, p/q or exponent-free decimal")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"ledger fraction {value!r} is not a rational: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,16 @@ def ledger_to_dict(ledger: PolarLedger) -> dict:
     }
 
 
-def ledger_from_dict(d: dict) -> PolarLedger:
+def ledger_from_dict(d) -> PolarLedger:
+    """Ledger from a record as written by :func:`ledger_to_dict`; a record
+    that does not fit that format raises :class:`DomainError`."""
+    if not isinstance(d, dict) or not isinstance(d.get("fractions"), dict):
+        raise DomainError("malformed ledger record: expected an object with a fractions object")
     try:
         regime = d["regime"]
-        fractions = {name: Fraction(d["fractions"][name]) for name in _FIELDS}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed ledger record: {exc}") from exc
+        fractions = {name: d["fractions"][name] for name in _FIELDS}
+    except KeyError as exc:
+        raise DomainError(f"malformed ledger record: missing {exc}") from exc
     return PolarLedger(regime=regime, **fractions)
 
 

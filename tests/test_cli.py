@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdchannel import channel as ch
 from pdchannel import cli, polar, zoo
@@ -62,12 +69,19 @@ def test_polar_bad_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed by the capacity command alone and loads on its first use
-    code = "import sys, pdchannel.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+def test_capacity_command_never_loads_scipy(tmp_path):
+    # -X importtime lists every module the process imports, as
+    # "import time: self | cumulative | name" lines on stderr
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-X", "importtime", "-m", "pdchannel.cli", "capacity", path, "--restarts", "2"]
+    res = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["restarts_used"] == 2
+    imported = [line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "pdchannel.optimize" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_classify_degradable(tmp_path, capsys):
@@ -183,3 +197,178 @@ def test_report_to_file_is_valid_json(tmp_path, capsys):
     code, stdout, _ = _run(capsys, ["inspect", path, "--out", str(out_file)])
     assert code == 0 and stdout == ""
     json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--restarts", "0"], ["--restarts", "-3"], ["--seed", "-1"], ["--tol", "nan"],
+     ["--tol", "inf"], ["--tol=-1e-6"]],
+)
+def test_bad_capacity_settings_exit_2(tmp_path, capsys, flags):
+    path = _save(tmp_path, zoo.dephasing(0.3))
+    code, out, err = _run(capsys, ["capacity", path, *flags])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_VALID_CHANNEL = ch.channel_to_dict(zoo.amplitude_damping(0.2))
+_VALID_LEDGER = {
+    "regime": "DEGRADABLE_PD",
+    "fractions": {"g_amp": "1", "g_phase": "1/2", "p1": "1/4", "p1_prime": "1/8",
+                  "p2": "0", "p2_prime": "0", "b": "0"},
+}
+
+
+def _with(record, **changes):
+    return {**json.loads(json.dumps(record)), **changes}
+
+
+def _main_on_text(command, text):
+    """Exit code and stderr of ``pdchannel <command>`` on a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as f:
+            f.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, path])
+    return code, err.getvalue()
+
+
+def _assert_input_error(command, text):
+    code, err = _main_on_text(command, text)
+    assert code == 2, (text[:200], err)
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_RAGGED = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("inspect", "[1, 2]"),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, kraus=5))),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_in=1, dim_out=1, kraus=[[["x", 0]]]))),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, kraus=[_RAGGED]))),
+        ("inspect", json.dumps(_VALID_CHANNEL).replace('"dim_in": 2', '"dim_in": 1e400')),
+        ("inspect", '{"dim_in": ' + "1" * 5000 + "}"),
+        ("inspect", "[" * 100000 + "]" * 100000),
+        ("polar", "[1, 2]"),
+        ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', '"1/0"')),
+        ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', '"1e999999999"')),
+        ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', "0.5")),
+    ],
+    ids=["list", "kraus-int", "non-numeric", "ragged", "dim-1e400", "dim-5000-digits",
+         "nested-100000", "ledger-list", "fraction-1/0", "fraction-exponent", "fraction-float"],
+)
+def test_malformed_input_files_exit_2(command, text):
+    _assert_input_error(command, text)
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = _run(capsys, ["inspect", str(path)])
+    assert code == 2 and "cannot read" in err
+
+
+def test_valid_fuzz_bases_load():
+    assert _main_on_text("inspect", json.dumps(_VALID_CHANNEL))[0] == 0
+    assert _main_on_text("polar", json.dumps(_VALID_LEDGER))[0] == 0
+
+
+# Each strategy below breaks a valid record in one way that no reading of
+# the file format accepts, so every example must end in exit 2.
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_junk = st.one_of(st.none(), st.text("abcxyz", min_size=1), st.dictionaries(st.text("ab"), st.integers()),
+                  st.lists(st.integers(), max_size=3))
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _broken_operator(draw):
+    op = np.array(_VALID_CHANNEL["kraus"][0], dtype=object)
+    kind = draw(st.sampled_from(["entry", "shape", "ragged"]))
+    if kind == "shape":
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+                     .filter(lambda s: s != (2, 2, 2)))
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(-2, 2))).tolist()
+    if kind == "ragged":
+        out = op.tolist()
+        row = draw(st.integers(0, 1))
+        out[row] = out[row][: draw(st.integers(0, 1))]
+        return out
+    index = tuple(draw(st.integers(0, 1)) for _ in range(3))
+    op[index] = draw(st.one_of(_junk, _non_finite))
+    return op.tolist()
+
+
+_bad_dim = st.one_of(
+    st.integers().filter(lambda v: v != 2),
+    st.integers(min_value=10**15, max_value=10**300),
+    st.floats().filter(lambda v: not 2 <= v < 3),
+    _junk,
+)
+
+
+@st.composite
+def _broken_channel(draw):
+    kind = draw(st.sampled_from(["top", "dim", "kraus", "operator", "missing"]))
+    if kind == "top":
+        return draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text("ab"), st.none()))
+    if kind == "dim":
+        return _with(_VALID_CHANNEL, **{draw(st.sampled_from(["dim_in", "dim_out"])): draw(_bad_dim)})
+    if kind == "kraus":
+        return _with(_VALID_CHANNEL, kraus=draw(st.one_of(st.just([]), st.integers(), st.text("ab"), st.none(),
+                                                         st.dictionaries(st.text("ab"), st.integers()))))
+    if kind == "operator":
+        kraus = list(_VALID_CHANNEL["kraus"])
+        kraus[draw(st.integers(0, 1))] = draw(_broken_operator())
+        return _with(_VALID_CHANNEL, kraus=kraus)
+    record = _with(_VALID_CHANNEL)
+    del record[draw(st.sampled_from(["dim_in", "dim_out", "kraus"]))]
+    return record
+
+
+@_FUZZ
+@given(_broken_channel())
+def test_fuzzed_channel_files_exit_2(record):
+    _assert_input_error("inspect", json.dumps(record))
+
+
+_bad_fraction = st.one_of(
+    st.floats(),
+    st.integers().map(lambda n: f"{n}/0"),
+    st.tuples(st.integers(), st.integers(0, 10**6)).map(lambda t: f"{t[0]}e{t[1]}"),
+    _junk,
+)
+
+
+@st.composite
+def _broken_ledger(draw):
+    kind = draw(st.sampled_from(["top", "fractions", "fraction", "regime", "missing"]))
+    if kind == "top":
+        return draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text("ab"), st.none()))
+    if kind == "fractions":
+        return _with(_VALID_LEDGER, fractions=draw(st.one_of(st.lists(st.text("12/"), max_size=3), st.integers(),
+                                                              st.text("ab"), st.none())))
+    if kind == "fraction":
+        record = _with(_VALID_LEDGER)
+        record["fractions"][draw(st.sampled_from(sorted(record["fractions"])))] = draw(_bad_fraction)
+        return record
+    if kind == "regime":
+        return _with(_VALID_LEDGER, regime=draw(st.one_of(st.text().filter(lambda r: r not in polar.REGIMES),
+                                                          st.integers(), st.none())))
+    record = _with(_VALID_LEDGER)
+    if draw(st.booleans()):
+        del record["regime"]
+    else:
+        del record["fractions"][draw(st.sampled_from(sorted(record["fractions"])))]
+    return record
+
+
+@_FUZZ
+@given(_broken_ledger())
+def test_fuzzed_ledger_files_exit_2(record):
+    _assert_input_error("polar", json.dumps(record))
