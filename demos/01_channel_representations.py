@@ -36,11 +36,11 @@ print("complementary channel matches the environment marginal ->",
       np.allclose(env, env_via_iso))
 
 choi = ch.to_choi(c)
-print(f"\nChoi matrix: trace {np.trace(choi.matrix).real:.3f}, "
+print(f"\nChoi matrix: trace {np.trace(choi).real:.3f}, "
       f"rank {ch.choi_rank(choi)} (= minimal environment dimension)")
 
 rebuilt = ch.KrausChannel(
-    kraus=ch.kraus_from_choi(choi.matrix * c.dim_in, c.dim_in, c.dim_out),
+    kraus=ch.kraus_from_choi(choi * c.dim_in, c.dim_in, c.dim_out),
     dim_in=c.dim_in,
     dim_out=c.dim_out,
 )

@@ -72,13 +72,6 @@ class KrausChannel:
 
 
 @dataclass
-class ChoiMatrix:
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-
-@dataclass
 class StinespringIsometry:
     v: np.ndarray  # (dim_out * dim_env) x dim_in, output factor slow
     dim_in: int
@@ -105,8 +98,7 @@ class ValidationReport:
 def validate(ch: KrausChannel) -> ValidationReport:
     """Report trace preservation and Choi positivity; never raises on TP failure."""
     tp = ch.tp_residual()
-    choi = to_choi(ch, check_tp=False)
-    w, _ = qmat.eigh(choi.matrix)
+    w, _ = qmat.eigh(to_choi(ch))
     return ValidationReport(
         tp_residual=tp,
         cp_ok=True,  # Kraus form is CP by construction
@@ -150,22 +142,23 @@ def complementary(ch: KrausChannel) -> KrausChannel:
     )
 
 
-def to_choi(ch: KrausChannel, check_tp: bool = True) -> ChoiMatrix:
-    """Trace-normalized Choi state: (I (x) N) on the maximally entangled input.
+def to_choi(ch: KrausChannel) -> np.ndarray:
+    """Choi matrix (I (x) N) on the maximally entangled input, normalized by
+    1/dim_in so that it has trace 1 when N is trace preserving.
 
-    Factor order is input (slow) then output (fast).
+    Factor order is input (slow) then output (fast). Trace preservation is
+    not checked: a flagged channel has a Choi matrix of another trace.
     """
-    if check_tp:
-        _require_tp(ch)
     d_a, d_b = ch.dim_in, ch.dim_out
     # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]
     w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
     j = (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
-    return ChoiMatrix(matrix=j / d_a, dim_in=d_a, dim_out=d_b)
+    return j / d_a
 
 
-def choi_rank(c: ChoiMatrix) -> int:
-    w, _ = qmat.eigh(c.matrix)
+def choi_rank(choi: np.ndarray) -> int:
+    """Numerical rank of a Choi matrix: the minimal environment dimension."""
+    w, _ = qmat.eigh(choi)
     return qmat.numerical_rank(w)
 
 
@@ -230,13 +223,6 @@ def identity_channel(d: int) -> KrausChannel:
     return KrausChannel(kraus=[np.eye(d)], dim_in=d, dim_out=d, name=f"identity_{d}")
 
 
-def minimal_kraus(ch: KrausChannel) -> KrausChannel:
-    """Re-extract a minimal Kraus set via the Choi eigendecomposition."""
-    choi = to_choi(ch, check_tp=False)
-    ops = kraus_from_choi(choi.matrix * ch.dim_in, ch.dim_in, ch.dim_out)
-    return replace(ch, kraus=ops)
-
-
 def flagged_direct_sum(x: float, inner: KrausChannel) -> KrausChannel:
     """Flag-qubit direct sum: rho -> x |0><0| (x) pi Tr(rho) + (1-x) |1><1| (x) inner(rho).
 
@@ -291,11 +277,13 @@ def channel_from_dict(d) -> KrausChannel:
         raise DimMismatch(f"malformed channel record: expected an object, got {type(d).__name__}")
     try:
         name = str(d.get("name", ""))
-        dim_in = int(d["dim_in"])
-        dim_out = int(d["dim_out"])
-        raw = d["kraus"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim_in, dim_out, raw = d["dim_in"], d["dim_out"], d["kraus"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimMismatch(f"malformed channel record: {exc}") from exc
+    for key, dim in (("dim_in", dim_in), ("dim_out", dim_out)):
+        # JSON booleans load as bool, a subclass of int
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise DimMismatch(f"malformed channel record: {key} {dim!r} is not an integer")
     if not isinstance(raw, list):
         raise DimMismatch(f"malformed channel record: kraus is a {type(raw).__name__}, not a list")
     ops = []

@@ -17,6 +17,7 @@ from . import capacity as capmod
 from . import channel as chmod
 from . import degradability as degmod
 from . import polar as polmod
+from . import qmat
 from . import zoo as zoomod
 from .config import TOL, max_dim
 from .errors import PdChannelError
@@ -78,17 +79,17 @@ def _load(loader, path: str):
 
 def cmd_inspect(args) -> int:
     ch = _load(chmod.load_channel, args.file)
-    report = chmod.validate(ch)
-    choi = chmod.to_choi(ch, check_tp=False)
-    rank = chmod.choi_rank(choi)
+    # one eigendecomposition of the Choi matrix gives its least eigenvalue and its rank
+    w, _ = qmat.eigh(chmod.to_choi(ch))
+    rank = qmat.numerical_rank(w)
     out = {
         "env": _report_env(args),
         "name": ch.name,
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
         "kraus_count": len(ch.kraus),
-        "tp_residual": report.tp_residual,
-        "choi_min_eig": report.choi_min_eig,
+        "tp_residual": ch.tp_residual(),
+        "choi_min_eig": float(w[-1]),
         "choi_rank": rank,
         "flagged": ch.flagged,
         # the minimal environment never exceeds the input-output product
@@ -148,7 +149,11 @@ def cmd_polar(args) -> int:
     return EXIT_INDETERMINATE if violations else EXIT_OK
 
 
-_PARAM_FLAGS = ("alpha", "x", "p", "d", "gamma", "n2", "n3", "a1", "a2")
+# zoo export parameter flags and their types
+_PARAM_FLAGS = {
+    "alpha": float, "x": float, "p": float, "gamma": float, "a1": float, "a2": float,
+    "d": int, "n2": int, "n3": int,
+}
 
 
 def cmd_zoo(args) -> int:
@@ -212,10 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoo", help="list or export built-in channels")
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("id", nargs="?", default=None)
-    for flag in ("alpha", "x", "p", "gamma", "a1", "a2"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    for flag in ("d", "n2", "n3"):
-        p.add_argument(f"--{flag}", type=int, default=None)
+    for flag, kind in _PARAM_FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind, default=None)
     p.add_argument("--repair", action="store_true")
     common(p)
     p.set_defaults(func=cmd_zoo)

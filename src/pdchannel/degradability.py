@@ -84,16 +84,21 @@ class DegradingSolution:
 
 
 def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
-    """Certificates of the candidate T_d, with no Kraus map attached yet."""
+    """Certificates of the candidate T_d, with its Kraus map attached when
+    they pass."""
     residual = _probe_residual(t_to - t_d @ t_from, d_in)
     choi = choi_of_transfer(t_d, d_mid, d_out)
     choi_h = (choi + choi.conj().T) / 2
     cp_min_eig = float(np.linalg.eigvalsh(choi_h)[0])
     tr_out = qmat.partial_trace(choi_h, (d_mid, d_out), keep=[0])
     tp_residual = float(np.max(np.abs(tr_out - np.eye(d_mid))))
-    return DegradingSolution(
+    sol = DegradingSolution(
         map=None, residual=residual, cp_min_eig=cp_min_eig, tp_residual=tp_residual
     )
+    if sol.success:
+        ops = chmod.kraus_from_choi(choi, d_mid, d_out)
+        sol.map = chmod.KrausChannel(ops, d_mid, d_out, name="degrading")
+    return sol
 
 
 def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):
@@ -155,16 +160,7 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
         # keep the refinement only if it actually certifies
         if refined.success:
-            t_d, sol = t_ref, refined
-    return _finish(t_d, sol, d_mid, d_out)
-
-
-def _finish(t_d, sol: DegradingSolution, d_mid, d_out) -> DegradingSolution:
-    """Attach the Kraus map of T_d to a certified solution."""
-    if sol.success:
-        choi = choi_of_transfer(t_d, d_mid, d_out)
-        ops = chmod.kraus_from_choi(choi, d_mid, d_out)
-        sol.map = chmod.KrausChannel(ops, d_mid, d_out, name="degrading")
+            sol = refined
     return sol
 
 
@@ -211,6 +207,10 @@ class PdClassification:
 
 
 SOLVE_KEYS = ("B->E", "E->B", "B->E'", "E'->B")
+
+
+def _choi_report(ch: chmod.KrausChannel) -> ent.BoundEntanglementReport:
+    return ent.bound_entanglement_report(chmod.to_choi(ch), (ch.dim_in, ch.dim_out))
 
 
 def _classify_once(ch, d_e_to_eprime):
@@ -260,20 +260,11 @@ def _classify_once(ch, d_e_to_eprime):
     else:
         label = "UNDETERMINED"
 
-    reports = {}
-    choi_ae = chmod.to_choi(n_ae, check_tp=False)
-    reports["choi_n_ae"] = ent.bound_entanglement_report(
-        choi_ae.matrix, (n_ae.dim_in, n_ae.dim_out)
-    )
-    # degraded environment vs. reference: run E' side of the channel on one
-    # half of a maximally entangled input
-    d_a = n_aep.dim_in
-    psi = np.eye(d_a, dtype=np.complex128).reshape(-1) / np.sqrt(d_a)
-    rho_aa = np.outer(psi, psi.conj())
-    big = chmod.tensor(chmod.identity_channel(d_a), n_aep)
-    sigma = chmod.apply(big, rho_aa)
-    reports["sigma_eprime_r"] = ent.bound_entanglement_report(
-        sigma, (d_a, n_aep.dim_out)
+    reports = {"choi_n_ae": _choi_report(n_ae)}
+    # the state of reference and degraded environment when N_AE' acts on one
+    # half of a maximally entangled input is the Choi state of N_AE'
+    reports["sigma_eprime_r"] = (
+        reports["choi_n_ae"] if d_e_to_eprime is None else _choi_report(n_aep)
     )
     return PdClassification(label=label, solutions=solutions, reports=reports)
 

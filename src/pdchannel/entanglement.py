@@ -1,7 +1,8 @@
 """Density-matrix functionals: entropies, PPT / realignment tests,
 entanglement-breaking and bound-entanglement reporting.
 
-All entropies are in bits (log base 2).
+States are plain square arrays; the bipartite tests take the factor
+dimensions ``dims`` alongside. All entropies are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -20,29 +21,6 @@ from .errors import DimMismatch, NotDensityMatrix
 # eigenvalue clamping window applied before entropy logs; anything outside
 # it means the input was not a density matrix to begin with
 _CLAMP = 1e-9
-
-
-@dataclass
-class DensityMatrix:
-    mat: np.ndarray
-    dims: tuple
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.mat = qmat.check_square(self.mat, self.dims)
-        assert_density_matrix(self.mat)
-
-
-def assert_density_matrix(rho) -> np.ndarray:
-    rho = qmat.check_square(rho)
-    if qmat.herm_residual(rho) > TOL.herm_tol:
-        raise NotDensityMatrix("not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
-        raise NotDensityMatrix(f"trace {np.trace(rho)} != 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < TOL.psd_tol:
-        raise NotDensityMatrix(f"min eigenvalue {w.min():.3e} < {TOL.psd_tol}")
-    return rho
 
 
 def _clamped(w: np.ndarray) -> np.ndarray:
@@ -65,8 +43,6 @@ def _entropy_bits(w: np.ndarray) -> float:
 
 def entropy(rho) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    if isinstance(rho, DensityMatrix):
-        rho = rho.mat
     return _entropy_bits(_spectrum(rho))
 
 
@@ -84,21 +60,8 @@ def entropy_and_log2(rho) -> tuple[float, np.ndarray]:
     return _entropy_bits(w), (v * log_w) @ v.conj().T
 
 
-def _resolve(rho, dims=None):
-    if isinstance(rho, DensityMatrix):
-        return rho.mat, rho.dims if dims is None else tuple(dims)
-    if dims is None:
-        raise DimMismatch("dims required for plain-array input")
+def _resolve(rho, dims: Sequence[int]):
     return qmat.check_square(rho, dims), tuple(int(d) for d in dims)
-
-
-def conditional_entropy(rho_ab, dims: Sequence[int] | None = None, condition_on: int = 1) -> float:
-    """H(rest | factor ``condition_on``) = H(full) - H(conditioning marginal)."""
-    mat, dims = _resolve(rho_ab, dims)
-    if condition_on < 0 or condition_on >= len(dims):
-        raise DimMismatch(f"condition_on={condition_on} out of range")
-    marg = qmat.partial_trace(mat, dims, keep=[condition_on])
-    return entropy(mat) - entropy(marg)
 
 
 @dataclass
@@ -118,7 +81,7 @@ class PptReport:
         }
 
 
-def ppt_check(rho, dims: Sequence[int] | None = None) -> PptReport:
+def ppt_check(rho, dims: Sequence[int]) -> PptReport:
     mat, dims = _resolve(rho, dims)
     if len(dims) != 2:
         raise DimMismatch("ppt_check needs a bipartite dims annotation")
@@ -137,10 +100,9 @@ def realign(rho, dims: Sequence[int]) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(d0 * d0, d1 * d1)
 
 
-def ccnr(rho, dims: Sequence[int] | None = None) -> float:
+def ccnr(rho, dims: Sequence[int]) -> float:
     """Trace norm of the realigned matrix; a value > 1 certifies entanglement."""
-    mat, dims = _resolve(rho, dims)
-    s = np.linalg.svd(realign(mat, dims), compute_uv=False)
+    s = np.linalg.svd(realign(rho, dims), compute_uv=False)
     return float(np.sum(s))
 
 
@@ -161,9 +123,8 @@ class BoundEntanglementReport:
         }
 
 
-def bound_entanglement_report(rho, dims: Sequence[int] | None = None) -> BoundEntanglementReport:
-    mat, dims = _resolve(rho, dims)
-    return BoundEntanglementReport(ppt=ppt_check(mat, dims), ccnr_value=ccnr(mat, dims))
+def bound_entanglement_report(rho, dims: Sequence[int]) -> BoundEntanglementReport:
+    return BoundEntanglementReport(ppt=ppt_check(rho, dims), ccnr_value=ccnr(rho, dims))
 
 
 @dataclass
@@ -191,15 +152,15 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
     """
     if _all_rank_one(ch.kraus):
         return EbReport(verdict="yes", witness="all given Kraus operators are rank one")
-    choi = chmod.to_choi(ch, check_tp=False)
+    choi = chmod.to_choi(ch)
     dims = (ch.dim_in, ch.dim_out)
-    ppt = ppt_check(choi.matrix, dims)
+    ppt = ppt_check(choi, dims)
     if not ppt.is_ppt:
         return EbReport(
             verdict="no",
             witness=f"Choi is NPT (min PT eigenvalue {min(ppt.min_eig_ta, ppt.min_eig_tb):.3e})",
         )
-    eig_ops = chmod.kraus_from_choi(choi.matrix, ch.dim_in, ch.dim_out)
+    eig_ops = chmod.kraus_from_choi(choi, ch.dim_in, ch.dim_out)
     if _all_rank_one(eig_ops):
         return EbReport(
             verdict="yes", witness="Choi eigendecomposition yields rank-one Kraus operators"
@@ -209,7 +170,7 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
             verdict="yes",
             witness="Choi PPT with d_in*d_out <= 6 (PPT is sufficient for separability)",
         )
-    value = ccnr(choi.matrix, dims)
+    value = ccnr(choi, dims)
     if value > 1.0 + TOL.residual_tol:
         # PPT yet realignment-entangled Choi: binding, not breaking
         return EbReport(verdict="no", witness=f"Choi PPT but CCNR = {value:.6f} > 1")

@@ -25,6 +25,9 @@ _FIELDS = ("g_amp", "g_phase", "p1", "p1_prime", "p2", "p2_prime", "b")
 def _frac(value) -> Fraction:
     if isinstance(value, float):
         raise DomainError("ledger fractions must be exact rationals, not floats")
+    # JSON booleans load as bool, which Fraction would read as 0 or 1
+    if isinstance(value, bool):
+        raise DomainError(f"ledger fraction {value!r} is a boolean, not a rational")
     # no exponents: Fraction("1e999999999") would build a billion-digit integer
     if isinstance(value, str) and "e" in value.lower():
         raise DomainError(f"ledger fraction {value!r} is not an integer, p/q or exponent-free decimal")

@@ -125,12 +125,3 @@ def vec(m) -> np.ndarray:
     """Column-major vectorization."""
     return as_matrix(m).flatten(order="F")
 
-
-def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    if cols is None:
-        cols = v.size // rows
-    if rows * cols != v.size:
-        raise DimMismatch(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape(cols, rows).T

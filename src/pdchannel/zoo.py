@@ -371,32 +371,32 @@ class ZooEntry:
 
 _REGISTRY = {
     "horodecki": (
-        lambda alpha=3.5: horodecki_channel(alpha),
+        horodecki_channel,
         {"alpha": 3.5},
         "qutrit entanglement-binding mixture",
     ),
     "m_ae": (
-        lambda repair=False: m_ae_channel(repair),
+        m_ae_channel,
         {"repair": False},
         "printed six-operator 4->4 map; verbatim set fails completeness",
     ),
     "composite_complementary": (
-        lambda x=0.75, repair=False: composite_complementary(x, repair),
+        composite_complementary,
         {"x": 0.75, "repair": False},
         "4->8 flag construction over m_ae",
     ),
     "nab_ae": (
-        lambda x=0.75: nab_ae_channel(x),
+        nab_ae_channel,
         {"x": 0.75},
         "4->12 flag direct sum with isometric inner block",
     ),
     "d_e_to_eprime": (
-        lambda a1=1.0 / SQ2, a2=1.0 / SQ2, repair=False: d_e_to_eprime(a1, a2, repair),
+        d_e_to_eprime,
         {"a1": 1.0 / SQ2, "a2": 1.0 / SQ2, "repair": False},
         "printed 8->2 degrading pair; covers only two input columns as printed",
     ),
     "d_b_to_eprime": (
-        lambda x=0.75: d_b_to_eprime(x),
+        d_b_to_eprime,
         {"x": 0.75},
         "best-effort 12->2 family; printed shapes do not reconcile",
     ),
@@ -406,12 +406,12 @@ _REGISTRY = {
         "4->8 marginal channel of the symmetric-subspace isometry",
     ),
     "corollary4_degrading": (
-        lambda n2=0, n3=0: corollary4_degrading_map((0, int(n2), int(n3))),
+        lambda n2, n3: corollary4_degrading_map((0, n2, n3)),
         {"n2": 0, "n3": 0},
         "qutrit degrading map with printed 1/2 and 1/8 weights",
     ),
     "corollary4_rank_one": (
-        lambda n2=0, n3=0: corollary4_rank_one_channel((0, int(n2), int(n3))),
+        lambda n2, n3: corollary4_rank_one_channel((0, n2, n3)),
         {"n2": 0, "n3": 0},
         "six rank-one operators; completeness reported, not assumed",
     ),
@@ -434,7 +434,7 @@ def build_entry(entry_id: str, **params) -> ZooEntry:
     for key, value in params.items():
         if key not in defaults:
             raise DomainError(f"unknown parameter {key!r} for {entry_id}")
-        merged[key] = type(defaults[key])(value) if defaults[key] is not None else value
+        merged[key] = type(defaults[key])(value)
     ch = builder(**merged)
     return ZooEntry(
         id=entry_id,

@@ -41,6 +41,22 @@ def test_inspect_reports_json(tmp_path, capsys):
     assert report["env"]["tolerances"]["residual_tol"] == 1e-8
 
 
+def test_inspect_eigendecomposes_the_choi_matrix_once(tmp_path, capsys, monkeypatch):
+    # choi_min_eig and choi_rank come from the same eigendecomposition
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, _, _ = _run(capsys, ["inspect", path])
+    assert code == 0
+    assert calls == [(4, 4)]
+
+
 def test_inspect_missing_file_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["inspect", str(tmp_path / "nope.json")])
     assert code == 2
@@ -258,9 +274,14 @@ _RAGGED = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
         ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', '"1/0"')),
         ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', '"1e999999999"')),
         ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', "0.5")),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_in=2.7))),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_out="2"))),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_in=True, dim_out=1, kraus=[[[[1.0, 0.0]]]]))),
+        ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', "true")),
     ],
     ids=["list", "kraus-int", "non-numeric", "ragged", "dim-1e400", "dim-5000-digits",
-         "nested-100000", "ledger-list", "fraction-1/0", "fraction-exponent", "fraction-float"],
+         "nested-100000", "ledger-list", "fraction-1/0", "fraction-exponent", "fraction-float",
+         "dim-float", "dim-string", "dim-true", "fraction-true"],
 )
 def test_malformed_input_files_exit_2(command, text):
     _assert_input_error(command, text)
@@ -307,7 +328,8 @@ def _broken_operator(draw):
 _bad_dim = st.one_of(
     st.integers().filter(lambda v: v != 2),
     st.integers(min_value=10**15, max_value=10**300),
-    st.floats().filter(lambda v: not 2 <= v < 3),
+    st.floats(),
+    st.booleans(),
     _junk,
 )
 
@@ -341,6 +363,7 @@ _bad_fraction = st.one_of(
     st.floats(),
     st.integers().map(lambda n: f"{n}/0"),
     st.tuples(st.integers(), st.integers(0, 10**6)).map(lambda t: f"{t[0]}e{t[1]}"),
+    st.booleans(),
     _junk,
 )
 

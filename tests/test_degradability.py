@@ -3,6 +3,7 @@ import pytest
 
 from pdchannel import channel as ch
 from pdchannel import degradability as deg
+from pdchannel import entanglement as ent
 from pdchannel import qmat, zoo
 from pdchannel.errors import DimMismatch
 
@@ -11,7 +12,7 @@ def test_transfer_matrix_action():
     c = zoo.amplitude_damping(0.3)
     t = deg.transfer_matrix(c)
     rho = np.array([[0.6, 0.1 - 0.3j], [0.1 + 0.3j, 0.4]], dtype=complex)
-    assert np.allclose(qmat.unvec(t @ qmat.vec(rho), 2), ch.apply(c, rho))
+    assert np.allclose((t @ qmat.vec(rho)).reshape(2, 2, order="F"), ch.apply(c, rho))
 
 
 def test_choi_transfer_reshuffle_roundtrip():
@@ -20,7 +21,7 @@ def test_choi_transfer_reshuffle_roundtrip():
     j = deg.choi_of_transfer(t, c.dim_in, c.dim_out)
     # unnormalized Choi agrees with the channel Choi up to the 1/d_in factor
     choi = ch.to_choi(c)
-    assert np.allclose(j / c.dim_in, choi.matrix, atol=1e-12)
+    assert np.allclose(j / c.dim_in, choi, atol=1e-12)
     assert np.allclose(deg.transfer_of_choi(j, c.dim_in, c.dim_out), t, atol=1e-12)
 
 
@@ -135,6 +136,21 @@ def test_classify_default_map_solves_each_problem_once(monkeypatch):
     assert res.label == "DEGRADABLE"
     assert res.solutions["B->E'"] is res.solutions["B->E"]
     assert res.solutions["E'->B"] is res.solutions["E->B"]
+    assert res.reports["sigma_eprime_r"] is res.reports["choi_n_ae"]
+
+
+def test_sigma_eprime_r_is_the_choi_state_of_n_aep():
+    # N_AE' on one half of a maximally entangled input gives its Choi state
+    n_ab, _ = zoo.symmetric_pd_channel()
+    d = zoo.d_e_to_eprime(repair=True)
+    n_aep = ch.compose(ch.complementary(n_ab), d)
+    psi = np.eye(4, dtype=complex).reshape(-1) / 2.0
+    sigma = ch.apply(ch.tensor(ch.identity_channel(4), n_aep), np.outer(psi, psi.conj()))
+    assert np.max(np.abs(sigma - ch.to_choi(n_aep))) <= 1e-14
+    old = ent.bound_entanglement_report(sigma, (4, n_aep.dim_out))
+    rep = deg.classify_pd(n_ab, d).reports["sigma_eprime_r"]
+    assert rep.ppt.is_ppt == old.ppt.is_ppt
+    assert rep.flagged_bound_entangled == old.flagged_bound_entangled
 
 
 def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):

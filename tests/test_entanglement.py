@@ -4,7 +4,7 @@ import pytest
 from pdchannel import channel as ch
 from pdchannel import entanglement as ent
 from pdchannel import zoo
-from pdchannel.errors import DimMismatch, NotDensityMatrix
+from pdchannel.errors import NotDensityMatrix
 
 
 def _bell():
@@ -24,34 +24,6 @@ def test_entropy_values():
 def test_entropy_rejects_non_states():
     with pytest.raises(NotDensityMatrix):
         ent.entropy(np.diag([1.5, -0.5]))
-
-
-def test_assert_density_matrix():
-    ent.assert_density_matrix(np.eye(3) / 3)
-    with pytest.raises(NotDensityMatrix):
-        ent.assert_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(NotDensityMatrix):
-        ent.assert_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-
-def test_density_matrix_wrapper_and_dims():
-    dm = ent.DensityMatrix(mat=np.eye(4) / 4, dims=(2, 2))
-    assert ent.entropy(dm) == pytest.approx(2.0)
-    with pytest.raises(DimMismatch):
-        ent.DensityMatrix(mat=np.eye(4) / 4, dims=(2, 3))
-    with pytest.raises(DimMismatch):
-        ent.conditional_entropy(np.eye(4) / 4)  # dims required for plain arrays
-
-
-def test_conditional_entropy_signs():
-    # maximally entangled: H(A|B) = -1; product of mixed qubits: H(A|B) = 1
-    assert ent.conditional_entropy(_bell(), (2, 2), condition_on=1) == pytest.approx(
-        -1.0, abs=1e-9
-    )
-    prod = np.kron(np.eye(2) / 2, np.eye(2) / 2)
-    assert ent.conditional_entropy(prod, (2, 2), condition_on=1) == pytest.approx(
-        1.0, abs=1e-12
-    )
 
 
 def test_ppt_check_bell_and_separable():
