@@ -8,25 +8,33 @@ from pdchannel import degradability as deg
 from pdchannel import zoo
 
 print("amplitude damping, B->E (degradable) and E->B (anti-degradable) solves")
-print(f"{'gamma':>6} {'B->E ok':>8} {'residual':>10} {'cp_min':>10} "
-      f"{'E->B ok':>8} {'label':>16}")
+print(f"{'gamma':>6} {'B->E':>10} {'residual':>10} {'cp_min':>10} "
+      f"{'E->B':>10} {'label':>16}")
 for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
     c = zoo.amplitude_damping(gamma)
     fwd = deg.is_degradable(c)
     bwd = deg.is_antidegradable(c)
     label = deg.classify_pd(c).label
-    print(f"{gamma:6.1f} {str(fwd.success):>8} {fwd.residual:10.2e} "
-          f"{fwd.cp_min_eig:10.2e} {str(bwd.success):>8} {label:>16}")
+    print(f"{gamma:6.1f} {fwd.status:>10} {fwd.residual:10.2e} "
+          f"{fwd.cp_min_eig:10.2e} {bwd.status:>10} {label:>16}")
 
 print("\nerasure channel behaves the same way around p = 1/2:")
 for p in (0.25, 0.5, 0.75):
     c = zoo.erasure(p)
-    print(f"  p={p}: degradable={deg.is_degradable(c).success} "
-          f"anti-degradable={deg.is_antidegradable(c).success}")
+    print(f"  p={p}: B->E {deg.is_degradable(c).status}, "
+          f"E->B {deg.is_antidegradable(c).status}")
 
 # a successful solve returns the degrading map itself as a Kraus channel
 sol = deg.is_degradable(zoo.amplitude_damping(0.2))
 print(f"\nreturned degrading map: {sol.map.dim_in} -> {sol.map.dim_out}, "
       f"{len(sol.map.kraus)} Kraus ops, tp residual {sol.map.tp_residual():.2e}")
-print("a failed solve reports its certificates instead of raising:")
-print(" ", deg.is_degradable(zoo.amplitude_damping(0.9)).as_dict())
+print("a failed solve reports its certificates instead of raising; this one")
+print("is 'impossible', with the input state that proves no map exists:")
+failed = deg.is_degradable(zoo.amplitude_damping(0.9)).as_dict()
+witness = failed.pop("witness")
+print(" ", failed)
+print(f"  witness: gap {witness['gap']:.4f} > margin {witness['margin']:g}")
+print("\nhorodecki(3.5) E->B has no witness (its Choi matrix is PPT, so")
+print("I_coh <= 0), so the search stops without a verdict:")
+sol = deg.is_antidegradable(zoo.horodecki_channel(3.5))
+print(f"  status {sol.status}, stop {sol.stop}")

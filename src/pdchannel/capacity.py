@@ -123,10 +123,13 @@ class CoherentInfoResult:
             "converged": self.converged,
             "per_restart_values": self.per_restart_values,
             "per_restart_status": self.per_restart_status,
-            "argmax_state": [
-                [[z.real, z.imag] for z in row] for row in self.argmax_state
-            ],
+            "argmax_state": _state_rows(self.argmax_state),
         }
+
+
+def _state_rows(rho: np.ndarray) -> list:
+    """A state as JSON rows of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in rho]
 
 
 # Parameter layout of a d x d lower-triangular factor L: x[:d] is the real
@@ -210,6 +213,17 @@ def _objective(ch: chmod.KrausChannel, comp: chmod.KrausChannel):
     return objective
 
 
+def _fixed_starts(d: int) -> list:
+    """Parameters of the seed-independent starting states: I/d, then the d
+    near-pure basis states 0.999 |k><k| + 0.001 I/d."""
+    starts = [_state_to_params(np.eye(d) / d)]
+    for k in range(d):
+        rho = np.full((d, d), 0.001 / d, dtype=np.complex128) * np.eye(d)
+        rho[k, k] += 0.999
+        starts.append(_state_to_params(rho))
+    return starts
+
+
 def maximize_coherent_information(
     ch: chmod.KrausChannel,
     restarts: int = 32,
@@ -234,11 +248,7 @@ def maximize_coherent_information(
     objective = _objective(ch, chmod.complementary(ch))
 
     rng = np.random.default_rng(seed)
-    starts = [_state_to_params(np.eye(d) / d)]
-    for k in range(d):
-        rho = np.full((d, d), 0.001 / d, dtype=np.complex128) * np.eye(d)
-        rho[k, k] += 0.999
-        starts.append(_state_to_params(rho))
+    starts = _fixed_starts(d)
     for rho in extra_seed_states or []:
         starts.append(_state_to_params(qmat.check_square(rho)))
     while len(starts) < restarts:

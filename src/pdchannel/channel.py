@@ -276,10 +276,12 @@ def channel_from_dict(d) -> KrausChannel:
     if not isinstance(d, dict):
         raise DimMismatch(f"malformed channel record: expected an object, got {type(d).__name__}")
     try:
-        name = str(d.get("name", ""))
         dim_in, dim_out, raw = d["dim_in"], d["dim_out"], d["kraus"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise DimMismatch(f"malformed channel record: {exc}") from exc
+    name = d.get("name", "")
+    if not isinstance(name, str):
+        raise DimMismatch(f"malformed channel record: name is a {type(name).__name__}, not a string")
     for key, dim in (("dim_in", dim_in), ("dim_out", dim_out)):
         # JSON booleans load as bool, a subclass of int
         if isinstance(dim, bool) or not isinstance(dim, int):
@@ -296,6 +298,9 @@ def channel_from_dict(d) -> KrausChannel:
             raise DimMismatch(
                 f"kraus[{idx}] has shape {a.shape}, expected ({dim_out}, {dim_in}, 2)"
             )
+        # checked before the parts combine, where an infinite part would warn
+        if not np.all(np.isfinite(a)):
+            raise DimMismatch(f"kraus[{idx}] contains NaN or Inf entries")
         ops.append(a[..., 0] + 1j * a[..., 1])
     return KrausChannel(kraus=ops, dim_in=dim_in, dim_out=dim_out, name=name)
 

@@ -3,19 +3,31 @@
 A degrading map D with to = D o from is found by a superoperator
 least-squares solve on transfer matrices, completed off the range of the
 source map so that trace preservation can hold, then certified as CPTP via
-a Choi eigensolve. A failed certificate means "no map found by this
-method", not a proof that none exists.
+a Choi eigensolve. Every solve ends in one of three statuses:
+
+- ``certified``: the candidate passes its CP/TP and residual certificates;
+  the Kraus map handed back is re-checked and its own margins reported.
+- ``impossible``: an input state rho has
+  I_coh(to, rho) - I_coh(from, rho) > WITNESS_MARGIN. Any CPTP D with
+  to = D o from would lower the mutual information I(R; output) between a
+  purifying reference and the output (data processing), and that
+  difference is exactly this gap, so no such D exists (Devetak & Shor,
+  CMP 256, 287, 2005). The state is reported as the witness.
+- ``not_found``: no map was found and no witness either; ``stop`` says
+  where the search ended. This is not a proof of nonexistence.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import capacity as capmod
 from . import channel as chmod
 from . import entanglement as ent
-from . import qmat
+from . import optimize, qmat
 from .config import TOL
 from .errors import DimMismatch
 
@@ -59,12 +71,36 @@ def _probe_residual(r: np.ndarray, d: int) -> float:
     return float(np.max(np.abs(r @ vecs)))
 
 
+WITNESS_MARGIN = 1e-3
+"""Least coherent-information gap that counts as a witness. A map that
+passes the certificates (residual <= 1e-8, Choi eigenvalues >= -1e-9) is
+that close to an exact CPTP solution, and by continuity of the entropy it
+can leave a gap of at most about 1e-5 at any state; so a witness above
+1e-3 never contradicts a certificate. The smallest witness on the zoo
+channels is 0.237 (dephasing(0.3), E->B)."""
+
+# rounds of the CPTP refinement before it gives up
+REFINE_ROUNDS = 2000
+
+
 @dataclass
 class DegradingSolution:
-    map: chmod.KrausChannel | None  # None means FAILED
+    """Certificates of one degrading-map solve.
+
+    ``map`` is the certified map (None unless ``success``), with
+    ``map_residual`` and ``map_tp_residual`` the certificates of that Kraus
+    map itself. ``witness`` proves that no map exists; ``stop`` says where
+    a solve that found neither a map nor a witness ended.
+    """
+
+    map: chmod.KrausChannel | None
     residual: float
     cp_min_eig: float
     tp_residual: float
+    map_residual: float | None = None
+    map_tp_residual: float | None = None
+    witness: dict | None = None
+    stop: str | None = None
 
     @property
     def success(self) -> bool:
@@ -74,18 +110,33 @@ class DegradingSolution:
             and self.tp_residual <= TOL.residual_tol
         )
 
+    @property
+    def status(self) -> str:
+        if self.success:
+            return "certified"
+        return "not_found" if self.witness is None else "impossible"
+
     def as_dict(self) -> dict:
-        return {
+        d = {
             "success": self.success,
             "residual": self.residual,
             "cp_min_eig": self.cp_min_eig,
             "tp_residual": self.tp_residual,
+            "status": self.status,
         }
+        if self.success:
+            d["map_residual"] = self.map_residual
+            d["map_tp_residual"] = self.map_tp_residual
+        elif self.witness is not None:
+            d["witness"] = self.witness
+        else:
+            d["stop"] = self.stop
+        return d
 
 
 def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
-    """Certificates of the candidate T_d, with its Kraus map attached when
-    they pass."""
+    """Certificates of the candidate T_d; when they pass, the Kraus map
+    clipped from its Choi matrix is attached and certified in turn."""
     residual = _probe_residual(t_to - t_d @ t_from, d_in)
     choi = choi_of_transfer(t_d, d_mid, d_out)
     choi_h = (choi + choi.conj().T) / 2
@@ -98,16 +149,56 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
     if sol.success:
         ops = chmod.kraus_from_choi(choi, d_mid, d_out)
         sol.map = chmod.KrausChannel(ops, d_mid, d_out, name="degrading")
+        sol.map_residual = _probe_residual(t_to - transfer_matrix(sol.map) @ t_from, d_in)
+        sol.map_tp_residual = sol.map.tp_residual()
     return sol
+
+
+def find_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> dict | None:
+    """A state rho with gap g(rho) = I_coh(to, rho) - I_coh(from, rho) above
+    WITNESS_MARGIN, which proves that no CPTP D with to = D o from exists,
+    or None.
+
+    g is evaluated at I/d, then ascended by L-BFGS from the maximizer's
+    fixed starts (I/d and the near-pure basis states) until one value
+    clears the margin; deterministic. Data processing speaks of channels,
+    so a pair with a flagged (not trace-preserving) member gets no search.
+    """
+    if from_ch.flagged or to_ch.flagged:
+        return None
+    d = from_ch.dim_in
+    minus_to = capmod._objective(to_ch, chmod.complementary(to_ch))
+    minus_from = capmod._objective(from_ch, chmod.complementary(from_ch))
+
+    def minus_gap(x):
+        f_to, g_to = minus_to(x)
+        f_from, g_from = minus_from(x)
+        return f_to - f_from, g_to - g_from
+
+    starts = capmod._fixed_starts(d)
+    ascents = (optimize.minimize(minus_gap, x0, jac=True).x for x0 in starts)
+    for x in itertools.chain(starts[:1], ascents):
+        gap = -float(minus_gap(x)[0])
+        if gap > WITNESS_MARGIN:
+            return {
+                "kind": "data_processing",
+                "gap": gap,
+                "margin": WITNESS_MARGIN,
+                "state": capmod._state_rows(capmod._params_to_state(x, d)),
+            }
+    return None
 
 
 def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):
     """Cyclic projections onto {T: T T_from = T_to}, the PSD-Choi cone, and
-    the TP affine set, for at most 2000 rounds; ``f_pinv`` is pinv(T_from).
-    Used only when the direct least-squares completion fails its CP/TP
-    certificates; deterministic."""
+    the TP affine set, for at most REFINE_ROUNDS rounds; ``f_pinv`` is
+    pinv(T_from). Returns the last iterate, the stop reason
+    (``refine_fixed_point`` when an iterate stops moving, ``refine_cap``
+    at the round cap) and the rounds run. Used only when the direct
+    least-squares completion fails its CP/TP certificates and no witness
+    rules a map out; deterministic."""
     t = t0.copy()
-    for _ in range(2000):
+    for rounds in range(1, REFINE_ROUNDS + 1):
         # affine composition constraint
         t = t - (t @ t_from - t_to) @ f_pinv
         # PSD projection in Choi coordinates (an entrywise permutation of T,
@@ -124,9 +215,9 @@ def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):
         j_tp = j_psd + np.kron((np.eye(d_mid) - tr_out) / d_out, np.eye(d_out))
         t_new = transfer_of_choi(j_tp, d_mid, d_out)
         if np.max(np.abs(t_new - t)) < 1e-14:
-            return t_new
+            return t_new, "refine_fixed_point", rounds
         t = t_new
-    return t
+    return t, "refine_cap", REFINE_ROUNDS
 
 
 def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> DegradingSolution:
@@ -136,9 +227,11 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     input components carry trace the constrained part never sees, so the
     completion routes them to the maximally mixed state (a trace-and-replace
     term); this reduces to the least-norm completion exactly when the
-    identity lies in the range. If the completed map fails its CP/TP
-    certificates, a cyclic-projection refinement searches the same solution
-    set for a CPTP member before giving up.
+    identity lies in the range. If the completed map fails its
+    certificates, :func:`find_witness` looks for a proof that no map
+    exists; without one, and when the residual certificate holds, a
+    cyclic-projection refinement searches the same solution set for a CPTP
+    member before giving up.
     """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(
@@ -155,13 +248,18 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     t_d = t_ls + np.outer(qmat.vec(np.eye(d_out) / d_out), tr_row.ravel())
 
     sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
-    if sol.residual <= TOL.residual_tol and not sol.success:
-        t_ref = _cptp_refine(t_d, t_from, f_pinv, t_to, d_mid, d_out)
-        refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-        # keep the refinement only if it actually certifies
-        if refined.success:
-            sol = refined
-    return sol
+    if sol.success:
+        return sol
+    sol.witness = find_witness(from_ch, to_ch)
+    if sol.witness is not None:
+        return sol
+    if sol.residual > TOL.residual_tol:
+        sol.stop = "least_squares_residual"
+        return sol
+    t_ref, sol.stop, _ = _cptp_refine(t_d, t_from, f_pinv, t_to, d_mid, d_out)
+    refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
+    # keep the refinement only if it actually certifies
+    return refined if refined.success else sol
 
 
 def is_degradable(ch: chmod.KrausChannel) -> DegradingSolution:

@@ -209,3 +209,18 @@ def test_11_rank_one_certificate():
                 s = np.linalg.svd(op, compute_uv=False)
                 assert s[1] <= 1e-10 * s[0]
     assert time.monotonic() - start < 1.0
+
+
+def test_12_nab_ae_anti_degradable_with_a_witness():
+    # B->E is ruled out by a data-processing witness, so no refinement
+    # runs for it; E->B refines to a certified map
+    start = time.monotonic()
+    n_ab = zoo.build_entry("nab_ae").channel
+    res = deg.classify_pd(n_ab)
+    assert res.label == "ANTI_DEGRADABLE"
+    assert res.solutions["B->E"].status == "impossible"
+    assert res.solutions["B->E"].witness["gap"] > deg.WITNESS_MARGIN
+    e_to_b = res.solutions["E->B"]
+    assert e_to_b.status == "certified"
+    assert e_to_b.map_residual <= 1e-8 and e_to_b.map_tp_residual <= 1e-8
+    assert time.monotonic() - start < 30.0

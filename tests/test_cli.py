@@ -278,13 +278,27 @@ _RAGGED = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
         ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_out="2"))),
         ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_in=True, dim_out=1, kraus=[[[[1.0, 0.0]]]]))),
         ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', "true")),
+        ("inspect", json.dumps(_with(_VALID_CHANNEL, name=[1, {"a": None}]))),
     ],
     ids=["list", "kraus-int", "non-numeric", "ragged", "dim-1e400", "dim-5000-digits",
          "nested-100000", "ledger-list", "fraction-1/0", "fraction-exponent", "fraction-float",
-         "dim-float", "dim-string", "dim-true", "fraction-true"],
+         "dim-float", "dim-string", "dim-true", "fraction-true", "name-list"],
 )
 def test_malformed_input_files_exit_2(command, text):
     _assert_input_error(command, text)
+
+
+def test_infinite_imaginary_part_exits_2_with_one_line(tmp_path):
+    # an infinite part must be refused before the real and imaginary parts
+    # combine, where numpy would print a RuntimeWarning ahead of the error
+    path = tmp_path / "inf.json"
+    path.write_text('{"name": "inf", "dim_in": 1, "dim_out": 1, "kraus": [[[[0, 1e400]]]]}')
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-m", "pdchannel.cli", "inspect", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -336,7 +350,7 @@ _bad_dim = st.one_of(
 
 @st.composite
 def _broken_channel(draw):
-    kind = draw(st.sampled_from(["top", "dim", "kraus", "operator", "missing"]))
+    kind = draw(st.sampled_from(["top", "dim", "kraus", "operator", "name", "missing"]))
     if kind == "top":
         return draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text("ab"), st.none()))
     if kind == "dim":
@@ -348,6 +362,9 @@ def _broken_channel(draw):
         kraus = list(_VALID_CHANNEL["kraus"])
         kraus[draw(st.integers(0, 1))] = draw(_broken_operator())
         return _with(_VALID_CHANNEL, kraus=kraus)
+    if kind == "name":
+        return _with(_VALID_CHANNEL, name=draw(st.one_of(_junk.filter(lambda v: not isinstance(v, str)),
+                                                         st.integers(), st.floats(), st.booleans())))
     record = _with(_VALID_CHANNEL)
     del record[draw(st.sampled_from(["dim_in", "dim_out", "kraus"]))]
     return record

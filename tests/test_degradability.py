@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pdchannel import channel as ch
+from pdchannel import cli
 from pdchannel import degradability as deg
 from pdchannel import entanglement as ent
 from pdchannel import qmat, zoo
@@ -44,6 +47,13 @@ def test_amplitude_damping_degradable_solve(gamma):
     assert sol.cp_min_eig >= -1e-9
     assert sol.tp_residual <= 1e-8
     assert sol.map is not None and sol.map.tp_residual() <= 1e-8
+    # the report certifies the returned Kraus map itself
+    d = sol.as_dict()
+    assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status",
+                      "map_residual", "map_tp_residual"}
+    assert d["status"] == "certified"
+    assert d["map_tp_residual"] == sol.map.tp_residual()
+    assert 0.0 <= d["map_residual"] <= 1e-8
     # the returned Kraus map really degrades output to environment
     comp = ch.complementary(c)
     for rho in deg.probe_states(2):
@@ -75,7 +85,60 @@ def test_failed_solve_reports_not_raises():
     assert not sol.success
     assert sol.map is None
     d = sol.as_dict()
-    assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual"}
+    assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status", "witness"}
+    assert d["status"] == "impossible"
+
+
+def _count_refines(monkeypatch) -> list:
+    """The (stop reason, rounds) of every CPTP refinement that runs."""
+    ends = []
+    refine = deg._cptp_refine
+
+    def counted(*args):
+        out = refine(*args)
+        ends.append(out[1:])
+        return out
+
+    monkeypatch.setattr(deg, "_cptp_refine", counted)
+    return ends
+
+
+@pytest.mark.parametrize(
+    "solve, refines",
+    [
+        (lambda: deg.classify_pd(zoo.amplitude_damping(0.2)), 0),
+        (lambda: deg.classify_pd(zoo.depolarizing(0.5)), 0),
+        # erasure's B->E solve refines to a certified map; E->B is the futile one
+        (lambda: deg.is_antidegradable(zoo.erasure(0.25)), 0),
+        (lambda: deg.classify_pd(zoo.horodecki_channel(3.5)), 1),
+    ],
+    ids=["amplitude_damping", "depolarizing", "erasure-E->B", "horodecki"],
+)
+def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
+    ends = _count_refines(monkeypatch)
+    solve()
+    assert len(ends) == refines
+    if refines:
+        # horodecki E->B: its Choi matrix is PPT, so no entropic witness exists
+        assert ends == [("refine_cap", deg.REFINE_ROUNDS)]
+
+
+def test_solve_without_linear_solution_stops_at_least_squares():
+    # complete Z dephasing erases the off-diagonal entries an X measurement
+    # reads, so no linear map exists; both channels have I_coh = 0 on every
+    # input, so no entropic witness exists either
+    x_measure = ch.KrausChannel(np.array([[[1, 1], [0, 0]], [[0, 0], [1, -1]]]) / np.sqrt(2), 2, 2)
+    sol = deg.solve_degrading_map(zoo.dephasing(0.5), x_measure)
+    assert sol.residual > 1e-8
+    assert deg.find_witness(zoo.dephasing(0.5), x_measure) is None
+    d = sol.as_dict()
+    assert d["status"] == "not_found" and d["stop"] == "least_squares_residual"
+
+
+def test_witness_search_skips_flagged_pairs():
+    flagged = zoo.corollary4_degrading_map()
+    assert flagged.flagged
+    assert deg.find_witness(ch.identity_channel(3), flagged) is None
 
 
 def test_verify_pd_identity_exact_and_mismatch():
@@ -200,3 +263,97 @@ def test_theorem3_exclusions():
     findings = deg.check_theorem3_exclusions(zoo.amplitude_damping(0.2))
     assert not findings["identity"]
     assert findings["degradable"]["success"]
+
+
+# The classify benchmark's nine inputs: zoo entries that are trace-preserving
+# as exported, with the status each solve ends in.
+ZOO_STATUSES = {
+    ("horodecki", ()): ("impossible", "not_found"),
+    ("symmetric_pd", ()): ("certified", "certified"),
+    ("erasure", (("p", 0.25), ("d", 2))): ("certified", "impossible"),
+    ("depolarizing", (("p", 0.5), ("d", 2))): ("impossible", "certified"),
+    ("amplitude_damping", (("gamma", 0.2),)): ("certified", "impossible"),
+    ("dephasing", (("p", 0.3),)): ("certified", "impossible"),
+    ("m_ae", (("repair", True),)): ("impossible", "not_found"),
+    ("composite_complementary", (("x", 0.75), ("repair", True))): ("not_found", "impossible"),
+    ("d_e_to_eprime", (("repair", True),)): ("impossible", "impossible"),
+}
+
+
+@pytest.fixture(scope="module")
+def zoo_reports(tmp_path_factory):
+    """(Kraus record, classify report) of each input, through the CLI."""
+    tmp = tmp_path_factory.mktemp("zoo")
+    out = {}
+    for key in ZOO_STATUSES:
+        entry_id, params = key
+        path, report = tmp / f"{entry_id}.json", tmp / f"{entry_id}.report.json"
+        ch.save_channel(zoo.build_entry(entry_id, **dict(params)).channel, str(path))
+        assert cli.main(["classify", str(path), "--out", str(report)]) in (0, 3)
+        out[key] = (json.loads(path.read_text()), json.loads(report.read_text()))
+    return out
+
+
+def _entropy(rho):
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _plain_coherent_information(kraus, rho):
+    """H(N(rho)) - H(N_c(rho)) with the environment of the Kraus index."""
+    out = np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
+    env = np.einsum("kab,bc,jac->kj", kraus, rho, kraus.conj())
+    return _entropy(out) - _entropy(env)
+
+
+def test_zoo_solve_statuses(zoo_reports):
+    for key, (_, report) in zoo_reports.items():
+        sols = report["solutions"]
+        assert (sols["B->E"]["status"], sols["E->B"]["status"]) == ZOO_STATUSES[key], key
+        for sol in sols.values():
+            # the three open solves all refine to the round cap
+            assert sol.get("stop", "refine_cap") == "refine_cap"
+        # the identity E->E' map: the primed solves are the unprimed ones
+        assert sols["B->E'"] == sols["B->E"] and sols["E'->B"] == sols["E->B"]
+
+
+def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
+    seen = 0
+    for key, (record, report) in zoo_reports.items():
+        a = np.array(record["kraus"], dtype=float)
+        kraus = a[..., 0] + 1j * a[..., 1]
+        # I_coh(N_c) = -I_coh(N): the B->E gap is -2 I_coh(N), the E->B gap +2 I_coh(N)
+        for direction, sign in (("B->E", -2.0), ("E->B", 2.0)):
+            sol = report["solutions"][direction]
+            if sol["status"] != "impossible":
+                continue
+            w = sol["witness"]
+            assert w["kind"] == "data_processing" and w["margin"] == deg.WITNESS_MARGIN
+            s = np.array(w["state"], dtype=float)
+            rho = s[..., 0] + 1j * s[..., 1]
+            assert abs(np.trace(rho) - 1) <= 1e-12 and np.linalg.eigvalsh(rho)[0] >= -1e-12
+            gap = sign * _plain_coherent_information(kraus, rho)
+            assert gap > w["margin"], (key, direction, gap)
+            assert gap == pytest.approx(w["gap"], abs=1e-9), (key, direction)
+            seen += 1
+    assert seen == 9
+
+
+def _solve_pairs(n_ab, d_e_to_eprime=None):
+    n_ae = ch.complementary(n_ab)
+    n_aep = n_ae if d_e_to_eprime is None else ch.compose(n_ae, d_e_to_eprime)
+    return {"B->E": (n_ab, n_ae), "E->B": (n_ae, n_ab), "B->E'": (n_ab, n_aep), "E'->B": (n_aep, n_ab)}
+
+
+def test_no_witness_against_a_certified_map(zoo_reports):
+    cases = [(ch.channel_from_dict(record), None, report) for record, report in zoo_reports.values()]
+    n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
+    cases.append((n_ab, d, deg.classify_pd(n_ab, d).as_dict()))
+    certified = 0
+    for n, d, report in cases:
+        for key, (from_ch, to_ch) in _solve_pairs(n, d).items():
+            if report["solutions"][key]["status"] == "certified":
+                assert deg.find_witness(from_ch, to_ch) is None, (n.name, key)
+                certified += 1
+    assert certified == 15
