@@ -5,8 +5,9 @@ multi-start maximization over input states.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import isfinite, isqrt, prod
 
 import numpy as np
 
@@ -187,28 +188,31 @@ def _state_to_params(rho: np.ndarray) -> np.ndarray:
     return _factor_to_params(np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d)))
 
 
-def _objective(ch: chmod.KrausChannel, comp: chmod.KrausChannel):
-    """-I_coh over the parameter layout, with its exact gradient.
+def _objective(terms: list):
+    """-sum_k c_k H(M_k(rho)) over the parameter layout, with its exact
+    gradient; ``terms`` lists the (c_k, M_k), all on the input side d of the
+    d^2 parameters.
 
-    With sigma_B = N(rho) and sigma_E = N_c(rho), the gradient in rho is
-    A = N^dag(log2 sigma_B) - N_c^dag(log2 sigma_E) (the identity terms of
-    d(-Tr s log2 s) cancel, since N and N_c share sum_i N_i^dag N_i). Through
-    rho = L L^dag / t it is B = 2 (A - Tr(A rho) I) L / t in L, read off as
-    (Re B_ii; Re B_ij, Im B_ij).
+    The gradient in rho is A = sum_k c_k M_k^dag(log2 M_k(rho)): the identity
+    terms of d(-Tr s log2 s) add up to a multiple of I, which the projection
+    below removes. Through rho = L L^dag / t it is
+    B = 2 (A - Tr(A rho) I) L / t in L, read off as (Re B_ii; Re B_ij, Im B_ij).
+    Value and A are accumulated from zero in term order.
     """
-    d = ch.dim_in
 
     def objective(x):
+        d = isqrt(len(x))
         l = _params_to_factor(x, d)
         rho, t = _factor_to_state(l)
-        h_b, log_b = ent.entropy_and_log2(chmod.apply(ch, rho))
-        h_e, log_e = ent.entropy_and_log2(chmod.apply(comp, rho))
+        value, a = 0.0, np.zeros((d, d), dtype=np.complex128)
+        for c, m in terms:
+            h, log = ent.entropy_and_log2(chmod.apply(m, rho))
+            value += c * h
+            a += c * (m.kraus_adj @ log @ m.kraus).sum(axis=0)
         if t < 1e-300:
-            return -(h_b - h_e), np.zeros_like(x)
-        a = (ch.kraus_adj @ log_b @ ch.kraus).sum(axis=0)
-        a -= (comp.kraus_adj @ log_e @ comp.kraus).sum(axis=0)
+            return -value, np.zeros_like(x)
         b = 2 * (a @ l - np.trace(a @ rho).real * l) / t
-        return -(h_b - h_e), _factor_to_params(b)
+        return -value, _factor_to_params(b)
 
     return objective
 
@@ -235,7 +239,9 @@ def maximize_coherent_information(
     density matrices, with the analytic gradient. Deterministic given the
     seed. ``tol`` only sets how close the top two restarts must agree for
     ``converged``. ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is
-    negative or not finite raise :class:`DomainError`."""
+    negative or not finite raise :class:`DomainError`; an extra seed state
+    of the wrong side raises :class:`DimMismatch`, and one with eigenvalues
+    outside the entropy clamping window :class:`NotDensityMatrix`."""
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
@@ -245,12 +251,14 @@ def maximize_coherent_information(
     d = ch.dim_in
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
-    objective = _objective(ch, chmod.complementary(ch))
+    objective = _objective([(1, ch), (-1, chmod.complementary(ch))])
 
     rng = np.random.default_rng(seed)
     starts = _fixed_starts(d)
     for rho in extra_seed_states or []:
-        starts.append(_state_to_params(qmat.check_square(rho)))
+        rho = qmat.check_square(rho, (d,))
+        ent.entropy(rho)  # raises NotDensityMatrix outside the clamping window
+        starts.append(_state_to_params(rho))
     while len(starts) < restarts:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         g = a @ a.conj().T
@@ -277,18 +285,15 @@ def maximize_coherent_information(
     )
 
 
-def additivity_probe(ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42) -> dict:
-    """Compare the two-copy optimum against twice the single-copy optimum."""
+def additivity_probe(
+    ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42,
+    single: CoherentInfoResult | None = None,
+) -> dict:
+    """Compare the two-copy optimum against twice the single-copy optimum;
+    ``single``, when given, is the single-copy optimum found with the same
+    restarts and seed, and is not computed again."""
     if n != 2:
         raise SizeLimit("only n = 2 is supported")
-    return _two_copy_probe(ch, restarts, seed)
-
-
-def _two_copy_probe(
-    ch: chmod.KrausChannel, restarts: int, seed: int, single: CoherentInfoResult | None = None
-) -> dict:
-    """Body of :func:`additivity_probe`; ``single``, when given, is the
-    single-copy optimum found with the same restarts and seed."""
     if ch.dim_in**2 > MAX_OPT_DIM:
         raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
     if single is None:
@@ -298,11 +303,38 @@ def _two_copy_probe(
     joint = maximize_coherent_information(
         joint_ch, restarts=restarts, seed=seed, extra_seed_states=[product_seed]
     )
-    return {
-        "single": single.value,
-        "joint": joint.value,
-        "gap": joint.value - 2 * single.value,
-    }
+    return {"single": single.value, "joint": joint.value, "gap": joint.value - 2 * single.value}
+
+
+def gap_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel, above: float):
+    """(gap, state rows) for the first state found with
+    gap = I_coh(to, rho) - I_coh(from, rho) > ``above`` >= 0, or None.
+
+    The gap is evaluated at I/d, then ascended by L-BFGS from the
+    maximizer's fixed starts in order; deterministic. Of its four output
+    entropies, those of equal Kraus stacks are evaluated once with their
+    coefficients added (a complementary pair applies two channels, not
+    four), and those whose coefficients cancel not at all.
+    """
+    terms = []
+    for c, m in ((1, to_ch), (-1, chmod.complementary(to_ch)),
+                 (-1, from_ch), (1, chmod.complementary(from_ch))):
+        for i, (c0, m0) in enumerate(terms):
+            if np.array_equal(m0.kraus, m.kraus):
+                terms[i] = (c0 + c, m0)
+                break
+        else:
+            terms.append((c, m))
+    terms = [(c, m) for c, m in terms if c]
+    d = from_ch.dim_in
+    minus_gap = _objective(terms)
+    starts = _fixed_starts(d)
+    ascents = (optimize.minimize(minus_gap, x0, jac=True).x for x0 in starts)
+    for x in itertools.chain(starts[:1], ascents):
+        gap = -float(minus_gap(x)[0])
+        if gap > above:
+            return gap, _state_rows(_params_to_state(x, d))
+    return None
 
 
 def ssa_check(rho, dims) -> float:

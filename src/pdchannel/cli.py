@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: inspect, classify, capacity, polar, zoo. All analyses emit a
-JSON report (text format is a rendering of the same report) and are
-reproducible from the seed/restart/tolerance settings echoed into every
-report. Exit codes: 0 success, 2 input error, 3 indeterminate result or
-invariant violation.
+JSON report (text format is a rendering of the same report) whose ``env``
+echoes the tolerances and size limit, and for ``capacity``, the only
+subcommand that takes them, ``--seed``, ``--restarts`` and ``--tol``.
+Exit codes: 0 success, 2 input error, 3 indeterminate result or invariant
+violation.
 """
 
 from __future__ import annotations
@@ -27,19 +28,15 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 
 
-def _report_env(args) -> dict:
-    env = {"tolerances": TOL.as_dict(), "max_dim": max_dim()}
-    for key in ("seed", "restarts"):
-        if hasattr(args, key):
-            env[key] = getattr(args, key)
-    return env
+def _report_env() -> dict:
+    return {"tolerances": TOL.as_dict(), "max_dim": max_dim()}
 
 
 def _emit(report: dict, args) -> None:
     payload = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         payload = _render_text(report)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(payload + "\n")
     else:
@@ -83,7 +80,7 @@ def cmd_inspect(args) -> int:
     w, _ = qmat.eigh(chmod.to_choi(ch))
     rank = qmat.numerical_rank(w)
     out = {
-        "env": _report_env(args),
+        "env": _report_env(),
         "name": ch.name,
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
@@ -103,7 +100,7 @@ def cmd_classify(args) -> int:
     ch = _load(chmod.load_channel, args.file)
     degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
     result = degmod.classify_pd(ch, degrading, try_conjugate=args.conjugate)
-    out = {"env": _report_env(args), **result.as_dict()}
+    out = {"env": _report_env(), **result.as_dict()}
     _emit(out, args)
     return EXIT_INDETERMINATE if result.label == "UNDETERMINED" else EXIT_OK
 
@@ -113,13 +110,14 @@ def cmd_capacity(args) -> int:
     result = capmod.maximize_coherent_information(
         ch, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
-    out = {"env": _report_env(args), **result.as_dict()}
+    env = {**_report_env(), "seed": args.seed, "restarts": args.restarts, "tol": args.tol}
+    out = {"env": env, **result.as_dict()}
     if args.tensor:
         if args.tensor != 2:
             raise PdChannelError("--tensor only supports 2")
         # the single-copy optimum above is the one the probe would compute
-        out["additivity"] = capmod._two_copy_probe(
-            ch, args.restarts, args.seed, single=result
+        out["additivity"] = capmod.additivity_probe(
+            ch, restarts=args.restarts, seed=args.seed, single=result
         )
     _emit(out, args)
     return EXIT_OK
@@ -138,7 +136,7 @@ def cmd_polar(args) -> int:
             k: str(v) for k, v in polmod.rate_pd_antidegradable(ledger).items()
         }
     out = {
-        "env": _report_env(args),
+        "env": _report_env(),
         "regime": ledger.regime,
         "fractions": polmod.ledger_to_dict(ledger)["fractions"],
         "rates": rates,
@@ -158,7 +156,7 @@ _PARAM_FLAGS = {
 
 def cmd_zoo(args) -> int:
     if args.action == "list":
-        _emit({"env": _report_env(args), "entries": zoomod.list_entries()}, args)
+        _emit({"env": _report_env(), "entries": zoomod.list_entries()}, args)
         return EXIT_OK
     if not args.id:
         raise PdChannelError("zoo export needs an entry id")
@@ -174,7 +172,7 @@ def cmd_zoo(args) -> int:
         # --out receives the channel file; the report goes to stdout
         chmod.save_channel(entry.channel, args.out)
         args.out = None
-    _emit({"env": _report_env(args), **entry.as_dict()}, args)
+    _emit({"env": _report_env(), **entry.as_dict()}, args)
     return EXIT_OK
 
 
@@ -187,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--restarts", type=int, default=32)
 
     p = sub.add_parser("inspect", help="validate a channel JSON file")
     p.add_argument("file")
@@ -206,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--tensor", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--restarts", type=int, default=32)
     common(p)
     p.set_defaults(func=cmd_capacity)
 

@@ -12,14 +12,14 @@ a Choi eigensolve. Every solve ends in one of three statuses:
   to = D o from would lower the mutual information I(R; output) between a
   purifying reference and the output (data processing), and that
   difference is exactly this gap, so no such D exists (Devetak & Shor,
-  CMP 256, 287, 2005). The state is reported as the witness.
+  CMP 256, 287, 2005). The state is reported as the witness; the search
+  for it is :func:`pdchannel.capacity.gap_witness`.
 - ``not_found``: no map was found and no witness either; ``stop`` says
   where the search ended. This is not a proof of nonexistence.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import capacity as capmod
 from . import channel as chmod
 from . import entanglement as ent
-from . import optimize, qmat
+from . import qmat
 from .config import TOL
 from .errors import DimMismatch
 
@@ -159,34 +159,18 @@ def find_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> dict
     WITNESS_MARGIN, which proves that no CPTP D with to = D o from exists,
     or None.
 
-    g is evaluated at I/d, then ascended by L-BFGS from the maximizer's
-    fixed starts (I/d and the near-pure basis states) until one value
-    clears the margin; deterministic. Data processing speaks of channels,
-    so a pair with a flagged (not trace-preserving) member gets no search.
+    The search is :func:`pdchannel.capacity.gap_witness`: g at I/d, then
+    L-BFGS ascents from the maximizer's fixed starts until one value clears
+    the margin; deterministic. Data processing speaks of channels, so a
+    pair with a flagged (not trace-preserving) member gets no search.
     """
     if from_ch.flagged or to_ch.flagged:
         return None
-    d = from_ch.dim_in
-    minus_to = capmod._objective(to_ch, chmod.complementary(to_ch))
-    minus_from = capmod._objective(from_ch, chmod.complementary(from_ch))
-
-    def minus_gap(x):
-        f_to, g_to = minus_to(x)
-        f_from, g_from = minus_from(x)
-        return f_to - f_from, g_to - g_from
-
-    starts = capmod._fixed_starts(d)
-    ascents = (optimize.minimize(minus_gap, x0, jac=True).x for x0 in starts)
-    for x in itertools.chain(starts[:1], ascents):
-        gap = -float(minus_gap(x)[0])
-        if gap > WITNESS_MARGIN:
-            return {
-                "kind": "data_processing",
-                "gap": gap,
-                "margin": WITNESS_MARGIN,
-                "state": capmod._state_rows(capmod._params_to_state(x, d)),
-            }
-    return None
+    found = capmod.gap_witness(from_ch, to_ch, above=WITNESS_MARGIN)
+    if found is None:
+        return None
+    gap, state = found
+    return {"kind": "data_processing", "gap": gap, "margin": WITNESS_MARGIN, "state": state}
 
 
 def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):

@@ -164,12 +164,6 @@ def ledger_from_dict(d) -> PolarLedger:
     return PolarLedger(regime=regime, **fractions)
 
 
-def save_ledger(ledger: PolarLedger, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(ledger_to_dict(ledger), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def load_ledger(path: str) -> PolarLedger:
     with open(path) as f:
         return ledger_from_dict(json.load(f))

@@ -333,15 +333,6 @@ def dephasing(p: float) -> chmod.KrausChannel:
     )
 
 
-def baselines() -> dict:
-    return {
-        "erasure": erasure,
-        "depolarizing": depolarizing,
-        "amplitude_damping": amplitude_damping,
-        "dephasing": dephasing,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from pdchannel import capacity as cap
 from pdchannel import channel as ch
 from pdchannel import zoo
-from pdchannel.errors import DimMismatch, DomainError, SizeLimit
+from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, SizeLimit
 
 
 def _h2(p):
@@ -110,7 +110,7 @@ def test_parameter_layout_is_row_major_lower_triangle():
 
 def test_objective_at_zero_params_is_maximally_mixed():
     c = zoo.amplitude_damping(0.2)
-    value, grad = cap._objective(c, ch.complementary(c))(np.zeros(4))
+    value, grad = cap._objective([(1, c), (-1, ch.complementary(c))])(np.zeros(4))
     assert np.isfinite(value) and np.all(np.isfinite(grad))
     assert value == pytest.approx(-cap.coherent_information(c, np.eye(2) / 2), abs=1e-12)
 
@@ -125,7 +125,7 @@ def test_analytic_gradient_matches_central_differences():
         zoo.erasure(0.25),
     )
     for c in channels:
-        objective = cap._objective(c, ch.complementary(c))
+        objective = cap._objective([(1, c), (-1, ch.complementary(c))])
         n = c.dim_in**2
         for _ in range(3):
             x = rng.standard_normal(n)
@@ -209,6 +209,61 @@ def test_maximizer_rejects_large_inputs():
         cap.additivity_probe(zoo.erasure(0.5, d=5))
     with pytest.raises(SizeLimit):
         cap.additivity_probe(zoo.dephasing(0.1), n=3)
+
+
+def test_maximizer_rejects_bad_seed_states():
+    c = zoo.amplitude_damping(0.2)
+    with pytest.raises(DimMismatch):
+        cap.maximize_coherent_information(c, restarts=2, extra_seed_states=[np.eye(3) / 3])
+    with pytest.raises(NotDensityMatrix):
+        cap.maximize_coherent_information(c, restarts=2, extra_seed_states=[np.diag([1.5, -0.5])])
+
+
+def _ad_pair(forward):
+    n_ab = zoo.amplitude_damping(0.2)
+    return (n_ab, ch.complementary(n_ab)) if forward else (ch.complementary(n_ab), n_ab)
+
+
+def _symmetric_pd_e_prime_to_b():
+    n_ab, n_ae = zoo.symmetric_pd_channel()
+    return ch.compose(n_ae, zoo.d_e_to_eprime(repair=True)), n_ab
+
+
+@pytest.mark.parametrize(
+    "pair, applies",
+    [
+        (lambda: _ad_pair(True), 2),
+        (lambda: _ad_pair(False), 2),
+        # amplitude damping, dephasing and their environments: four stacks
+        (lambda: (zoo.amplitude_damping(0.2), zoo.dephasing(0.3)), 4),
+        # symmetric_pd's output and environment are one Kraus stack, so the
+        # I_coh(N_AB) part of the gap cancels and only N_AE' and its
+        # environment are applied
+        (_symmetric_pd_e_prime_to_b, 2),
+    ],
+    ids=["B->E", "E->B", "four-channels", "symmetric_pd-E'->B"],
+)
+def test_gap_applies_each_distinct_channel_once(monkeypatch, pair, applies):
+    from_ch, to_ch = pair()
+    built = []
+    objective = cap._objective
+    monkeypatch.setattr(cap, "_objective", lambda terms: built.append(objective(terms)) or built[-1])
+    # every gap clears -inf, so the search stops at its first evaluation
+    assert cap.gap_witness(from_ch, to_ch, above=-np.inf) is not None
+    calls = []
+    apply = ch.apply
+    monkeypatch.setattr(ch, "apply", lambda *args: calls.append(1) or apply(*args))
+    d = from_ch.dim_in
+    value, _ = built[0](np.zeros(d * d))
+    assert len(calls) == applies
+    rho = np.eye(d) / d
+    gap = cap.coherent_information(to_ch, rho) - cap.coherent_information(from_ch, rho)
+    assert -value == pytest.approx(gap, abs=1e-12)
+
+
+def test_gap_between_one_channel_and_itself_is_no_witness():
+    c = zoo.amplitude_damping(0.2)
+    assert cap.gap_witness(c, c, above=0.0) is None
 
 
 def test_ssa_known_states():

@@ -125,6 +125,18 @@ def test_capacity_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["value"] == pytest.approx(0.5, abs=1e-3)
     assert report["env"]["seed"] == 7 and report["env"]["restarts"] == 4
+    assert report["env"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("command", ["inspect", "classify", "polar"])
+@pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+def test_optimizer_settings_only_on_capacity(tmp_path, capsys, command, flag):
+    # only capacity reads --seed and --restarts; elsewhere they are usage errors
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, flag, "3"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_bad_max_dim_env_exits_2(monkeypatch, capsys):
@@ -149,7 +161,7 @@ def test_polar_report_and_violation_exit(tmp_path, capsys):
         p2=F(0), p2_prime=F(0), b=F(0), regime="DEGRADABLE_PD",
     )
     path = tmp_path / "ledger.json"
-    polar.save_ledger(good, str(path))
+    path.write_text(json.dumps(polar.ledger_to_dict(good)))
     code, out, _ = _run(capsys, ["polar", str(path)])
     assert code == 0
     report = json.loads(out)
@@ -160,7 +172,7 @@ def test_polar_report_and_violation_exit(tmp_path, capsys):
         g_amp=F(1, 2), g_phase=F(1, 2), p1=F(1, 4), p1_prime=F(1, 8),
         p2=F(0), p2_prime=F(0), b=F(0), regime="DEGRADABLE_PD",
     )
-    polar.save_ledger(bad, str(path))
+    path.write_text(json.dumps(polar.ledger_to_dict(bad)))
     code, out, _ = _run(capsys, ["polar", str(path)])
     assert code == 3
     assert json.loads(out)["violations"]

@@ -1,0 +1,68 @@
+"""Module boundaries of the package: no module reads another package
+module's private (single-underscore) names."""
+
+import ast
+from pathlib import Path
+
+import pdchannel
+
+SRC = Path(pdchannel.__file__).parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(path: Path) -> list:
+    """``module.name:line -> other.private`` for each private name of another
+    package module that ``path`` reads, through a module alias or a
+    ``from .other import _name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            if node.module is None:
+                # from . import capacity as capmod
+                aliases[alias.asname or alias.name] = alias.name
+            elif _is_private(alias.name):
+                found.append(f"{path.stem}:{node.lineno} -> {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _is_private(node.attr)
+        ):
+            found.append(f"{path.stem}:{node.lineno} -> {aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_reads(path)]
+    assert found == []
+
+
+def test_guard_sees_alias_and_from_import_reads(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import capacity as capmod\n"
+        "from .degradability import _cptp_refine, solve_degrading_map\n"
+        "capmod._objective(capmod.maximize_coherent_information, capmod.__name__)\n"
+    )
+    assert _private_reads(path) == [
+        "sample:2 -> degradability._cptp_refine",
+        "sample:3 -> capacity._objective",
+    ]
+
+
+def test_degradability_leaves_the_optimizer_to_capacity():
+    tree = ast.parse((SRC / "degradability.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {alias.name for alias in node.names} | {node.module}
+    assert not imported & {"optimize", "itertools"}
