@@ -184,8 +184,15 @@ def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
 def _state_to_params(rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     # Cholesky of a slightly smoothed copy so boundary states have a factor
-    eps = 1e-12
-    return _factor_to_params(np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d)))
+    def factor(eps):
+        return np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d))
+
+    try:
+        return _factor_to_params(factor(1e-12))
+    except np.linalg.LinAlgError:
+        # a least eigenvalue below -1e-12 that the entropy window still
+        # admits (down to -1e-9): smooth past it
+        return _factor_to_params(factor(2e-9))
 
 
 def _objective(terms: list):

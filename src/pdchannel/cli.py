@@ -112,7 +112,7 @@ def cmd_capacity(args) -> int:
     )
     env = {**_report_env(), "seed": args.seed, "restarts": args.restarts, "tol": args.tol}
     out = {"env": env, **result.as_dict()}
-    if args.tensor:
+    if args.tensor is not None:
         if args.tensor != 2:
             raise PdChannelError("--tensor only supports 2")
         # the single-copy optimum above is the one the probe would compute

@@ -38,6 +38,10 @@ def max_dim() -> int:
     raw = os.environ.get("QPD_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_DIM
-    if not raw.strip().isdecimal() or int(raw) < 1:
+    try:
+        value = int(raw) if raw.strip().isdecimal() else 0
+    except ValueError:  # more digits than Python converts to an int
+        raise DomainError(f"QPD_MAX_DIM has {len(raw.strip())} digits, too many to read") from None
+    if value < 1:
         raise DomainError(f"QPD_MAX_DIM must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    return value

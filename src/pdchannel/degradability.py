@@ -1,9 +1,10 @@
 """Degrading-map solving and channel taxonomy.
 
-A degrading map D with to = D o from is found by a superoperator
-least-squares solve on transfer matrices, completed off the range of the
-source map so that trace preservation can hold, then certified as CPTP via
-a Choi eigensolve. Every solve ends in one of three statuses:
+A degrading map D with to = D o from is sought in one affine set, the
+trace-preserving least-squares solutions on transfer matrices: its member
+nearest 0 is certified as CPTP via a Choi eigensolve, and alternating
+projections between the set and the PSD-Choi cone refine it when that
+fails. Every solve ends in one of three statuses:
 
 - ``certified``: the candidate passes its CP/TP and residual certificates;
   the Kraus map handed back is re-checked and its own margins reported.
@@ -173,49 +174,40 @@ def find_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> dict
     return {"kind": "data_processing", "gap": gap, "margin": WITNESS_MARGIN, "state": state}
 
 
-def _cptp_refine(t0, t_from, f_pinv, t_to, d_mid, d_out):
-    """Cyclic projections onto {T: T T_from = T_to}, the PSD-Choi cone, and
-    the TP affine set, for at most REFINE_ROUNDS rounds; ``f_pinv`` is
-    pinv(T_from). Returns the last iterate, the stop reason
-    (``refine_fixed_point`` when an iterate stops moving, ``refine_cap``
-    at the round cap) and the rounds run. Used only when the direct
-    least-squares completion fails its CP/TP certificates and no witness
-    rules a map out; deterministic."""
-    t = t0.copy()
+def _cptp_refine(t, affine, d_mid, d_out):
+    """Alternating projections between the PSD-Choi cone and the affine
+    solution set that ``affine`` projects onto, from its member ``t``, for
+    at most REFINE_ROUNDS rounds. Returns the last iterate (in the affine
+    set), the stop reason (``refine_fixed_point`` once its Choi matrix is
+    PSD, so neither projection moves it; ``refine_cap`` at the round cap)
+    and the rounds run. Used only when the least-squares candidate fails
+    its CP/TP certificates and no witness rules a map out; deterministic."""
     for rounds in range(1, REFINE_ROUNDS + 1):
-        # affine composition constraint
-        t = t - (t @ t_from - t_to) @ f_pinv
-        # PSD projection in Choi coordinates (an entrywise permutation of T,
-        # so Frobenius projections carry over)
+        # the Choi matrix is an entrywise permutation of T, so Frobenius
+        # projections carry over between the two coordinates
         j = choi_of_transfer(t, d_mid, d_out)
-        j = (j + j.conj().T) / 2
-        w, v = np.linalg.eigh(j)
+        w, v = np.linalg.eigh((j + j.conj().T) / 2)
         if w[0] >= TOL.psd_tol / 10:
-            j_psd = j
-        else:
-            j_psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        # TP affine projection: Tr_out(J) = I
-        tr_out = qmat.partial_trace(j_psd, (d_mid, d_out), keep=[0])
-        j_tp = j_psd + np.kron((np.eye(d_mid) - tr_out) / d_out, np.eye(d_out))
-        t_new = transfer_of_choi(j_tp, d_mid, d_out)
-        if np.max(np.abs(t_new - t)) < 1e-14:
-            return t_new, "refine_fixed_point", rounds
-        t = t_new
+            return t, "refine_fixed_point", rounds
+        j_psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        t = affine(transfer_of_choi(j_psd, d_mid, d_out))
     return t, "refine_cap", REFINE_ROUNDS
 
 
 def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> DegradingSolution:
     """Find a CPTP map D with to = D o from, if the linear algebra allows.
 
-    The candidate is T_to pinv(T_from) on the range of T_from. Off-range
-    input components carry trace the constrained part never sees, so the
-    completion routes them to the maximally mixed state (a trace-and-replace
-    term); this reduces to the least-norm completion exactly when the
-    identity lies in the range. If the completed map fails its
-    certificates, :func:`find_witness` looks for a proof that no map
-    exists; without one, and when the residual certificate holds, a
-    cyclic-projection refinement searches the same solution set for a CPTP
-    member before giving up.
+    The trace-preserving least-squares solutions of T T_from = T_to form an
+    affine set A, and ``affine`` is its Frobenius projection: with Pi the
+    projector onto range(T_from), T_off = T (I - Pi) and
+    r = vec(I_mid)^dag (I - Pi),
+    P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
+    The candidate P_A(0) is the least-squares map on the range, with the
+    off-range input components (trace the range never sees) sent to the
+    maximally mixed state. If it fails its certificates,
+    :func:`find_witness` looks for a proof that no map exists; without one,
+    and when the residual certificate holds, :func:`_cptp_refine` searches
+    A for a CPTP member before giving up.
     """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(
@@ -226,11 +218,15 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     t_to = transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
     t_ls = t_to @ f_pinv
-    # trace-fixing completion on the orthogonal complement of range(T_from)
-    proj = t_from @ f_pinv
-    tr_row = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - proj)
-    t_d = t_ls + np.outer(qmat.vec(np.eye(d_out) / d_out), tr_row.ravel())
+    r = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - t_from @ f_pinv)
+    tr_out = qmat.vec(np.eye(d_out)).reshape(1, -1)
+    mixed = qmat.vec(np.eye(d_out) / d_out).reshape(-1, 1)
 
+    def affine(t):
+        t_off = t - t @ t_from @ f_pinv
+        return t_ls + t_off + mixed * (r - tr_out @ t_off)
+
+    t_d = affine(np.zeros_like(t_ls))
     sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
     if sol.success:
         return sol
@@ -240,7 +236,7 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     if sol.residual > TOL.residual_tol:
         sol.stop = "least_squares_residual"
         return sol
-    t_ref, sol.stop, _ = _cptp_refine(t_d, t_from, f_pinv, t_to, d_mid, d_out)
+    t_ref, sol.stop, _ = _cptp_refine(t_d, affine, d_mid, d_out)
     refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
     # keep the refinement only if it actually certifies
     return refined if refined.success else sol

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import qmat
-from .config import TOL
+from .config import TOL, max_dim
 from .errors import DimMismatch, DomainError
 
 SQ2 = np.sqrt(2.0)
@@ -286,9 +286,20 @@ def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
 # ---------------------------------------------------------------------------
 
 
+def _check_side(d: int, d_out: int) -> None:
+    """A baseline of input side d needs d >= 1 and a Choi side d * d_out
+    within the side cap; checked before any operator is built."""
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    cap = max_dim()
+    if d * d_out > cap:
+        raise DomainError(f"Choi side {d * d_out} of d = {d} exceeds side cap {cap}")
+
+
 def erasure(p: float, d: int = 2) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
+    _check_side(d, d + 1)
     embed = np.zeros((d + 1, d), dtype=np.complex128)
     embed[:d, :d] = np.eye(d)
     ops = [np.sqrt(1.0 - p) * embed]
@@ -300,6 +311,7 @@ def erasure(p: float, d: int = 2) -> chmod.KrausChannel:
 def depolarizing(p: float, d: int = 2) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
+    _check_side(d, d)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))

@@ -219,6 +219,15 @@ def test_maximizer_rejects_bad_seed_states():
         cap.maximize_coherent_information(c, restarts=2, extra_seed_states=[np.diag([1.5, -0.5])])
 
 
+def test_maximizer_takes_a_seed_at_the_edge_of_the_entropy_window():
+    # a least eigenvalue of -5e-10 passes the entropy window (-1e-9) but is
+    # below what a 1e-12 smoothing lifts to a Cholesky factor
+    seed = np.diag([1 + 5e-10, -5e-10])
+    c = zoo.amplitude_damping(0.2)
+    res = cap.maximize_coherent_information(c, restarts=2, extra_seed_states=[seed])
+    assert res.restarts_used == 2 and np.isfinite(res.per_restart_values[1])
+
+
 def _ad_pair(forward):
     n_ab = zoo.amplitude_damping(0.2)
     return (n_ab, ch.complementary(n_ab)) if forward else (ch.complementary(n_ab), n_ab)

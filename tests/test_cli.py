@@ -145,12 +145,32 @@ def test_bad_max_dim_env_exits_2(monkeypatch, capsys):
         code, _, err = _run(capsys, ["zoo", "list"])
         assert code == 2
         assert "QPD_MAX_DIM" in err and repr(value) in err
+    # more digits than Python converts to an int
+    monkeypatch.setenv("QPD_MAX_DIM", "9" * 5000)
+    code, _, err = _run(capsys, ["zoo", "list"])
+    assert code == 2
+    assert "QPD_MAX_DIM" in err and "5000 digits" in err
 
 
 def test_capacity_tensor_gate(tmp_path, capsys):
     path = _save(tmp_path, zoo.dephasing(0.3))
-    code, _, err = _run(capsys, ["capacity", path, "--tensor", "3"])
-    assert code == 2 and "--tensor" in err
+    for value in ("3", "0"):
+        code, _, err = _run(capsys, ["capacity", path, "--tensor", value])
+        assert code == 2 and "--tensor" in err
+
+
+@pytest.mark.parametrize(
+    "entry, d, max_dim",
+    [("erasure", "0", None), ("erasure", "-1", None), ("depolarizing", "0", None),
+     ("depolarizing", "-1", None), ("depolarizing", "5", "16"), ("erasure", "4", "16")],
+)
+def test_zoo_export_bad_side_exits_2(monkeypatch, capsys, entry, d, max_dim):
+    if max_dim is not None:
+        monkeypatch.setenv("QPD_MAX_DIM", max_dim)
+    code, out, err = _run(capsys, ["zoo", "export", entry, "--d", d])
+    assert code == 2 and out == ""
+    # one message line, no traceback
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_polar_report_and_violation_exit(tmp_path, capsys):

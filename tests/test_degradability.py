@@ -123,6 +123,30 @@ def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
         assert ends == [("refine_cap", deg.REFINE_ROUNDS)]
 
 
+def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
+    # horodecki E->B refines to the cap; the iterate it ends on still lies
+    # in the affine set of trace-preserving solutions of T T_from = T_to
+    iterates = []
+    refine = deg._cptp_refine
+
+    def kept(*args):
+        out = refine(*args)
+        iterates.append(out[0])
+        return out
+
+    monkeypatch.setattr(deg, "_cptp_refine", kept)
+    n_ab = zoo.horodecki_channel(3.5)
+    n_ae = ch.complementary(n_ab)
+    sol = deg.solve_degrading_map(n_ae, n_ab)
+    assert sol.status == "not_found" and sol.stop == "refine_cap"
+    (t,) = iterates
+    d_mid, d_out = n_ae.dim_out, n_ab.dim_out
+    t_from, t_to = deg.transfer_matrix(n_ae), deg.transfer_matrix(n_ab)
+    assert deg._probe_residual(t_to - t @ t_from, n_ab.dim_in) <= 1e-12
+    tr_out = qmat.partial_trace(deg.choi_of_transfer(t, d_mid, d_out), (d_mid, d_out), keep=[0])
+    assert np.max(np.abs(tr_out - np.eye(d_mid))) <= 1e-12
+
+
 def test_solve_without_linear_solution_stops_at_least_squares():
     # complete Z dephasing erases the off-diagonal entries an X measurement
     # reads, so no linear map exists; both channels have I_coh = 0 on every
