@@ -29,12 +29,14 @@ sol = deg.is_degradable(zoo.amplitude_damping(0.2))
 print(f"\nreturned degrading map: {sol.map.dim_in} -> {sol.map.dim_out}, "
       f"{len(sol.map.kraus)} Kraus ops, tp residual {sol.map.tp_residual():.2e}")
 print("a failed solve reports its certificates instead of raising; this one")
-print("is 'impossible', with the input state that proves no map exists:")
+print("is 'impossible', with a Farkas witness (Y, z) whose score proves that")
+print("no CPTP map exists:")
 failed = deg.is_degradable(zoo.amplitude_damping(0.9)).as_dict()
 witness = failed.pop("witness")
 print(" ", failed)
-print(f"  witness: gap {witness['gap']:.4f} > margin {witness['margin']:g}")
-print("\nhorodecki(3.5) E->B has no witness (its Choi matrix is PPT, so")
-print("I_coh <= 0), so the search stops without a verdict:")
+print(f"  witness: {witness['kind']} score {witness['score']:.4f} < -margin {witness['margin']:g}")
+print("\nhorodecki(3.5) E->B: the least-squares candidate is not CP and its witness")
+print("scores above 0, proving nothing, so Douglas-Rachford refines it to a map:")
 sol = deg.is_antidegradable(zoo.horodecki_channel(3.5))
-print(f"  status {sol.status}, stop {sol.stop}")
+print(f"  status {sol.status}, {sol.map.dim_in} -> {sol.map.dim_out}, {len(sol.map.kraus)} Kraus ops, "
+      f"map residual {sol.map_residual:.1e}, tp residual {sol.map_tp_residual:.1e}")

@@ -5,7 +5,6 @@ multi-start maximization over input states.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import isfinite, isqrt, prod
 
@@ -124,13 +123,8 @@ class CoherentInfoResult:
             "converged": self.converged,
             "per_restart_values": self.per_restart_values,
             "per_restart_status": self.per_restart_status,
-            "argmax_state": _state_rows(self.argmax_state),
+            "argmax_state": qmat.as_pairs(self.argmax_state),
         }
-
-
-def _state_rows(rho: np.ndarray) -> list:
-    """A state as JSON rows of [re, im] pairs."""
-    return [[[z.real, z.imag] for z in row] for row in rho]
 
 
 # Parameter layout of a d x d lower-triangular factor L: x[:d] is the real
@@ -311,37 +305,6 @@ def additivity_probe(
         joint_ch, restarts=restarts, seed=seed, extra_seed_states=[product_seed]
     )
     return {"single": single.value, "joint": joint.value, "gap": joint.value - 2 * single.value}
-
-
-def gap_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel, above: float):
-    """(gap, state rows) for the first state found with
-    gap = I_coh(to, rho) - I_coh(from, rho) > ``above`` >= 0, or None.
-
-    The gap is evaluated at I/d, then ascended by L-BFGS from the
-    maximizer's fixed starts in order; deterministic. Of its four output
-    entropies, those of equal Kraus stacks are evaluated once with their
-    coefficients added (a complementary pair applies two channels, not
-    four), and those whose coefficients cancel not at all.
-    """
-    terms = []
-    for c, m in ((1, to_ch), (-1, chmod.complementary(to_ch)),
-                 (-1, from_ch), (1, chmod.complementary(from_ch))):
-        for i, (c0, m0) in enumerate(terms):
-            if np.array_equal(m0.kraus, m.kraus):
-                terms[i] = (c0 + c, m0)
-                break
-        else:
-            terms.append((c, m))
-    terms = [(c, m) for c, m in terms if c]
-    d = from_ch.dim_in
-    minus_gap = _objective(terms)
-    starts = _fixed_starts(d)
-    ascents = (optimize.minimize(minus_gap, x0, jac=True).x for x0 in starts)
-    for x in itertools.chain(starts[:1], ascents):
-        gap = -float(minus_gap(x)[0])
-        if gap > above:
-            return gap, _state_rows(_params_to_state(x, d))
-    return None
 
 
 def ssa_check(rho, dims) -> float:

@@ -263,10 +263,7 @@ def channel_to_dict(ch: KrausChannel) -> dict:
         "name": ch.name,
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in op]
-            for op in ch.kraus
-        ],
+        "kraus": qmat.as_pairs(ch.kraus),
     }
 
 

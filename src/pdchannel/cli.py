@@ -11,6 +11,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -33,14 +34,23 @@ def _report_env() -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    if args.format == "text":
-        payload = _render_text(report)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(payload + "\n")
+    payload = _render_text(report) if args.format == "text" else _json(report)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        f.write(payload + "\n")
+
+
+def _json(value, pad: str = "", rows: bool = False) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), except that the witness
+    arrays (keys ``Y`` and ``z``) are written one row per line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        parts = [f"{json.dumps(k)}: {_json(value[k], inner, k in ('Y', 'z'))}" for k in sorted(value)]
+    elif isinstance(value, (list, tuple)) and value:
+        parts = [json.dumps(v) if rows else _json(v, inner) for v in value]
     else:
-        print(payload)
+        return json.dumps(value)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return ends[0] + ",".join(f"\n{inner}{p}" for p in parts) + f"\n{pad}{ends[1]}"
 
 
 def _render_text(report: dict, indent: int = 0) -> str:

@@ -1,20 +1,19 @@
 """Degrading-map solving and channel taxonomy.
 
-A degrading map D with to = D o from is sought in one affine set, the
-trace-preserving least-squares solutions on transfer matrices: its member
-nearest 0 is certified as CPTP via a Choi eigensolve, and alternating
-projections between the set and the PSD-Choi cone refine it when that
-fails. Every solve ends in one of three statuses:
+Whether a CPTP map D with to = D o from exists is a convex feasibility
+problem: D's transfer matrix must lie in one affine set A, the
+trace-preserving solutions of T T_from = T_to, and in the cone K of
+transfer matrices with a PSD Choi matrix. The member of A nearest 0 is
+certified as CPTP via a Choi eigensolve; when it fails, one Farkas
+certificate of the same problem is built, and without one Douglas-Rachford
+splitting between A and K searches for a map (Banjac, Goulart, Stellato &
+Boyd, JOTA 183, 2019). Every solve ends in one of three statuses:
 
 - ``certified``: the candidate passes its CP/TP and residual certificates;
   the Kraus map handed back is re-checked and its own margins reported.
-- ``impossible``: an input state rho has
-  I_coh(to, rho) - I_coh(from, rho) > WITNESS_MARGIN. Any CPTP D with
-  to = D o from would lower the mutual information I(R; output) between a
-  purifying reference and the output (data processing), and that
-  difference is exactly this gap, so no such D exists (Devetak & Shor,
-  CMP 256, 287, 2005). The state is reported as the witness; the search
-  for it is :func:`pdchannel.capacity.gap_witness`.
+- ``impossible``: a dual pair (Y, z) has a Farkas score below
+  -FARKAS_MARGIN, which proves that no CPTP D exists; see
+  :func:`_farkas_witness`.
 - ``not_found``: no map was found and no witness either; ``stop`` says
   where the search ended. This is not a proof of nonexistence.
 """
@@ -25,12 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import capacity as capmod
 from . import channel as chmod
 from . import entanglement as ent
 from . import qmat
-from .config import TOL
-from .errors import DimMismatch
+from .config import TOL, max_dim
+from .errors import DimMismatch, SizeLimit
 
 
 def transfer_matrix(ch: chmod.KrausChannel) -> np.ndarray:
@@ -72,16 +70,19 @@ def _probe_residual(r: np.ndarray, d: int) -> float:
     return float(np.max(np.abs(r @ vecs)))
 
 
-WITNESS_MARGIN = 1e-3
-"""Least coherent-information gap that counts as a witness. A map that
-passes the certificates (residual <= 1e-8, Choi eigenvalues >= -1e-9) is
-that close to an exact CPTP solution, and by continuity of the entropy it
-can leave a gap of at most about 1e-5 at any state; so a witness above
-1e-3 never contradicts a certificate. The smallest witness on the zoo
-channels is 0.237 (dephasing(0.3), E->B)."""
+FARKAS_MARGIN = 1e-9
+"""Rounding margin on the Farkas score: a witness proves that no map exists
+only when its score is below -FARKAS_MARGIN. The score sums a few thousand
+products of entries of at most about 50 in size; against a long-double
+recomputation its rounding error is below 3e-14 on the zoo channels. Their
+witnesses score -0.25 or less, and the failed least-squares candidates of
+solves that do have a map score +0.026 or more."""
 
-# rounds of the CPTP refinement before it gives up
+# rounds of the Douglas-Rachford refinement before it gives up
 REFINE_ROUNDS = 2000
+# it stops once its iterate's composition and TP residuals are a hundredth
+# of the certificate's tolerance, so the certificate holds with room to spare
+REFINE_STOP = TOL.residual_tol / 100
 
 
 @dataclass
@@ -155,47 +156,51 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
     return sol
 
 
-def find_witness(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> dict | None:
-    """A state rho with gap g(rho) = I_coh(to, rho) - I_coh(from, rho) above
-    WITNESS_MARGIN, which proves that no CPTP D with to = D o from exists,
-    or None.
-
-    The search is :func:`pdchannel.capacity.gap_witness`: g at I/d, then
-    L-BFGS ascents from the maximizer's fixed starts until one value clears
-    the margin; deterministic. Data processing speaks of channels, so a
-    pair with a flagged (not trace-preserving) member gets no search.
-    """
-    if from_ch.flagged or to_ch.flagged:
+def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
+    """The witness of the dual pair (Y, z), or None when its score is not
+    below -FARKAS_MARGIN. With W' = Y T_from^dag + vec(I_out) z^dag, every D
+    with T_D T_from = T_to and Tr_out J_D = I_mid has
+    <W', T_D> = b = Re(<Y, T_to> + <z, vec(I_mid)>). Its Choi matrix J_D is
+    an entrywise permutation of T_D, so if J_D is PSD, with Tr J_D = d_mid,
+    then <W', T_D> >= -d_mid m with m = max(0, -lambda_min(Herm Choi(W'))).
+    Hence score = b + d_mid m < 0 proves that no CPTP D exists; nothing is
+    assumed of ``from`` and ``to``. Y and z are reported in the ``[re, im]``
+    row layout."""
+    w_prime = y @ t_from.conj().T + np.outer(qmat.vec(np.eye(d_out)), z.conj())
+    j = choi_of_transfer(w_prime, d_mid, d_out)
+    lam = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[0])
+    b = np.vdot(y, t_to).real + np.vdot(z, qmat.vec(np.eye(d_mid))).real
+    score = float(b + d_mid * max(0.0, -lam))
+    if score >= -FARKAS_MARGIN:
         return None
-    found = capmod.gap_witness(from_ch, to_ch, above=WITNESS_MARGIN)
-    if found is None:
-        return None
-    gap, state = found
-    return {"kind": "data_processing", "gap": gap, "margin": WITNESS_MARGIN, "state": state}
+    return {"kind": "farkas", "score": score, "margin": FARKAS_MARGIN,
+            "Y": qmat.as_pairs(y), "z": qmat.as_pairs(z)}
 
 
-def _cptp_refine(t, affine, d_mid, d_out):
-    """Alternating projections between the PSD-Choi cone and the affine
-    solution set that ``affine`` projects onto, from its member ``t``, for
-    at most REFINE_ROUNDS rounds. Returns the last iterate (in the affine
-    set), the stop reason (``refine_fixed_point`` once its Choi matrix is
-    PSD, so neither projection moves it; ``refine_cap`` at the round cap)
-    and the rounds run. Used only when the least-squares candidate fails
-    its CP/TP certificates and no witness rules a map out; deterministic."""
+def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
+    """Douglas-Rachford splitting between the PSD-Choi cone K and the affine
+    set A that ``affine`` projects onto, from its member ``t``: with
+    x = P_K(z), z <- z + P_A(2x - z) - x, one Choi eigensolve a round.
+    Returns the last x, CP by construction, and the rounds run: it stops
+    once the composition and TP residuals of x are at most REFINE_STOP, or
+    after REFINE_ROUNDS rounds; deterministic."""
+    tr_out, tr_mid = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_out, d_mid))
+    z = t
     for rounds in range(1, REFINE_ROUNDS + 1):
         # the Choi matrix is an entrywise permutation of T, so Frobenius
         # projections carry over between the two coordinates
-        j = choi_of_transfer(t, d_mid, d_out)
+        j = choi_of_transfer(z, d_mid, d_out)
         w, v = np.linalg.eigh((j + j.conj().T) / 2)
-        if w[0] >= TOL.psd_tol / 10:
-            return t, "refine_fixed_point", rounds
-        j_psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        t = affine(transfer_of_choi(j_psd, d_mid, d_out))
-    return t, "refine_cap", REFINE_ROUNDS
+        x = transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
+        tp_residual = np.max(np.abs(tr_out @ x - tr_mid))
+        if tp_residual <= REFINE_STOP and _probe_residual(t_to - x @ t_from, d_in) <= REFINE_STOP:
+            return x, rounds
+        z = z + affine(2 * x - z) - x
+    return x, REFINE_ROUNDS
 
 
 def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> DegradingSolution:
-    """Find a CPTP map D with to = D o from, if the linear algebra allows.
+    """Find a CPTP map D with to = D o from, or prove that none exists.
 
     The trace-preserving least-squares solutions of T T_from = T_to form an
     affine set A, and ``affine`` is its Frobenius projection: with Pi the
@@ -204,41 +209,59 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
     The candidate P_A(0) is the least-squares map on the range, with the
     off-range input components (trace the range never sees) sent to the
-    maximally mixed state. If it fails its certificates,
-    :func:`find_witness` looks for a proof that no map exists; without one,
-    and when the residual certificate holds, :func:`_cptp_refine` searches
-    A for a CPTP member before giving up.
+    maximally mixed state. If it fails its certificates, one Farkas witness
+    (:func:`_farkas_witness`) is built from it. With its residual above
+    TOL.residual_tol: Y = -R for R = T_to - T_ls T_from, T_ls = T_to
+    pinv(T_from), and z = 0; R vanishes on the row space of T_from, so W' = 0
+    and the score is -||R||_F^2. Otherwise, with W minus the negative part
+    of its Hermitian Choi matrix in transfer form, W' = W - (P_A(W) - P_A(0))
+    is the component of W normal to A: Y = W pinv(T_from)^dag and
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
+    the residual holds, :func:`_cptp_refine` searches A for a CPTP member.
+    A side above ``max_dim()`` (d_in^2, d_mid^2, d_out^2 of the transfer
+    matrices, d_mid d_out of the Choi matrix) raises :class:`SizeLimit`
+    before anything is built.
     """
     if from_ch.dim_in != to_ch.dim_in:
-        raise DimMismatch(
-            f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}"
-        )
+        raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
+    side, cap = max(d_in**2, d_mid**2, d_out**2, d_mid * d_out), max_dim()
+    if side > cap:
+        raise SizeLimit(f"degrading-map solve needs a matrix of side {side}, above the side cap {cap}")
     t_from = transfer_matrix(from_ch)
     t_to = transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
+    pi = t_from @ f_pinv
     t_ls = t_to @ f_pinv
-    r = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - t_from @ f_pinv)
+    r = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - pi)
     tr_out = qmat.vec(np.eye(d_out)).reshape(1, -1)
     mixed = qmat.vec(np.eye(d_out) / d_out).reshape(-1, 1)
 
     def affine(t):
-        t_off = t - t @ t_from @ f_pinv
+        t_off = t - t @ pi
         return t_ls + t_off + mixed * (r - tr_out @ t_off)
 
     t_d = affine(np.zeros_like(t_ls))
     sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
     if sol.success:
         return sol
-    sol.witness = find_witness(from_ch, to_ch)
+    if sol.residual > TOL.residual_tol:
+        y, z = t_ls @ t_from - t_to, np.zeros(d_mid**2)
+    else:
+        j = choi_of_transfer(t_d, d_mid, d_out)
+        w, v = np.linalg.eigh((j + j.conj().T) / 2)
+        neg = transfer_of_choi(-(v * np.clip(w, None, 0.0)) @ v.conj().T, d_mid, d_out)
+        y = neg @ f_pinv.conj().T
+        z = (tr_out @ (neg - neg @ pi)).conj().ravel() / d_out
+    sol.witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
     if sol.witness is not None:
         return sol
     if sol.residual > TOL.residual_tol:
         sol.stop = "least_squares_residual"
         return sol
-    t_ref, sol.stop, _ = _cptp_refine(t_d, affine, d_mid, d_out)
+    t_ref, _ = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
     refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-    # keep the refinement only if it actually certifies
+    sol.stop = "refine_cap"
     return refined if refined.success else sol
 
 

@@ -125,3 +125,9 @@ def vec(m) -> np.ndarray:
     """Column-major vectorization."""
     return as_matrix(m).flatten(order="F")
 
+
+def as_pairs(m) -> list:
+    """A complex array as nested JSON lists with each entry an [re, im]
+    pair, in the array's own layout."""
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], axis=-1).tolist()

@@ -212,14 +212,15 @@ def test_11_rank_one_certificate():
 
 
 def test_12_nab_ae_anti_degradable_with_a_witness():
-    # B->E is ruled out by a data-processing witness, so no refinement
-    # runs for it; E->B refines to a certified map
+    # B->E is ruled out by a Farkas witness, so no refinement runs for it;
+    # E->B refines to a certified map
     start = time.monotonic()
     n_ab = zoo.build_entry("nab_ae").channel
     res = deg.classify_pd(n_ab)
     assert res.label == "ANTI_DEGRADABLE"
     assert res.solutions["B->E"].status == "impossible"
-    assert res.solutions["B->E"].witness["gap"] > deg.WITNESS_MARGIN
+    witness = res.solutions["B->E"].witness
+    assert witness["kind"] == "farkas" and witness["score"] < 0
     e_to_b = res.solutions["E->B"]
     assert e_to_b.status == "certified"
     assert e_to_b.map_residual <= 1e-8 and e_to_b.map_tp_residual <= 1e-8

@@ -228,53 +228,6 @@ def test_maximizer_takes_a_seed_at_the_edge_of_the_entropy_window():
     assert res.restarts_used == 2 and np.isfinite(res.per_restart_values[1])
 
 
-def _ad_pair(forward):
-    n_ab = zoo.amplitude_damping(0.2)
-    return (n_ab, ch.complementary(n_ab)) if forward else (ch.complementary(n_ab), n_ab)
-
-
-def _symmetric_pd_e_prime_to_b():
-    n_ab, n_ae = zoo.symmetric_pd_channel()
-    return ch.compose(n_ae, zoo.d_e_to_eprime(repair=True)), n_ab
-
-
-@pytest.mark.parametrize(
-    "pair, applies",
-    [
-        (lambda: _ad_pair(True), 2),
-        (lambda: _ad_pair(False), 2),
-        # amplitude damping, dephasing and their environments: four stacks
-        (lambda: (zoo.amplitude_damping(0.2), zoo.dephasing(0.3)), 4),
-        # symmetric_pd's output and environment are one Kraus stack, so the
-        # I_coh(N_AB) part of the gap cancels and only N_AE' and its
-        # environment are applied
-        (_symmetric_pd_e_prime_to_b, 2),
-    ],
-    ids=["B->E", "E->B", "four-channels", "symmetric_pd-E'->B"],
-)
-def test_gap_applies_each_distinct_channel_once(monkeypatch, pair, applies):
-    from_ch, to_ch = pair()
-    built = []
-    objective = cap._objective
-    monkeypatch.setattr(cap, "_objective", lambda terms: built.append(objective(terms)) or built[-1])
-    # every gap clears -inf, so the search stops at its first evaluation
-    assert cap.gap_witness(from_ch, to_ch, above=-np.inf) is not None
-    calls = []
-    apply = ch.apply
-    monkeypatch.setattr(ch, "apply", lambda *args: calls.append(1) or apply(*args))
-    d = from_ch.dim_in
-    value, _ = built[0](np.zeros(d * d))
-    assert len(calls) == applies
-    rho = np.eye(d) / d
-    gap = cap.coherent_information(to_ch, rho) - cap.coherent_information(from_ch, rho)
-    assert -value == pytest.approx(gap, abs=1e-12)
-
-
-def test_gap_between_one_channel_and_itself_is_no_witness():
-    c = zoo.amplitude_damping(0.2)
-    assert cap.gap_witness(c, c, above=0.0) is None
-
-
 def test_ssa_known_states():
     # product of maximally mixed qubits saturates SSA: slack = 2+2-3-1 = 0
     rho = np.eye(8, dtype=complex) / 8

@@ -152,6 +152,28 @@ def test_bad_max_dim_env_exits_2(monkeypatch, capsys):
     assert "QPD_MAX_DIM" in err and "5000 digits" in err
 
 
+def test_classify_respects_the_side_cap(tmp_path, monkeypatch, capsys):
+    # horodecki(3.5)'s B->E solve needs transfer matrices of side 7^2 = 49
+    monkeypatch.setenv("QPD_MAX_DIM", "20")
+    code, out, err = _run(capsys, ["classify", _save(tmp_path, zoo.horodecki_channel(3.5))])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # amplitude damping's sides are all 4
+    code, out, _ = _run(capsys, ["classify", _save(tmp_path, zoo.amplitude_damping(0.2))])
+    assert code == 0 and json.loads(out)["env"]["max_dim"] == 20
+
+
+def test_json_reports_write_witness_arrays_one_row_a_line(tmp_path, capsys):
+    # every other part of a report is json.dumps(indent=2, sort_keys=True)
+    report = {"b": [1.5, {"c": None}, []], "a": {"x": "\u00e9", "e": {}}, "t": (True, 2)}
+    assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+    code, out, _ = _run(capsys, ["classify", _save(tmp_path, zoo.amplitude_damping(0.2))])
+    assert code == 0
+    witness = json.loads(out)["solutions"]["E->B"]["witness"]
+    rows = {json.dumps(row) for row in witness["Y"] + witness["z"]}
+    assert rows <= {line.strip().rstrip(",") for line in out.splitlines()}
+
+
 def test_capacity_tensor_gate(tmp_path, capsys):
     path = _save(tmp_path, zoo.dephasing(0.3))
     for value in ("3", "0"):

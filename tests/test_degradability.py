@@ -1,4 +1,5 @@
 import json
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pdchannel import cli
 from pdchannel import degradability as deg
 from pdchannel import entanglement as ent
 from pdchannel import qmat, zoo
-from pdchannel.errors import DimMismatch
+from pdchannel.errors import DimMismatch, SizeLimit
 
 
 def test_transfer_matrix_action():
@@ -90,13 +91,13 @@ def test_failed_solve_reports_not_raises():
 
 
 def _count_refines(monkeypatch) -> list:
-    """The (stop reason, rounds) of every CPTP refinement that runs."""
+    """The rounds of every CPTP refinement that runs."""
     ends = []
     refine = deg._cptp_refine
 
     def counted(*args):
         out = refine(*args)
-        ends.append(out[1:])
+        ends.append(out[1])
         return out
 
     monkeypatch.setattr(deg, "_cptp_refine", counted)
@@ -111,21 +112,26 @@ def _count_refines(monkeypatch) -> list:
         # erasure's B->E solve refines to a certified map; E->B is the futile one
         (lambda: deg.is_antidegradable(zoo.erasure(0.25)), 0),
         (lambda: deg.classify_pd(zoo.horodecki_channel(3.5)), 1),
+        (lambda: deg.is_degradable(zoo.erasure(0.25)), 1),
+        (lambda: deg.classify_pd(zoo.build_entry("composite_complementary", repair=True).channel), 1),
     ],
-    ids=["amplitude_damping", "depolarizing", "erasure-E->B", "horodecki"],
+    ids=["amplitude_damping", "depolarizing", "erasure-E->B", "horodecki", "erasure-B->E", "composite"],
 )
 def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
     ends = _count_refines(monkeypatch)
     solve()
     assert len(ends) == refines
     if refines:
-        # horodecki E->B: its Choi matrix is PPT, so no entropic witness exists
-        assert ends == [("refine_cap", deg.REFINE_ROUNDS)]
+        # horodecki E->B, erasure B->E and the composite B->E have maps, so
+        # no witness exists; Douglas-Rachford certifies one well before the
+        # round cap
+        assert 0 < ends[0] < deg.REFINE_ROUNDS // 4
 
 
 def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
-    # horodecki E->B refines to the cap; the iterate it ends on still lies
-    # in the affine set of trace-preserving solutions of T T_from = T_to
+    # horodecki E->B: Douglas-Rachford stops on an iterate that solves the
+    # trace-preserving constraints T T_from = T_to to a hundredth of the
+    # residual tolerance, and the certified map is that iterate
     iterates = []
     refine = deg._cptp_refine
 
@@ -138,31 +144,56 @@ def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
     n_ab = zoo.horodecki_channel(3.5)
     n_ae = ch.complementary(n_ab)
     sol = deg.solve_degrading_map(n_ae, n_ab)
-    assert sol.status == "not_found" and sol.stop == "refine_cap"
+    assert sol.status == "certified"
     (t,) = iterates
     d_mid, d_out = n_ae.dim_out, n_ab.dim_out
     t_from, t_to = deg.transfer_matrix(n_ae), deg.transfer_matrix(n_ab)
-    assert deg._probe_residual(t_to - t @ t_from, n_ab.dim_in) <= 1e-12
+    assert deg._probe_residual(t_to - t @ t_from, n_ab.dim_in) <= deg.REFINE_STOP
     tr_out = qmat.partial_trace(deg.choi_of_transfer(t, d_mid, d_out), (d_mid, d_out), keep=[0])
-    assert np.max(np.abs(tr_out - np.eye(d_mid))) <= 1e-12
+    assert np.max(np.abs(tr_out - np.eye(d_mid))) <= deg.REFINE_STOP
+    assert np.max(np.abs(deg.transfer_matrix(sol.map) - t)) <= 1e-9
+
+
+def _x_measure(weight=1.0):
+    """Complete Z dephasing mixed with weight ``weight`` of an X measurement."""
+    x = np.array([[[1, 1], [0, 0]], [[0, 0], [1, -1]]]) / np.sqrt(2)
+    ops = np.concatenate([np.sqrt(1 - weight) * zoo.dephasing(0.5).kraus, np.sqrt(weight) * x])
+    return ch.KrausChannel(ops, 2, 2)
 
 
 def test_solve_without_linear_solution_stops_at_least_squares():
     # complete Z dephasing erases the off-diagonal entries an X measurement
-    # reads, so no linear map exists; both channels have I_coh = 0 on every
-    # input, so no entropic witness exists either
-    x_measure = ch.KrausChannel(np.array([[[1, 1], [0, 0]], [[0, 0], [1, -1]]]) / np.sqrt(2), 2, 2)
-    sol = deg.solve_degrading_map(zoo.dephasing(0.5), x_measure)
+    # reads, so no linear map exists; the witness Y = -R, with R the
+    # least-squares remainder, scores -||R||_F^2 = -1
+    sol = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure())
+    assert sol.residual > 1e-8 and sol.status == "impossible"
+    assert sol.witness["score"] == pytest.approx(-1.0, abs=1e-12)
+    assert np.all(np.array(sol.witness["z"]) == 0)
+    # a weight of 1e-6 leaves a residual above 1e-8 but a score of -1e-12,
+    # inside the rounding margin: neither a map nor a proof
+    sol = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure(1e-6))
     assert sol.residual > 1e-8
-    assert deg.find_witness(zoo.dephasing(0.5), x_measure) is None
     d = sol.as_dict()
     assert d["status"] == "not_found" and d["stop"] == "least_squares_residual"
 
 
-def test_witness_search_skips_flagged_pairs():
+def test_solve_checks_the_side_cap_before_building(monkeypatch):
+    # horodecki(3.5)'s environment has side 7, so its transfer matrices side 49
+    monkeypatch.setenv("QPD_MAX_DIM", "48")
+    monkeypatch.setattr(deg, "transfer_matrix", lambda c: pytest.fail("built a transfer matrix"))
+    n_ab = zoo.horodecki_channel(3.5)
+    with pytest.raises(SizeLimit, match="side 49"):
+        deg.is_degradable(n_ab)
+
+
+def test_farkas_witness_assumes_nothing_of_the_channels():
+    # the corollary-4 map is not trace-preserving, so no CPTP D takes it to
+    # the identity; the witness proves this with the flagged map as ``from``
     flagged = zoo.corollary4_degrading_map()
     assert flagged.flagged
-    assert deg.find_witness(ch.identity_channel(3), flagged) is None
+    sol = deg.solve_degrading_map(flagged, ch.identity_channel(3))
+    assert sol.status == "impossible"
+    assert sol.witness["kind"] == "farkas" and sol.witness["score"] < -deg.FARKAS_MARGIN
 
 
 def test_verify_pd_identity_exact_and_mismatch():
@@ -263,7 +294,8 @@ def test_classify_conjugate_fallback_passthrough():
 
 def test_classify_conjugate_skips_real_channel(monkeypatch):
     # a channel with real Kraus operators is its own conjugate, so an
-    # UNDETERMINED result is final without a second classification
+    # UNDETERMINED result is final without a second classification;
+    # AD(0.2) (x) AD(0.8) is proved neither degradable nor anti-degradable
     calls = []
     once = deg._classify_once
 
@@ -272,9 +304,11 @@ def test_classify_conjugate_skips_real_channel(monkeypatch):
         return once(c, d_e_to_eprime)
 
     monkeypatch.setattr(deg, "_classify_once", counted)
-    res = deg.classify_pd(zoo.horodecki_channel(3.5), try_conjugate=True)
+    c = ch.tensor(zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.8))
+    res = deg.classify_pd(c, try_conjugate=True)
     assert len(calls) == 1
     assert res.label == "UNDETERMINED"
+    assert {sol.status for sol in res.solutions.values()} == {"impossible"}
     assert res.conjugate_label is None
 
 
@@ -292,14 +326,14 @@ def test_theorem3_exclusions():
 # The classify benchmark's nine inputs: zoo entries that are trace-preserving
 # as exported, with the status each solve ends in.
 ZOO_STATUSES = {
-    ("horodecki", ()): ("impossible", "not_found"),
+    ("horodecki", ()): ("impossible", "certified"),
     ("symmetric_pd", ()): ("certified", "certified"),
     ("erasure", (("p", 0.25), ("d", 2))): ("certified", "impossible"),
     ("depolarizing", (("p", 0.5), ("d", 2))): ("impossible", "certified"),
     ("amplitude_damping", (("gamma", 0.2),)): ("certified", "impossible"),
     ("dephasing", (("p", 0.3),)): ("certified", "impossible"),
-    ("m_ae", (("repair", True),)): ("impossible", "not_found"),
-    ("composite_complementary", (("x", 0.75), ("repair", True))): ("not_found", "impossible"),
+    ("m_ae", (("repair", True),)): ("impossible", "impossible"),
+    ("composite_complementary", (("x", 0.75), ("repair", True))): ("certified", "impossible"),
     ("d_e_to_eprime", (("repair", True),)): ("impossible", "impossible"),
 }
 
@@ -318,50 +352,65 @@ def zoo_reports(tmp_path_factory):
     return out
 
 
-def _entropy(rho):
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def _plain_coherent_information(kraus, rho):
-    """H(N(rho)) - H(N_c(rho)) with the environment of the Kraus index."""
-    out = np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
-    env = np.einsum("kab,bc,jac->kj", kraus, rho, kraus.conj())
-    return _entropy(out) - _entropy(env)
-
-
 def test_zoo_solve_statuses(zoo_reports):
     for key, (_, report) in zoo_reports.items():
         sols = report["solutions"]
         assert (sols["B->E"]["status"], sols["E->B"]["status"]) == ZOO_STATUSES[key], key
-        for sol in sols.values():
-            # the three open solves all refine to the round cap
-            assert sol.get("stop", "refine_cap") == "refine_cap"
+        # every solve is decided: a certified map or a proof that none exists
+        assert all("stop" not in sol for sol in sols.values()), key
         # the identity E->E' map: the primed solves are the unprimed ones
         assert sols["B->E'"] == sols["B->E"] and sols["E'->B"] == sols["E->B"]
+
+
+def _complex(pairs):
+    a = np.array(pairs, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _plain_transfer(kraus):
+    """sum_k conj(K_k) (x) K_k: vec(K rho K^dag) = T vec(rho), column-major vec."""
+    k, d_out, d_in = kraus.shape
+    return np.einsum("kac,kbd->abcd", kraus.conj(), kraus).reshape(d_out**2, d_in**2)
+
+
+def _plain_choi(t, d_in, d_out):
+    """sum_ij E_ij (x) D(E_ij) for the superoperator T of D, one block at a time."""
+    j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for a in range(d_in):
+        for b in range(d_in):
+            e = np.zeros((d_in, d_in))
+            e[a, b] = 1
+            out = (t @ e.reshape(-1, order="F")).reshape(d_out, d_out, order="F")
+            j += np.kron(e, out)
+    return j
 
 
 def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
     seen = 0
     for key, (record, report) in zoo_reports.items():
-        a = np.array(record["kraus"], dtype=float)
-        kraus = a[..., 0] + 1j * a[..., 1]
-        # I_coh(N_c) = -I_coh(N): the B->E gap is -2 I_coh(N), the E->B gap +2 I_coh(N)
-        for direction, sign in (("B->E", -2.0), ("E->B", 2.0)):
+        kraus = _complex(record["kraus"])
+        # the complementary channel's Kraus operators: (M_b)[i, a] = (K_i)[b, a]
+        t_b, t_e = _plain_transfer(kraus), _plain_transfer(kraus.transpose(1, 0, 2))
+        for direction, (t_from, t_to) in (("B->E", (t_b, t_e)), ("E->B", (t_e, t_b))):
             sol = report["solutions"][direction]
             if sol["status"] != "impossible":
                 continue
             w = sol["witness"]
-            assert w["kind"] == "data_processing" and w["margin"] == deg.WITNESS_MARGIN
-            s = np.array(w["state"], dtype=float)
-            rho = s[..., 0] + 1j * s[..., 1]
-            assert abs(np.trace(rho) - 1) <= 1e-12 and np.linalg.eigvalsh(rho)[0] >= -1e-12
-            gap = sign * _plain_coherent_information(kraus, rho)
-            assert gap > w["margin"], (key, direction, gap)
-            assert gap == pytest.approx(w["gap"], abs=1e-9), (key, direction)
+            assert w["kind"] == "farkas" and w["margin"] == deg.FARKAS_MARGIN
+            y, z = _complex(w["Y"]), _complex(w["z"])
+            d_mid, d_out = isqrt(t_from.shape[0]), isqrt(t_to.shape[0])
+            i_mid, i_out = (np.eye(d).reshape(-1) for d in (d_mid, d_out))
+            # every CPTP D with T_D T_from = T_to has <W', T_D> = b and, with
+            # Tr J_D = d_mid, <W', T_D> >= d_mid lambda_min(Herm Choi(W'))
+            w_prime = y @ t_from.conj().T + np.outer(i_out, z.conj())
+            c = _plain_choi(w_prime, d_mid, d_out)
+            lam = np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
+            b = np.vdot(y, t_to).real + np.vdot(z, i_mid).real
+            score = b + d_mid * max(0.0, -lam)
+            assert score < -w["margin"], (key, direction, score)
+            assert score == pytest.approx(w["score"], abs=1e-9), (key, direction)
             seen += 1
-    assert seen == 9
+    assert seen == 10
 
 
 def _solve_pairs(n_ab, d_e_to_eprime=None):
@@ -371,13 +420,33 @@ def _solve_pairs(n_ab, d_e_to_eprime=None):
 
 
 def test_no_witness_against_a_certified_map(zoo_reports):
-    cases = [(ch.channel_from_dict(record), None, report) for record, report in zoo_reports.values()]
+    # every certified solve carries no witness, and the Kraus map it returns
+    # is complete and composes to the target on random states, rechecked
+    # with plain numpy
+    cases = [
+        (entry_id, ch.channel_from_dict(record), None, report)
+        for (entry_id, _), (record, report) in zoo_reports.items()
+    ]
     n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
-    cases.append((n_ab, d, deg.classify_pd(n_ab, d).as_dict()))
-    certified = 0
-    for n, d, report in cases:
+    cases.append(("symmetric_pd --degrading", n_ab, d, deg.classify_pd(n_ab, d).as_dict()))
+    rng = np.random.default_rng(11)
+    certified = set()
+    for name, n, d, report in cases:
         for key, (from_ch, to_ch) in _solve_pairs(n, d).items():
-            if report["solutions"][key]["status"] == "certified":
-                assert deg.find_witness(from_ch, to_ch) is None, (n.name, key)
-                certified += 1
-    assert certified == 15
+            if report["solutions"][key]["status"] != "certified":
+                continue
+            assert "witness" not in report["solutions"][key]
+            kraus = deg.solve_degrading_map(from_ch, to_ch).map.kraus
+            completeness = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
+            assert np.max(np.abs(completeness - np.eye(kraus.shape[2]))) <= 1e-8, (name, key)
+            for _ in range(4):
+                g = rng.standard_normal((n.dim_in,) * 2) + 1j * rng.standard_normal((n.dim_in,) * 2)
+                rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+                mid = np.einsum("kab,bc,kdc->ad", from_ch.kraus, rho, from_ch.kraus.conj())
+                out = np.einsum("kab,bc,kdc->ad", kraus, mid, kraus.conj())
+                target = np.einsum("kab,bc,kdc->ad", to_ch.kraus, rho, to_ch.kraus.conj())
+                assert np.max(np.abs(out - target)) <= 1e-8, (name, key)
+            certified.add((name, key))
+    # the refined maps: horodecki E->B and the composite B->E
+    assert {("horodecki", "E->B"), ("composite_complementary", "B->E")} <= certified
+    assert len(certified) == 19

@@ -90,6 +90,14 @@ def test_vec_is_column_major():
     assert np.array_equal(qmat.vec(m), m.flatten(order="F"))
 
 
+def test_as_pairs_keeps_the_layout():
+    m = np.array([[1 + 2j, -0.0], [3j, 4]])
+    assert qmat.as_pairs(m) == [[[1.0, 2.0], [-0.0, 0.0]], [[0.0, 3.0], [4.0, 0.0]]]
+    assert qmat.as_pairs(m[0]) == [[1.0, 2.0], [-0.0, 0.0]]
+    back = np.array(qmat.as_pairs(m))
+    assert np.array_equal(back[..., 0] + 1j * back[..., 1], m)
+
+
 def test_herm_residual():
     assert qmat.herm_residual(np.eye(3)) == 0.0
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
