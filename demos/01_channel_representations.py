@@ -21,17 +21,17 @@ out = ch.apply(c, rho)
 print("\ninput state:\n", rho.real)
 print("output state:\n", out.real.round(6))
 
-iso = ch.stinespring(c)
-print(f"\nStinespring isometry: {iso.v.shape}, V^dag V = I ->",
-      np.allclose(iso.v.conj().T @ iso.v, np.eye(2)))
-big = iso.v @ rho @ iso.v.conj().T
-out_via_iso = qmat.partial_trace(big, (iso.dim_out, iso.dim_env), keep=[0])
+v = ch.stinespring(c)
+print(f"\nStinespring isometry: {v.shape}, V^dag V = I ->",
+      np.allclose(v.conj().T @ v, np.eye(2)))
+big = v @ rho @ v.conj().T
+out_via_iso = qmat.partial_trace(big, (c.dim_out, c.dim_env), keep=[0])
 print("tracing the environment reproduces the channel action ->",
       np.allclose(out_via_iso, out))
 
 comp = ch.complementary(c)
 env = ch.apply(comp, rho)
-env_via_iso = qmat.partial_trace(big, (iso.dim_out, iso.dim_env), keep=[1])
+env_via_iso = qmat.partial_trace(big, (c.dim_out, c.dim_env), keep=[1])
 print("complementary channel matches the environment marginal ->",
       np.allclose(env, env_via_iso))
 

@@ -1,6 +1,7 @@
 """Entropy identities along the isometry chain: push a purified input
-through the channel isometry and both degrading isometries, then compare
-the conditional-entropy expressions of the coherent information.
+through the Stinespring isometries of the channel and both degrading maps,
+each read off its Kraus stack, then compare the conditional-entropy
+expressions of the coherent information.
 
 Run: python3 demos/05_entropy_identities.py
 """
@@ -13,13 +14,11 @@ from pdchannel import degradability as deg
 from pdchannel import zoo
 
 n_ab, n_ae = zoo.symmetric_pd_channel()
-u = ch.stinespring(n_ab)
 
 print("case 1: identity degradings on the self-complementary symmetric channel")
 ident = ch.identity_channel(8)
-iso = cap.PdIsometries(u=u, v=ch.stinespring(ident), w=ch.stinespring(ident))
 rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-out = cap.coherent_information_pd(iso, rho)
+out = cap.coherent_information_pd(n_ab, ident, ident, rho)
 for key, value in out.items():
     print(f"  {key:>20}: {value:+.9f}")
 print(f"  standard I_coh      : {cap.coherent_information(n_ab, rho):+.9f}")
@@ -28,23 +27,17 @@ print("\ncase 2: repaired 8->2 degrading on both legs, input on its support")
 d_rep = zoo.d_e_to_eprime(repair=True)
 resid = deg.verify_pd_identity(n_ab, d_rep, n_ae, d_rep)
 print(f"  identity residual: {resid:.2e}")
-iso = cap.PdIsometries(u=u, v=ch.stinespring(d_rep), w=ch.stinespring(d_rep))
 rho0 = np.zeros((4, 4), dtype=complex)
 rho0[0, 0] = 1.0
-out = cap.coherent_information_pd(iso, rho0)
+out = cap.coherent_information_pd(n_ab, d_rep, d_rep, rho0)
 for key, value in out.items():
     print(f"  {key:>20}: {value:+.9f}")
 
 print("\ncase 3: degradable channel, solved degrading as the output leg")
 c = zoo.amplitude_damping(0.2)
 sol = deg.is_degradable(c)
-iso = cap.PdIsometries(
-    u=ch.stinespring(c),
-    v=ch.stinespring(ch.identity_channel(2)),
-    w=ch.stinespring(sol.map),
-)
 rho = np.eye(2, dtype=complex) / 2
-out = cap.coherent_information_pd(iso, rho)
+out = cap.coherent_information_pd(c, ch.identity_channel(2), sol.map, rho)
 print(f"  h_b_minus_h_eprime  : {out['h_b_minus_h_eprime']:+.9f}")
 print(f"  standard I_coh      : {cap.coherent_information(c, rho):+.9f}")
 

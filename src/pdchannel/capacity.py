@@ -1,4 +1,5 @@
-"""Coherent information, the isometry-chain entropy identities, and
+"""Coherent information, the entropy identities along the isometry chain
+of a channel and its two degrading maps (read off their Kraus stacks), and
 multi-start maximization over input states.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 from . import channel as chmod
 from . import entanglement as ent
 from . import optimize, qmat
-from .errors import DimMismatch, DomainError, SizeLimit
+from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
 
@@ -26,26 +27,6 @@ def coherent_information(ch: chmod.KrausChannel, rho) -> float:
     out = chmod.apply(ch, rho)
     env = chmod.apply(chmod.complementary(ch), rho)
     return ent.entropy(out) - ent.entropy(env)
-
-
-@dataclass
-class PdIsometries:
-    """Isometry chain: u sends A to B(x)E, v sends E to G(x)H (the E->E'
-    degrading with G the degraded environment), w sends B to E'(x)F."""
-
-    u: chmod.StinespringIsometry
-    v: chmod.StinespringIsometry
-    w: chmod.StinespringIsometry
-
-    def __post_init__(self):
-        for iso in (self.u, self.v, self.w):
-            gram = iso.v.conj().T @ iso.v
-            if np.max(np.abs(gram - np.eye(iso.dim_in))) > 1e-8:
-                raise DimMismatch("non-isometric input in the chain")
-        if self.v.dim_in != self.u.dim_env:
-            raise DimMismatch("v must act on the environment of u")
-        if self.w.dim_in != self.u.dim_out:
-            raise DimMismatch("w must act on the output of u")
 
 
 def _marginal_entropy(psi: np.ndarray, dims, keep) -> float:
@@ -61,30 +42,33 @@ def _marginal_entropy(psi: np.ndarray, dims, keep) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def coherent_information_pd(iso: PdIsometries, rho) -> dict:
-    """Push a purification of rho through the isometry chain and evaluate
-    the conditional-entropy expressions of the coherent information.
+def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
+    """Push a purification of rho through the Stinespring isometries of the
+    three channels, each its Kraus stack with the Kraus index as
+    environment: N_AB sends A to B(x)E, D^{E->E'} sends E to G(x)H (G the
+    degraded environment) and D^{B->E'} sends B to E'(x)F. A channel that
+    is not trace preserving raises :class:`NotTracePreserving`, and a
+    degrading that acts on neither E nor B as placed :class:`DimMismatch`.
 
     Returns entropies (bits) of the final pure state over E', F, G, H, R:
     h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
     """
+    for c in (n_ab, d_e_to_eprime, d_b_to_eprime):
+        if c.flagged:
+            raise NotTracePreserving(f"{c.name or 'channel'}: tp_residual {c.tp_residual():.3e}")
+    if d_e_to_eprime.dim_in != n_ab.dim_env:
+        raise DimMismatch("the E->E' degrading must act on the environment of N_AB")
+    if d_b_to_eprime.dim_in != n_ab.dim_out:
+        raise DimMismatch("the B->E' degrading must act on the output of N_AB")
     rho = qmat.check_square(rho)
-    d_a = iso.u.dim_in
-    if rho.shape[0] != d_a:
+    if rho.shape[0] != n_ab.dim_in:
         raise DimMismatch("state side does not match the chain input")
     w_eig, v_eig = qmat.eigh(rho)
-    w_eig = np.clip(w_eig, 0.0, None)
-    d_r = d_a
-    # purification over A (slow) and reference R (fast)
-    psi = (v_eig * np.sqrt(w_eig)).reshape(-1)
-
-    d_b, d_e = iso.u.dim_out, iso.u.dim_env
-    psi = (np.kron(iso.u.v, np.eye(d_r)) @ psi)  # factors B, E, R
-    d_ep, d_f = iso.w.dim_out, iso.w.dim_env
-    d_g, d_h = iso.v.dim_out, iso.v.dim_env
-    big = np.kron(iso.w.v, np.kron(iso.v.v, np.eye(d_r)))
-    psi = big @ psi  # factors E', F, G, H, R
-    dims = (d_ep, d_f, d_g, d_h, d_r)
+    # purification over A (rows) and reference R (columns)
+    psi = v_eig * np.sqrt(np.clip(w_eig, 0.0, None))
+    psi = np.einsum("eba,ar->ber", n_ab.kraus, psi)
+    psi = np.einsum("fxb,hge,ber->xfghr", d_b_to_eprime.kraus, d_e_to_eprime.kraus, psi)
+    dims = psi.shape  # E', F, G, H, R
 
     h_ep = _marginal_entropy(psi, dims, [0])
     h_epf = _marginal_entropy(psi, dims, [0, 1])
@@ -94,7 +78,7 @@ def coherent_information_pd(iso: PdIsometries, rho) -> dict:
     return {
         "h_f_given_eprime": h_epf - h_ep,
         "h_h_given_g": h_gh - h_g,
-        "h_b_minus_h_eprime": h_epf - h_ep,  # H(B) = H(E'F) under the isometry w
+        "h_b_minus_h_eprime": h_epf - h_ep,  # H(B) = H(E'F) under the isometry of D^{B->E'}
         "h_rf_given_eprime": h_epfr - h_ep,
     }
 

@@ -12,7 +12,7 @@ reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,14 +72,6 @@ class KrausChannel:
 
 
 @dataclass
-class StinespringIsometry:
-    v: np.ndarray  # (dim_out * dim_env) x dim_in, output factor slow
-    dim_in: int
-    dim_out: int
-    dim_env: int
-
-
-@dataclass
 class ValidationReport:
     tp_residual: float
     cp_ok: bool
@@ -120,11 +112,11 @@ def _require_tp(ch: KrausChannel) -> None:
         raise NotTracePreserving(f"tp_residual {tp:.3e} > {TOL.residual_tol}")
 
 
-def stinespring(ch: KrausChannel) -> StinespringIsometry:
-    """V = sum_i N_i (x) |i>_E, environment basis = Kraus index basis."""
+def stinespring(ch: KrausChannel) -> np.ndarray:
+    """V = sum_i N_i (x) |i>_E as a (dim_out * dim_env) x dim_in array,
+    output factor slow; environment basis = Kraus index basis."""
     _require_tp(ch)
-    v = ch.kraus.transpose(1, 0, 2).reshape(ch.dim_out * ch.dim_env, ch.dim_in)
-    return StinespringIsometry(v=v, dim_in=ch.dim_in, dim_out=ch.dim_out, dim_env=ch.dim_env)
+    return ch.kraus.transpose(1, 0, 2).reshape(ch.dim_out * ch.dim_env, ch.dim_in)
 
 
 def complementary(ch: KrausChannel) -> KrausChannel:
@@ -212,11 +204,6 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
         dim_out=d_out,
         name=f"{a.name}(x){b.name}" if a.name or b.name else "",
     )
-
-
-def conjugate(ch: KrausChannel) -> KrausChannel:
-    """Entrywise complex conjugation of every Kraus operator."""
-    return replace(ch, kraus=ch.kraus.conj())
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -109,7 +109,7 @@ def cmd_inspect(args) -> int:
 def cmd_classify(args) -> int:
     ch = _load(chmod.load_channel, args.file)
     degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
-    result = degmod.classify_pd(ch, degrading, try_conjugate=args.conjugate)
+    result = degmod.classify_pd(ch, degrading)
     out = {"env": _report_env(), **result.as_dict()}
     _emit(out, args)
     return EXIT_INDETERMINATE if result.label == "UNDETERMINED" else EXIT_OK
@@ -157,26 +157,13 @@ def cmd_polar(args) -> int:
     return EXIT_INDETERMINATE if violations else EXIT_OK
 
 
-# zoo export parameter flags and their types
-_PARAM_FLAGS = {
-    "alpha": float, "x": float, "p": float, "gamma": float, "a1": float, "a2": float,
-    "d": int, "n2": int, "n3": int,
-}
-
-
 def cmd_zoo(args) -> int:
     if args.action == "list":
         _emit({"env": _report_env(), "entries": zoomod.list_entries()}, args)
         return EXIT_OK
     if not args.id:
         raise PdChannelError("zoo export needs an entry id")
-    params = {}
-    for flag in _PARAM_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[flag] = value
-    if args.repair:
-        params["repair"] = True
+    params = {k: getattr(args, k) for k in zoomod.parameter_types() if getattr(args, k) is not None}
     entry = zoomod.build_entry(args.id, **params)
     if args.out:
         # --out receives the channel file; the report goes to stdout
@@ -204,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="degradability / PD classification")
     p.add_argument("file")
     p.add_argument("--degrading", default=None, help="E->E' channel JSON file")
-    p.add_argument("--conjugate", action="store_true")
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -225,9 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoo", help="list or export built-in channels")
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("id", nargs="?", default=None)
-    for flag, kind in _PARAM_FLAGS.items():
-        p.add_argument(f"--{flag}", type=kind, default=None)
-    p.add_argument("--repair", action="store_true")
+    # one flag per entry parameter; a flag left out keeps the entry's default
+    for flag, kind in zoomod.parameter_types().items():
+        if kind is bool:
+            p.add_argument(f"--{flag}", action="store_true", default=None)
+        else:
+            p.add_argument(f"--{flag}", type=kind, default=None)
     common(p)
     p.set_defaults(func=cmd_zoo)
     return parser

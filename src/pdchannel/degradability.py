@@ -213,11 +213,14 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     (:func:`_farkas_witness`) is built from it. With its residual above
     TOL.residual_tol: Y = -R for R = T_to - T_ls T_from, T_ls = T_to
     pinv(T_from), and z = 0; R vanishes on the row space of T_from, so W' = 0
-    and the score is -||R||_F^2. Otherwise, with W minus the negative part
+    and the score is -||R||_F^2. Every such D keeps the trace, so
+    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
+    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
+    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise, with W minus the negative part
     of its Hermitian Choi matrix in transfer form, W' = W - (P_A(W) - P_A(0))
     is the component of W normal to A: Y = W pinv(T_from)^dag and
     z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
-    the residual holds, :func:`_cptp_refine` searches A for a CPTP member.
+    residual and trace hold, :func:`_cptp_refine` searches A for a CPTP member.
     A side above ``max_dim()`` (d_in^2, d_mid^2, d_out^2 of the transfer
     matrices, d_mid d_out of the Choi matrix) raises :class:`SizeLimit`
     before anything is built.
@@ -233,8 +236,8 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     f_pinv = qmat.pinv(t_from)
     pi = t_from @ f_pinv
     t_ls = t_to @ f_pinv
-    r = qmat.vec(np.eye(d_mid)).reshape(1, -1) @ (np.eye(d_mid**2) - pi)
-    tr_out = qmat.vec(np.eye(d_out)).reshape(1, -1)
+    tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
+    r = tr_mid @ (np.eye(d_mid**2) - pi)
     mixed = qmat.vec(np.eye(d_out) / d_out).reshape(-1, 1)
 
     def affine(t):
@@ -245,7 +248,12 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
     if sol.success:
         return sol
-    if sol.residual > TOL.residual_tol:
+    g = (tr_out @ t_to - tr_mid @ t_from).ravel()
+    trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
+    remainder = trace_mismatch or sol.residual > TOL.residual_tol
+    if trace_mismatch:
+        y, z = t_ls @ t_from - t_to - np.outer(tr_out, g), t_from @ g.conj()
+    elif remainder:
         y, z = t_ls @ t_from - t_to, np.zeros(d_mid**2)
     else:
         j = choi_of_transfer(t_d, d_mid, d_out)
@@ -256,7 +264,7 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     sol.witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
     if sol.witness is not None:
         return sol
-    if sol.residual > TOL.residual_tol:
+    if remainder:
         sol.stop = "least_squares_residual"
         return sol
     t_ref, _ = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
@@ -294,17 +302,13 @@ class PdClassification:
     label: str
     solutions: dict
     reports: dict = field(default_factory=dict)
-    conjugate_label: str | None = None
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "label": self.label,
             "solutions": {k: v.as_dict() for k, v in self.solutions.items()},
             "reports": {k: v.as_dict() for k, v in self.reports.items()},
         }
-        if self.conjugate_label is not None:
-            d["conjugate_label"] = self.conjugate_label
-        return d
 
 
 SOLVE_KEYS = ("B->E", "E->B", "B->E'", "E'->B")
@@ -314,7 +318,9 @@ def _choi_report(ch: chmod.KrausChannel) -> ent.BoundEntanglementReport:
     return ent.bound_entanglement_report(chmod.to_choi(ch), (ch.dim_in, ch.dim_out))
 
 
-def _classify_once(ch, d_e_to_eprime):
+def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None = None) -> PdClassification:
+    """Label N_AB = ``ch`` by four degrading solves between its output B,
+    its environment E and E', the image of ``d_e_to_eprime`` (E if None)."""
     n_ab = ch
     n_ae = chmod.complementary(ch)
     if d_e_to_eprime is not None and d_e_to_eprime.dim_in != n_ae.dim_out:
@@ -342,18 +348,9 @@ def _classify_once(ch, d_e_to_eprime):
     if ok["B->E'"] and ok["E'->B"]:
         # output and degraded environment simulate each other
         label = "SYMMETRIC_PD"
-    elif trivial_degrading:
-        # an identity E->E' map collapses the PD structure to the plain notions
-        if ok["B->E"]:
-            label = "DEGRADABLE"
-        elif ok["E->B"]:
-            label = "ANTI_DEGRADABLE"
-        else:
-            label = "UNDETERMINED"
-    elif ok["B->E"] and ok["B->E'"]:
-        label = "DEGRADABLE_PD"
-    elif ok["B->E'"] and not ok["B->E"]:
-        label = "ANTI_DEGRADABLE_PD"
+    elif ok["B->E'"] and not trivial_degrading:
+        # an identity E->E' map leaves only the plain notions below
+        label = "DEGRADABLE_PD" if ok["B->E"] else "ANTI_DEGRADABLE_PD"
     elif ok["B->E"]:
         label = "DEGRADABLE"
     elif ok["E->B"]:
@@ -368,26 +365,6 @@ def _classify_once(ch, d_e_to_eprime):
         reports["choi_n_ae"] if d_e_to_eprime is None else _choi_report(n_aep)
     )
     return PdClassification(label=label, solutions=solutions, reports=reports)
-
-
-def classify_pd(
-    ch: chmod.KrausChannel,
-    d_e_to_eprime: chmod.KrausChannel | None = None,
-    try_conjugate: bool = False,
-) -> PdClassification:
-    result = _classify_once(ch, d_e_to_eprime)
-    if try_conjugate and result.label == "UNDETERMINED":
-        maps = (ch,) if d_e_to_eprime is None else (ch, d_e_to_eprime)
-        if not any(np.any(m.kraus.imag) for m in maps):
-            # real Kraus operators are their own conjugates: nothing new to classify
-            return result
-        conj_d = chmod.conjugate(d_e_to_eprime) if d_e_to_eprime is not None else None
-        conj = _classify_once(chmod.conjugate(ch), conj_d)
-        if conj.label != "UNDETERMINED":
-            conj.conjugate_label = conj.label
-            conj.label = "CONJUGATE_VARIANT"
-            return conj
-    return result
 
 
 def check_theorem3_exclusions(d_e_to_eprime: chmod.KrausChannel) -> dict:

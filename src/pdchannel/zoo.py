@@ -429,6 +429,13 @@ def zoo_ids() -> list:
     return sorted(_REGISTRY)
 
 
+def parameter_types() -> dict:
+    """The type of each entry parameter's default, by parameter name in
+    sorted order; a name shared by several entries has one type."""
+    types = {k: type(v) for _, defaults, _ in _REGISTRY.values() for k, v in defaults.items()}
+    return dict(sorted(types.items()))
+
+
 def build_entry(entry_id: str, **params) -> ZooEntry:
     if entry_id not in _REGISTRY:
         raise DomainError(f"unknown zoo id: {entry_id}")

@@ -4,7 +4,7 @@ import pytest
 from pdchannel import capacity as cap
 from pdchannel import channel as ch
 from pdchannel import zoo
-from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, SizeLimit
+from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotTracePreserving, SizeLimit
 
 
 def _h2(p):
@@ -33,24 +33,30 @@ def test_coherent_information_dephasing():
 
 def test_pd_isometries_validation():
     n_ab, _ = zoo.symmetric_pd_channel()
-    u = ch.stinespring(n_ab)
-    ident8 = ch.stinespring(ch.identity_channel(8))
-    cap.PdIsometries(u=u, v=ident8, w=ident8)
+    ident8, rho = ch.identity_channel(8), np.eye(4, dtype=complex) / 4
+    cap.coherent_information_pd(n_ab, ident8, ident8, rho)
     with pytest.raises(DimMismatch):
-        cap.PdIsometries(u=u, v=ch.stinespring(ch.identity_channel(3)), w=ident8)
-    bad = ch.StinespringIsometry(
-        v=np.ones((8, 8), dtype=complex), dim_in=8, dim_out=8, dim_env=1
-    )
+        cap.coherent_information_pd(n_ab, ch.identity_channel(3), ident8, rho)
     with pytest.raises(DimMismatch):
-        cap.PdIsometries(u=u, v=bad, w=ident8)
+        cap.coherent_information_pd(n_ab, ident8, ch.identity_channel(3), rho)
+    with pytest.raises(DimMismatch):
+        cap.coherent_information_pd(n_ab, ident8, ident8, np.eye(2) / 2)
+    # a map whose completeness misses the identity by more than the
+    # residual tolerance has no isometry
+    bad = ch.KrausChannel(kraus=[np.ones((8, 8))], dim_in=8, dim_out=8)
+    for legs in ((bad, ident8), (ident8, bad)):
+        with pytest.raises(NotTracePreserving):
+            cap.coherent_information_pd(n_ab, *legs, rho)
+    half = ch.KrausChannel(kraus=[0.5 * np.eye(2)], dim_in=2, dim_out=2)
+    with pytest.raises(NotTracePreserving):
+        cap.coherent_information_pd(half, ch.identity_channel(1), ch.identity_channel(2), np.eye(2) / 2)
 
 
 def test_isometry_chain_identity_degradings_match_standard():
     n_ab, _ = zoo.symmetric_pd_channel()
-    ident8 = ch.stinespring(ch.identity_channel(8))
-    iso = cap.PdIsometries(u=ch.stinespring(n_ab), v=ident8, w=ident8)
+    ident8 = ch.identity_channel(8)
     for rho in (np.eye(4, dtype=complex) / 4, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)):
-        out = cap.coherent_information_pd(iso, rho)
+        out = cap.coherent_information_pd(n_ab, ident8, ident8, rho)
         want = cap.coherent_information(n_ab, rho)
         assert out["h_b_minus_h_eprime"] == pytest.approx(want, abs=1e-9)
         assert out["h_f_given_eprime"] == pytest.approx(out["h_h_given_g"], abs=1e-9)
@@ -66,13 +72,8 @@ def test_isometry_chain_degradable_channel_value():
     c = zoo.amplitude_damping(0.2)
     sol = deg.is_degradable(c)
     assert sol.success
-    iso = cap.PdIsometries(
-        u=ch.stinespring(c),
-        v=ch.stinespring(ch.identity_channel(2)),
-        w=ch.stinespring(sol.map),
-    )
     rho = np.eye(2, dtype=complex) / 2
-    out = cap.coherent_information_pd(iso, rho)
+    out = cap.coherent_information_pd(c, ch.identity_channel(2), sol.map, rho)
     assert out["h_b_minus_h_eprime"] == pytest.approx(
         cap.coherent_information(c, rho), abs=1e-8
     )

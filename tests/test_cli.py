@@ -238,6 +238,31 @@ def test_zoo_list_and_export(tmp_path, capsys):
     assert code == 2 and "entry id" in err
 
 
+def test_zoo_export_accepts_exactly_the_registry_parameters(tmp_path, capsys):
+    defaults = {i: zoo.build_entry(i).params for i in zoo.zoo_ids()}
+    names = {k for params in defaults.values() for k in params}
+    args = vars(cli.build_parser().parse_args(["zoo", "list"]))
+    assert set(args) - {"command", "func", "action", "id", "out", "format"} == names
+    assert set(zoo.parameter_types()) == names
+    for entry_id, params in defaults.items():
+        # every parameter spelled out at its default: a bool is a bare flag
+        flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in params.items() if v is not False]
+        code, out, _ = _run(capsys, ["zoo", "export", entry_id, *flags, "--out", str(tmp_path / "c.json")])
+        assert code == 0 and json.loads(out)["params"] == params, entry_id
+        for k, v in params.items():
+            assert type(v) is zoo.parameter_types()[k], (entry_id, k)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zoo", "export", "erasure", "--beta", "1"])
+    assert exc.value.code == 2
+
+
+def test_classify_has_no_conjugate_flag(tmp_path, capsys):
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", path, "--conjugate"])
+    assert exc.value.code == 2 and "unrecognized arguments: --conjugate" in capsys.readouterr().err
+
+
 def test_text_format_renders_report(tmp_path, capsys):
     path = _save(tmp_path, zoo.amplitude_damping(0.3))
     out_file = tmp_path / "report.txt"

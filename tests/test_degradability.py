@@ -196,6 +196,56 @@ def test_farkas_witness_assumes_nothing_of_the_channels():
     assert sol.witness["kind"] == "farkas" and sol.witness["score"] < -deg.FARKAS_MARGIN
 
 
+def test_trace_mismatch_alone_is_proved_impossible(monkeypatch):
+    # the identity composes to the flagged corollary-4 map on the linear
+    # level, and its least-squares candidate is CP; only the trace differs:
+    # every CPTP D has vec(I)^dag T_to = vec(I)^dag T_from, and the mismatch
+    # g of the two sides enters the remainder witness, which scores
+    # -||R||_F^2 - ||g||^2 with R = 0, without a refinement
+    ends = _count_refines(monkeypatch)
+    flagged = zoo.corollary4_degrading_map()
+    sol = deg.solve_degrading_map(ch.identity_channel(3), flagged)
+    assert sol.residual <= 1e-8 and sol.status == "impossible" and ends == []
+    t_from, t_to = np.eye(9), _plain_transfer(flagged.kraus)
+    g = np.eye(3).reshape(-1) @ t_to - np.eye(3).reshape(-1) @ t_from
+    assert sol.witness["score"] == pytest.approx(-np.vdot(g, g).real, abs=1e-12)
+    assert _plain_farkas_score(sol.as_dict()["witness"], t_from, t_to) == pytest.approx(
+        sol.witness["score"], abs=1e-9
+    )
+
+
+def _random_isometry(rng, rows, cols):
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(a)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conjugated_problems_solve_alike(seed):
+    # D solves from -> to exactly when conj(D) solves conj(from) -> conj(to),
+    # so status, Farkas score and least Choi eigenvalue agree; the probe
+    # residual may not, since the probe states are not closed under
+    # conjugation
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        c = zoo.depolarizing(0.3)
+    elif seed == 1:
+        # AD(0.2) between complex bases: degradable, with complex Kraus operators
+        u, v = _random_isometry(rng, 2, 2), _random_isometry(rng, 2, 2)
+        c = ch.KrausChannel(v @ zoo.amplitude_damping(0.2).kraus @ u, 2, 2)
+    else:
+        d_in, d_out, k = rng.integers(2, 4, size=3)
+        c = ch.KrausChannel(_random_isometry(rng, k * d_out, d_in).reshape(k, d_out, d_in), d_in, d_out)
+    for from_ch, to_ch in ((c, ch.complementary(c)), (ch.complementary(c), c)):
+        sol = deg.solve_degrading_map(from_ch, to_ch)
+        conj = deg.solve_degrading_map(
+            *(ch.KrausChannel(m.kraus.conj(), m.dim_in, m.dim_out) for m in (from_ch, to_ch))
+        )
+        assert conj.status == sol.status
+        assert conj.cp_min_eig == pytest.approx(sol.cp_min_eig, abs=1e-12)
+        if sol.witness is not None:
+            assert conj.witness["score"] == pytest.approx(sol.witness["score"], abs=1e-12)
+
+
 def test_verify_pd_identity_exact_and_mismatch():
     n_ab, n_ae = zoo.symmetric_pd_channel()
     ident = ch.identity_channel(8)
@@ -284,34 +334,6 @@ def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
     assert not res.solutions["E'->B"].success
 
 
-def test_classify_conjugate_fallback_passthrough():
-    # real-Kraus channels classify the same under conjugation; the fallback
-    # path must not change a determined label
-    res = deg.classify_pd(zoo.amplitude_damping(0.3), try_conjugate=True)
-    assert res.label == "DEGRADABLE"
-    assert res.conjugate_label is None
-
-
-def test_classify_conjugate_skips_real_channel(monkeypatch):
-    # a channel with real Kraus operators is its own conjugate, so an
-    # UNDETERMINED result is final without a second classification;
-    # AD(0.2) (x) AD(0.8) is proved neither degradable nor anti-degradable
-    calls = []
-    once = deg._classify_once
-
-    def counted(c, d_e_to_eprime):
-        calls.append(c.name)
-        return once(c, d_e_to_eprime)
-
-    monkeypatch.setattr(deg, "_classify_once", counted)
-    c = ch.tensor(zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.8))
-    res = deg.classify_pd(c, try_conjugate=True)
-    assert len(calls) == 1
-    assert res.label == "UNDETERMINED"
-    assert {sol.status for sol in res.solutions.values()} == {"impossible"}
-    assert res.conjugate_label is None
-
-
 def test_theorem3_exclusions():
     findings = deg.check_theorem3_exclusions(ch.identity_channel(2))
     assert findings["identity"] and findings["disqualified"]
@@ -385,6 +407,21 @@ def _plain_choi(t, d_in, d_out):
     return j
 
 
+def _plain_farkas_score(w, t_from, t_to):
+    """The score of a reported Farkas witness, rebuilt from its Y and z."""
+    assert w["kind"] == "farkas" and w["margin"] == deg.FARKAS_MARGIN
+    y, z = _complex(w["Y"]), _complex(w["z"])
+    d_mid, d_out = isqrt(t_from.shape[0]), isqrt(t_to.shape[0])
+    i_mid, i_out = (np.eye(d).reshape(-1) for d in (d_mid, d_out))
+    # every CPTP D with T_D T_from = T_to has <W', T_D> = b and, with
+    # Tr J_D = d_mid, <W', T_D> >= d_mid lambda_min(Herm Choi(W'))
+    w_prime = y @ t_from.conj().T + np.outer(i_out, z.conj())
+    c = _plain_choi(w_prime, d_mid, d_out)
+    lam = np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
+    b = np.vdot(y, t_to).real + np.vdot(z, i_mid).real
+    return b + d_mid * max(0.0, -lam)
+
+
 def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
     seen = 0
     for key, (record, report) in zoo_reports.items():
@@ -396,17 +433,7 @@ def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
             if sol["status"] != "impossible":
                 continue
             w = sol["witness"]
-            assert w["kind"] == "farkas" and w["margin"] == deg.FARKAS_MARGIN
-            y, z = _complex(w["Y"]), _complex(w["z"])
-            d_mid, d_out = isqrt(t_from.shape[0]), isqrt(t_to.shape[0])
-            i_mid, i_out = (np.eye(d).reshape(-1) for d in (d_mid, d_out))
-            # every CPTP D with T_D T_from = T_to has <W', T_D> = b and, with
-            # Tr J_D = d_mid, <W', T_D> >= d_mid lambda_min(Herm Choi(W'))
-            w_prime = y @ t_from.conj().T + np.outer(i_out, z.conj())
-            c = _plain_choi(w_prime, d_mid, d_out)
-            lam = np.linalg.eigvalsh((c + c.conj().T) / 2)[0]
-            b = np.vdot(y, t_to).real + np.vdot(z, i_mid).real
-            score = b + d_mid * max(0.0, -lam)
+            score = _plain_farkas_score(w, t_from, t_to)
             assert score < -w["margin"], (key, direction, score)
             assert score == pytest.approx(w["score"], abs=1e-9), (key, direction)
             seen += 1
