@@ -17,6 +17,10 @@ from . import optimize, qmat
 from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
+# restarts advanced in lockstep by one optimize.minimize_many call; a
+# round's batched evaluation holds arrays of restarts x Kraus x d^2 entries,
+# so blocks keep its memory bounded whatever --restarts asks for
+LOCKSTEP_BLOCK = 32
 
 
 def coherent_information(ch: chmod.KrausChannel, rho) -> float:
@@ -113,7 +117,8 @@ class CoherentInfoResult:
 
 # Parameter layout of a d x d lower-triangular factor L: x[:d] is the real
 # diagonal, then each strictly-lower entry, in np.tril_indices(d, -1) order,
-# as a (real, imaginary) pair.
+# as a (real, imaginary) pair. The helpers below map stacks along leading
+# axes as well: (..., d^2) parameters to (..., d, d) factors and back.
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,31 +131,36 @@ def _tril(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _params_to_factor(x: np.ndarray, d: int) -> np.ndarray:
-    l = np.diag(x[:d]).astype(np.complex128)
+    l = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
+    diag = np.arange(d)
+    l[..., diag, diag] = x[..., :d]
     rows, cols = _tril(d)
-    l[rows, cols] = x[d::2] + 1j * x[d + 1 :: 2]
+    l[..., rows, cols] = x[..., d::2] + 1j * x[..., d + 1 :: 2]
     return l
 
 
 def _factor_to_params(m: np.ndarray) -> np.ndarray:
     """Read the parameter layout off the diagonal and lower triangle of m."""
-    d = m.shape[0]
+    d = m.shape[-1]
     rows, cols = _tril(d)
-    x = np.empty(d * d)
-    x[:d] = m.diagonal().real
-    x[d::2] = m[rows, cols].real
-    x[d + 1 :: 2] = m[rows, cols].imag
+    x = np.empty(m.shape[:-2] + (d * d,))
+    x[..., :d] = m.diagonal(axis1=-2, axis2=-1).real
+    x[..., d::2] = m[..., rows, cols].real
+    x[..., d + 1 :: 2] = m[..., rows, cols].imag
     return x
 
 
-def _factor_to_state(l: np.ndarray) -> tuple[np.ndarray, float]:
+_TINY_TRACE = 1e-300
+
+
+def _factor_to_state(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho, t) with t = Tr(L L^dag) and rho = L L^dag / t, or the maximally
-    mixed state when t underflows."""
-    g = l @ l.conj().T
-    tr = np.trace(g).real
-    if tr < 1e-300:
-        return np.eye(len(l)) / len(l), tr
-    return g / tr, tr
+    mixed state where t underflows (below ``_TINY_TRACE``)."""
+    d = l.shape[-1]
+    g = l @ l.conj().swapaxes(-1, -2)
+    tr = np.trace(g, axis1=-2, axis2=-1).real
+    tiny = (tr < _TINY_TRACE)[..., None, None]
+    return np.where(tiny, np.eye(d) / d, g / np.where(tiny, 1.0, tr[..., None, None])), tr
 
 
 def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
@@ -176,7 +186,10 @@ def _state_to_params(rho: np.ndarray) -> np.ndarray:
 def _objective(terms: list):
     """-sum_k c_k H(M_k(rho)) over the parameter layout, with its exact
     gradient; ``terms`` lists the (c_k, M_k), all on the input side d of the
-    d^2 parameters.
+    d^2 parameters. The objective takes one parameter vector, or an (R, d^2)
+    stack of them and then returns R values and an (R, d^2) gradient stack,
+    with one eigendecomposition per term for the whole stack; a row comes
+    out the same either way.
 
     The gradient in rho is A = sum_k c_k M_k^dag(log2 M_k(rho)): the identity
     terms of d(-Tr s log2 s) add up to a multiple of I, which the projection
@@ -186,18 +199,22 @@ def _objective(terms: list):
     """
 
     def objective(x):
-        d = isqrt(len(x))
-        l = _params_to_factor(x, d)
+        stack = np.reshape(x, (-1, np.shape(x)[-1]))
+        d = isqrt(stack.shape[-1])
+        l = _params_to_factor(stack, d)
         rho, t = _factor_to_state(l)
-        value, a = 0.0, np.zeros((d, d), dtype=np.complex128)
+        value, a = 0.0, np.zeros(rho.shape, dtype=np.complex128)
         for c, m in terms:
             h, log = ent.entropy_and_log2(chmod.apply(m, rho))
             value += c * h
-            a += c * (m.kraus_adj @ log @ m.kraus).sum(axis=0)
-        if t < 1e-300:
-            return -value, np.zeros_like(x)
-        b = 2 * (a @ l - np.trace(a @ rho).real * l) / t
-        return -value, _factor_to_params(b)
+            a += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
+        live = (t >= _TINY_TRACE)[:, None, None]
+        tr_a_rho = np.trace(a @ rho, axis1=-2, axis2=-1).real[:, None, None]
+        b = 2 * (a @ l - tr_a_rho * l) / np.where(live, t[:, None, None], 1.0)
+        grad = np.where(live, b, 0.0)
+        if np.ndim(x) == 1:
+            return -value[0], _factor_to_params(grad[0])
+        return -value, _factor_to_params(grad)
 
     return objective
 
@@ -213,6 +230,23 @@ def _fixed_starts(d: int) -> list:
     return starts
 
 
+def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
+    """Parameters of the ``restarts`` starting states in restart order: the
+    fixed starts, the extra seed states, then random states from ``seed``,
+    cut to ``restarts``."""
+    rng = np.random.default_rng(seed)
+    starts = _fixed_starts(d)
+    for rho in extra_seed_states or []:
+        rho = qmat.check_square(rho, (d,))
+        ent.entropy(rho)  # raises NotDensityMatrix outside the clamping window
+        starts.append(_state_to_params(rho))
+    while len(starts) < restarts:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = a @ a.conj().T
+        starts.append(_state_to_params(g / np.trace(g).real))
+    return starts[:restarts]
+
+
 def maximize_coherent_information(
     ch: chmod.KrausChannel,
     restarts: int = 32,
@@ -221,7 +255,9 @@ def maximize_coherent_information(
     extra_seed_states: list | None = None,
 ) -> CoherentInfoResult:
     """Multi-start L-BFGS ascent of I_coh over the Cholesky-parameterized
-    density matrices, with the analytic gradient. Deterministic given the
+    density matrices, with the analytic gradient. The restarts run in
+    lockstep blocks of ``LOCKSTEP_BLOCK`` (:func:`optimize.minimize_many`),
+    and each ends as it would run alone. Deterministic given the
     seed. ``tol`` only sets how close the top two restarts must agree for
     ``converged``. ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is
     negative or not finite raise :class:`DomainError`; an extra seed state
@@ -237,27 +273,14 @@ def maximize_coherent_information(
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
     objective = _objective([(1, ch), (-1, chmod.complementary(ch))])
-
-    rng = np.random.default_rng(seed)
-    starts = _fixed_starts(d)
-    for rho in extra_seed_states or []:
-        rho = qmat.check_square(rho, (d,))
-        ent.entropy(rho)  # raises NotDensityMatrix outside the clamping window
-        starts.append(_state_to_params(rho))
-    while len(starts) < restarts:
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        g = a @ a.conj().T
-        starts.append(_state_to_params(g / np.trace(g).real))
-    if len(starts) > restarts:
-        starts = starts[:restarts]
-
+    starts = _starts(d, restarts, seed, extra_seed_states)
     values, status, best_x = [], [], None
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, jac=True)
-        values.append(-float(res.fun))
-        status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
-        if best_x is None or values[-1] > max(values[:-1]):
-            best_x = res.x
+    for i in range(0, len(starts), LOCKSTEP_BLOCK):
+        for res in optimize.minimize_many(objective, starts[i : i + LOCKSTEP_BLOCK]):
+            values.append(-float(res.fun))
+            status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
+            if best_x is None or values[-1] > max(values[:-1]):
+                best_x = res.x
     ordered = sorted(values, reverse=True)
     converged = len(ordered) >= 2 and (ordered[0] - ordered[1]) <= max(tol, 1e-6) * 10
     return CoherentInfoResult(

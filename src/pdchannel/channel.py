@@ -100,10 +100,12 @@ def validate(ch: KrausChannel) -> ValidationReport:
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
-    rho = qmat.check_square(rho)
-    if rho.shape[0] != ch.dim_in:
-        raise DimMismatch(f"state side {rho.shape[0]} != channel dim_in {ch.dim_in}")
-    return (ch.kraus @ rho @ ch.kraus_adj).sum(axis=0)
+    """N(rho) for one state, or for each state of a stack along leading axes
+    (see :func:`qmat.check_square_stack`)."""
+    rho = qmat.check_square_stack(rho)
+    if rho.shape[-1] != ch.dim_in:
+        raise DimMismatch(f"state side {rho.shape[-1]} != channel dim_in {ch.dim_in}")
+    return (ch.kraus @ rho[..., None, :, :] @ ch.kraus_adj).sum(axis=-3)
 
 
 def _require_tp(ch: KrausChannel) -> None:

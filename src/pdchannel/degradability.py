@@ -51,12 +51,15 @@ def transfer_of_choi(j: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 def probe_states(d: int) -> list:
-    """Symmetrized matrix units: d^2 valid states spanning Hermitian space."""
+    """The basis states |i><i| and, for each pair i < j and each phase in
+    {1, i, -1, -i}, the state of (e_i + phase e_j) / sqrt(2): 2 d^2 - d
+    states spanning Hermitian space. The set is closed under entrywise
+    complex conjugation, so a problem and its conjugate probe alike."""
     eye = np.eye(d, dtype=np.complex128)
     probes = [np.outer(e, e) for e in eye]
     for i in range(d):
         for j in range(i + 1, d):
-            for phase in (1.0, 1j):
+            for phase in (1.0, 1j, -1.0, -1j):
                 v = eye[i] + phase * eye[j]
                 probes.append(np.outer(v, v.conj()) / 2)
     return probes

@@ -36,28 +36,32 @@ def _spectrum(rho) -> np.ndarray:
     return _clamped(np.linalg.eigvalsh((rho + rho.conj().T) / 2))
 
 
-def _entropy_bits(w: np.ndarray) -> float:
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+def _log2(w: np.ndarray) -> np.ndarray:
+    """log2 of a clamped spectrum, 0 on its zeros (the 0 log 0 = 0 convention)."""
+    return np.log2(w, out=np.zeros_like(w), where=w > 0)
 
 
 def entropy(rho) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    return _entropy_bits(_spectrum(rho))
+    w = _spectrum(rho)
+    return float(-np.sum(w * _log2(w)))
 
 
-def entropy_and_log2(rho) -> tuple[float, np.ndarray]:
+def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray]:
     """Von Neumann entropy in bits and the matrix log2(rho), both from one
     eigendecomposition under the clamping window of :func:`entropy`.
 
-    The logarithm is taken on the support and set to 0 on the kernel (the
-    0 log 0 = 0 convention), so it is always finite.
+    ``rho`` is one state, or a stack of states along leading axes (see
+    :func:`qmat.check_square_stack`); for a stack the entropies come as an
+    array over those axes, the logarithms as a stack, and every spectrum
+    is held to the window. The logarithm is taken on the support and set to
+    0 on the kernel, so it is always finite.
     """
-    rho = qmat.check_square(rho)
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    rho = qmat.check_square_stack(rho)
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
     w = _clamped(w)
-    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
-    return _entropy_bits(w), (v * log_w) @ v.conj().T
+    log_w = _log2(w)
+    return -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _resolve(rho, dims: Sequence[int]):

@@ -6,6 +6,13 @@ Alg. 7.4), and the step length from a line search for the strong Wolfe
 conditions (Alg. 3.5, with the zoom of Alg. 3.6 using cubic interpolation).
 The stop tests are those of L-BFGS-B: max |g_i| <= ``GTOL``, or a relative
 reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``.
+
+The run itself is one generator, which yields each point it needs
+evaluated and is sent back (value, gradient). Two drivers feed it:
+:func:`minimize` evaluates one run's points one at a time, and
+:func:`minimize_many` advances many runs in lockstep, with one call of the
+objective per round on the stack of the points they wait on. A run takes
+the same steps under either driver.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ MAX_LS = 20
 EXTRAPOLATE = 4.0
 _EPS = np.finfo(np.float64).eps
 
-# the stop messages, one per reason; the iteration cap's is built in minimize
+# the stop messages, one per reason; the iteration cap's is built in _lbfgs
 _GRADIENT = f"converged: max |gradient| <= {GTOL:g}"
 _REDUCTION = f"converged: relative reduction of f <= {FTOL:g}"
 _ROUNDING = "converged: predicted reduction of f is below its rounding error"
@@ -54,16 +61,51 @@ def minimize(fun, x0, jac=True) -> OptimizeResult:
     """
     if jac is not True:
         raise TypeError("fun must return (value, gradient); only jac=True is supported")
+    run = _lbfgs(x0)
+    x = next(run)
+    while True:
+        try:
+            x = run.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def minimize_many(fun, x0s) -> list:
+    """Minimize from every start in ``x0s`` in lockstep, one result per
+    start in start order. Each round makes one call ``fun(X)`` on the
+    (R, n) stack of the points the R unfinished runs wait on, which returns
+    (values, gradients) with one row per point. A run whose rows equal what
+    ``fun`` gives on its points alone ends as :func:`minimize` ends from its
+    start.
+    """
+    runs = [_lbfgs(x0) for x0 in x0s]
+    waiting = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while waiting:
+        values, grads = fun(np.stack(list(waiting.values())))
+        for i, f, g in zip(list(waiting), values, grads):
+            try:
+                waiting[i] = runs[i].send((f, g))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del waiting[i]
+    return results
+
+
+def _lbfgs(x0):
+    """The L-BFGS run from ``x0`` as a generator: it yields each point to
+    evaluate, is sent (value, gradient) there, and returns the
+    :class:`OptimizeResult`."""
     nfev = 0
 
     def evaluate(x):
         nonlocal nfev
         nfev += 1
-        value, grad = fun(x)
+        value, grad = yield x
         return float(value), np.asarray(grad, dtype=np.float64)
 
     x = np.array(x0, dtype=np.float64)
-    f, g = evaluate(x)
+    f, g = yield from evaluate(x)
     pairs = deque(maxlen=MEMORY)  # (s, y, 1 / s.y), oldest first
     nit = 0
     message = _GRADIENT if np.max(np.abs(g)) <= GTOL else None
@@ -79,7 +121,7 @@ def minimize(fun, x0, jac=True) -> OptimizeResult:
             break
         # the first step of the run is scaled to unit length
         step = 1.0 / np.linalg.norm(d) if nit == 0 else 1.0
-        found = _line_search(evaluate, x, f, g, d, step)
+        found = yield from _line_search(evaluate, x, f, g, d, step)
         if found is None:
             if not pairs:
                 message = _LINE_SEARCH
@@ -121,7 +163,8 @@ def _direction(g: np.ndarray, pairs) -> np.ndarray:
 def _line_search(evaluate, x, f0, g0, d, step):
     """(x, f, g) at a step along d meeting the strong Wolfe conditions, or
     None when ``MAX_LS`` evaluations find none or d is not a descent
-    direction.
+    direction; a generator like the run that delegates to it, with each
+    trial point evaluated through ``evaluate``.
 
     ``lo`` is the lowest trial so far that has sufficient decrease and
     ``hi`` the other end of a bracket around an acceptable step, as
@@ -136,7 +179,7 @@ def _line_search(evaluate, x, f0, g0, d, step):
         if hi is not None:
             step = _cubic_min(lo, hi)
         x_new = x + step * d
-        f, g = evaluate(x_new)
+        f, g = yield from evaluate(x_new)
         slope = g @ d
         if f > f0 + C1 * step * slope0 or f >= lo[1]:
             hi = (step, f, slope)

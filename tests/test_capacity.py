@@ -3,7 +3,7 @@ import pytest
 
 from pdchannel import capacity as cap
 from pdchannel import channel as ch
-from pdchannel import zoo
+from pdchannel import optimize, zoo
 from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotTracePreserving, SizeLimit
 
 
@@ -161,19 +161,22 @@ def test_maximizer_reports_per_restart_status():
         assert isinstance(entry["message"], str) and entry["message"]
 
 
-def test_maximizer_matches_scipy_lbfgsb(monkeypatch):
+def _coherent_objective(c):
+    return cap._objective([(1, c), (-1, ch.complementary(c))])
+
+
+def test_maximizer_matches_scipy_lbfgsb():
     sopt = pytest.importorskip("scipy.optimize")
     c = zoo.amplitude_damping(0.2)
     joint = ch.tensor(c, c)
     ours = cap.maximize_coherent_information(joint, restarts=16, seed=42)
-
-    def lbfgsb(fun, x0, jac):
-        options = {"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10}
-        return sopt.minimize(fun, x0, jac=jac, method="L-BFGS-B", options=options)
-
-    monkeypatch.setattr(cap.optimize, "minimize", lbfgsb)
-    ref = cap.maximize_coherent_information(joint, restarts=16, seed=42)
-    assert np.max(np.abs(np.subtract(ours.per_restart_values, ref.per_restart_values))) <= 1e-9
+    objective = _coherent_objective(joint)
+    options = {"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10}
+    ref = [
+        -sopt.minimize(objective, x0, jac=True, method="L-BFGS-B", options=options).fun
+        for x0 in cap._starts(joint.dim_in, 16, 42, None)
+    ]
+    assert np.max(np.abs(np.subtract(ours.per_restart_values, ref))) <= 1e-9
 
 
 def _dephrasure(p, q):
@@ -193,6 +196,51 @@ def test_dephrasure_is_superadditive():
     assert c.tp_residual() <= 1e-15
     probe = cap.additivity_probe(c, restarts=32, seed=42)
     assert probe["gap"] >= 5e-3
+
+
+def _result_fields(res):
+    return res.fun, res.x.tolist(), res.nit, res.nfev, res.message
+
+
+@pytest.mark.parametrize("single", [zoo.amplitude_damping(0.2), zoo.dephasing(0.3),
+                                    _dephrasure(0.10, 0.35)], ids=lambda c: c.name)
+def test_lockstep_runs_match_runs_alone(single):
+    # one batched evaluation per round hands every run the rows it would
+    # get alone, so each run takes exactly the same steps
+    c = ch.tensor(single, single)
+    objective = _coherent_objective(c)
+    starts = cap._starts(c.dim_in, 32, 42, None)
+    together = optimize.minimize_many(objective, starts)
+    alone = [optimize.minimize(objective, x0) for x0 in starts]
+    assert [_result_fields(r) for r in together] == [_result_fields(r) for r in alone]
+
+
+def test_maximizer_blocks_match_runs_alone():
+    # 70 restarts span three lockstep blocks
+    c = zoo.amplitude_damping(0.2)
+    res = cap.maximize_coherent_information(c, restarts=70, seed=42)
+    objective = _coherent_objective(c)
+    alone = [optimize.minimize(objective, x0) for x0 in cap._starts(c.dim_in, 70, 42, None)]
+    assert 70 > 2 * cap.LOCKSTEP_BLOCK
+    assert res.per_restart_values == [-r.fun for r in alone]
+    assert res.per_restart_status == [
+        {"nit": r.nit, "nfev": r.nfev, "message": r.message} for r in alone
+    ]
+
+
+def test_maximizer_eigendecomposes_once_per_term_per_round(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    c = zoo.amplitude_damping(0.2)
+    res = cap.maximize_coherent_information(ch.tensor(c, c), restarts=32, seed=42)
+    rounds = max(entry["nfev"] for entry in res.per_restart_status)
+    assert len(calls) <= 2 * rounds
 
 
 def test_maximizer_rejects_bad_settings():

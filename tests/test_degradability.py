@@ -31,10 +31,11 @@ def test_choi_transfer_reshuffle_roundtrip():
 
 def test_probe_states_span_and_validity():
     probes = deg.probe_states(3)
-    assert len(probes) == 9
+    assert len(probes) == 15
     for rho in probes:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert any(np.array_equal(rho.conj(), other) for other in probes)
     flat = np.stack([p.reshape(-1) for p in probes])
     assert np.linalg.matrix_rank(flat) == 9
 
@@ -222,9 +223,8 @@ def _random_isometry(rng, rows, cols):
 @pytest.mark.parametrize("seed", range(6))
 def test_conjugated_problems_solve_alike(seed):
     # D solves from -> to exactly when conj(D) solves conj(from) -> conj(to),
-    # so status, Farkas score and least Choi eigenvalue agree; the probe
-    # residual may not, since the probe states are not closed under
-    # conjugation
+    # so status, Farkas score, least Choi eigenvalue and, with a probe set
+    # closed under conjugation, the probe residual agree
     rng = np.random.default_rng(seed)
     if seed == 0:
         c = zoo.depolarizing(0.3)
@@ -241,6 +241,7 @@ def test_conjugated_problems_solve_alike(seed):
             *(ch.KrausChannel(m.kraus.conj(), m.dim_in, m.dim_out) for m in (from_ch, to_ch))
         )
         assert conj.status == sol.status
+        assert conj.residual == pytest.approx(sol.residual, abs=1e-12)
         assert conj.cp_min_eig == pytest.approx(sol.cp_min_eig, abs=1e-12)
         if sol.witness is not None:
             assert conj.witness["score"] == pytest.approx(sol.witness["score"], abs=1e-12)

@@ -26,6 +26,27 @@ def test_entropy_rejects_non_states():
         ent.entropy(np.diag([1.5, -0.5]))
 
 
+def _random_states(rng, count, d, rank):
+    a = rng.standard_normal((count, d, rank)) + 1j * rng.standard_normal((count, d, rank))
+    g = a @ a.conj().swapaxes(-1, -2)
+    return g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_entropy_and_log2_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(5)
+    # side 9 with rank 4: more than 8 eigenvalues, some of them zero
+    stack = np.concatenate([_random_states(rng, 3, 9, 9), _random_states(rng, 3, 9, 4)])
+    h, log = ent.entropy_and_log2(stack.reshape(2, 3, 9, 9))
+    assert h.shape == (2, 3) and log.shape == (2, 3, 9, 9)
+    for rho, h_one, log_one in zip(stack, h.reshape(-1), log.reshape(-1, 9, 9)):
+        want_h, want_log = ent.entropy_and_log2(rho)
+        assert h_one == want_h and np.array_equal(log_one, want_log)
+        assert want_h == pytest.approx(ent.entropy(rho), abs=1e-12)
+    # one state outside the clamping window rejects the stack
+    with pytest.raises(NotDensityMatrix):
+        ent.entropy_and_log2(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
+
+
 def test_ppt_check_bell_and_separable():
     rep = ent.ppt_check(_bell(), (2, 2))
     assert not rep.is_ppt
