@@ -7,7 +7,10 @@ transfer matrices with a PSD Choi matrix. The member of A nearest 0 is
 certified as CPTP via a Choi eigensolve; when it fails, one Farkas
 certificate of the same problem is built, and without one Douglas-Rachford
 splitting between A and K searches for a map (Banjac, Goulart, Stellato &
-Boyd, JOTA 183, 2019). Every solve ends in one of three statuses:
+Boyd, JOTA 183, 2019). Its fixed-point map is accelerated by safeguarded
+type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011;
+Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020). Every solve ends in
+one of three statuses:
 
 - ``certified``: the candidate passes its CP/TP and residual certificates;
   the Kraus map handed back is re-checked and its own margins reported.
@@ -20,6 +23,7 @@ Boyd, JOTA 183, 2019). Every solve ends in one of three statuses:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +69,20 @@ def probe_states(d: int) -> list:
     return probes
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_vecs(d: int) -> np.ndarray:
+    """The (d^2, 2 d^2 - d) matrix whose column i is vec(rho_i) for the i-th
+    probe state of side d; built once per side and read-only."""
+    p = np.stack(probe_states(d))
+    vecs = p.transpose(0, 2, 1).reshape(len(p), d * d).T
+    vecs.flags.writeable = False
+    return vecs
+
+
 def _probe_residual(r: np.ndarray, d: int) -> float:
     """max |R vec(rho)| over the probe states of side d, for a superoperator
     R acting on column-major vec."""
-    p = np.stack(probe_states(d))
-    vecs = p.transpose(0, 2, 1).reshape(len(p), d * d).T  # column i = vec(rho_i)
-    return float(np.max(np.abs(r @ vecs)))
+    return float(np.max(np.abs(r @ _probe_vecs(d))))
 
 
 FARKAS_MARGIN = 1e-9
@@ -81,11 +93,15 @@ recomputation its rounding error is below 3e-14 on the zoo channels. Their
 witnesses score -0.25 or less, and the failed least-squares candidates of
 solves that do have a map score +0.026 or more."""
 
-# rounds of the Douglas-Rachford refinement before it gives up
+# Choi eigensolves the Douglas-Rachford refinement may spend before it gives up
 REFINE_ROUNDS = 2000
 # it stops once its iterate's composition and TP residuals are a hundredth
 # of the certificate's tolerance, so the certificate holds with room to spare
 REFINE_STOP = TOL.residual_tol / 100
+# the refinement mixes its last ANDERSON_MEMORY steps, with a Tikhonov weight
+# of ANDERSON_REG times the squared norm of their residual differences
+ANDERSON_MEMORY = 5
+ANDERSON_REG = 1e-10
 
 
 @dataclass
@@ -96,6 +112,8 @@ class DegradingSolution:
     ``map_residual`` and ``map_tp_residual`` the certificates of that Kraus
     map itself. ``witness`` proves that no map exists; ``stop`` says where
     a solve that found neither a map nor a witness ended.
+    ``refine_rounds`` is the number of Choi eigensolves the refinement
+    spent, None when none ran.
     """
 
     map: chmod.KrausChannel | None
@@ -106,6 +124,7 @@ class DegradingSolution:
     map_tp_residual: float | None = None
     witness: dict | None = None
     stop: str | None = None
+    refine_rounds: int | None = None
 
     @property
     def success(self) -> bool:
@@ -136,6 +155,8 @@ class DegradingSolution:
             d["witness"] = self.witness
         else:
             d["stop"] = self.stop
+        if self.refine_rounds is not None:
+            d["refine_rounds"] = self.refine_rounds
         return d
 
 
@@ -182,13 +203,28 @@ def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
 
 def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
     """Douglas-Rachford splitting between the PSD-Choi cone K and the affine
-    set A that ``affine`` projects onto, from its member ``t``: with
-    x = P_K(z), z <- z + P_A(2x - z) - x, one Choi eigensolve a round.
-    Returns the last x, CP by construction, and the rounds run: it stops
-    once the composition and TP residuals of x are at most REFINE_STOP, or
-    after REFINE_ROUNDS rounds; deterministic."""
+    set A that ``affine`` projects onto, from its member ``t``, with
+    safeguarded type-II Anderson acceleration. The splitting's map is
+    F(z) = z + P_A(2x - z) - x with x = P_K(z), one Choi eigensolve each,
+    and its residual g(z) = F(z) - z. From the last accepted point z_k the
+    next point is F(z_k) - sum_i gamma_i dF_i, where dF_i and dg_i are the
+    differences of F and g between consecutive accepted points, the last
+    ANDERSON_MEMORY of them, and the real gamma minimise
+    ||g(z_k) - sum_i gamma_i dg_i||^2 + ANDERSON_REG ||dg||_F^2 ||gamma||^2.
+    A mixed point is accepted only if ||g||_F does not exceed the last
+    accepted point's; otherwise the plain step F(z_k) follows, with the
+    history cleared. Returns the last x, CP by construction, and the
+    eigensolves spent, rejected points included: it stops once the
+    composition and TP residuals of x are at most REFINE_STOP, or after
+    REFINE_ROUNDS eigensolves; deterministic."""
     tr_out, tr_mid = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_out, d_mid))
-    z = t
+    # dF_i and dg_i as real vectors, in rings of ANDERSON_MEMORY rows
+    d_f = np.empty((ANDERSON_MEMORY, 2 * t.size))
+    d_g = np.empty_like(d_f)
+    # differences recorded since the history was last cleared; z is a mixed
+    # point exactly when there are some
+    pairs = 0
+    z, f_acc, g_acc, norm_acc = t, None, None, np.inf
     for rounds in range(1, REFINE_ROUNDS + 1):
         # the Choi matrix is an entrywise permutation of T, so Frobenius
         # projections carry over between the two coordinates
@@ -198,7 +234,25 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
         tp_residual = np.max(np.abs(tr_out @ x - tr_mid))
         if tp_residual <= REFINE_STOP and _probe_residual(t_to - x @ t_from, d_in) <= REFINE_STOP:
             return x, rounds
-        z = z + affine(2 * x - z) - x
+        g = affine(2 * x - z) - x
+        norm = np.linalg.norm(g)
+        if pairs and not norm <= norm_acc:
+            z, pairs = f_acc, 0
+            continue
+        f = z + g
+        if f_acc is not None:
+            slot = pairs % ANDERSON_MEMORY
+            d_f[slot] = (f - f_acc).view(np.float64).ravel()
+            d_g[slot] = (g - g_acc).view(np.float64).ravel()
+            pairs += 1
+        f_acc, g_acc, norm_acc = f, g, norm
+        # with no differences recorded, gamma is empty and z = F(z_k)
+        m = min(pairs, ANDERSON_MEMORY)
+        gram = d_g[:m] @ d_g[:m].T
+        # tiny keeps the solve regular when every dg_i is exactly zero
+        gram[np.diag_indices(m)] += ANDERSON_REG * np.trace(gram) + np.finfo(float).tiny
+        gamma = np.linalg.solve(gram, d_g[:m] @ g.view(np.float64).ravel())
+        z = f - (gamma @ d_f[:m]).view(np.complex128).reshape(f.shape)
     return x, REFINE_ROUNDS
 
 
@@ -270,10 +324,13 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     if remainder:
         sol.stop = "least_squares_residual"
         return sol
-    t_ref, _ = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
+    t_ref, rounds = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
     refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-    sol.stop = "refine_cap"
-    return refined if refined.success else sol
+    if not refined.success:
+        refined = sol
+        refined.stop = "refine_cap"
+    refined.refine_rounds = rounds
+    return refined
 
 
 def is_degradable(ch: chmod.KrausChannel) -> DegradingSolution:

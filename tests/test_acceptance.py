@@ -210,7 +210,7 @@ def test_11_rank_one_certificate():
 
 def test_12_nab_ae_anti_degradable_with_a_witness():
     # B->E is ruled out by a Farkas witness, so no refinement runs for it;
-    # E->B refines to a certified map
+    # E->B refines to a certified map within 20 Choi eigensolves
     start = time.monotonic()
     n_ab = zoo.build_entry("nab_ae").channel
     res = deg.classify_pd(n_ab)
@@ -221,4 +221,5 @@ def test_12_nab_ae_anti_degradable_with_a_witness():
     e_to_b = res.solutions["E->B"]
     assert e_to_b.status == "certified"
     assert e_to_b.map_residual <= 1e-8 and e_to_b.map_tp_residual <= 1e-8
+    assert 0 < e_to_b.as_dict()["refine_rounds"] <= 20
     assert time.monotonic() - start < 30.0

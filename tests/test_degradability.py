@@ -91,6 +91,11 @@ def test_failed_solve_reports_not_raises():
     assert d["status"] == "impossible"
 
 
+# Choi eigensolves within which the refinement certifies the zoo's refined
+# solves: horodecki E->B, erasure B->E and the composite B->E
+REFINE_BUDGET = 60
+
+
 def _count_refines(monkeypatch) -> list:
     """The rounds of every CPTP refinement that runs."""
     ends = []
@@ -124,9 +129,63 @@ def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
     assert len(ends) == refines
     if refines:
         # horodecki E->B, erasure B->E and the composite B->E have maps, so
-        # no witness exists; Douglas-Rachford certifies one well before the
+        # no witness exists; the refinement certifies one well before the
         # round cap
-        assert 0 < ends[0] < deg.REFINE_ROUNDS // 4
+        assert 0 < ends[0] <= REFINE_BUDGET
+
+
+@pytest.mark.parametrize(
+    "make, direction",
+    [
+        (lambda: zoo.horodecki_channel(3.5), "E->B"),
+        (lambda: zoo.erasure(0.25), "B->E"),
+        (lambda: zoo.build_entry("composite_complementary", repair=True).channel, "B->E"),
+    ],
+    ids=["horodecki", "erasure", "composite"],
+)
+def test_refined_solves_report_their_eigensolves(make, direction):
+    d = deg.solve_degrading_map(*_solve_pairs(make())[direction]).as_dict()
+    assert d["status"] == "certified"
+    assert 0 < d["refine_rounds"] <= REFINE_BUDGET
+
+
+def test_refine_cap_counts_every_eigensolve(monkeypatch):
+    # the composite B->E refinement rejects mixed points at its 4th and 7th
+    # eigensolves; capped at 8 it ends without a map, and the plain steps
+    # that follow the rejections count toward the cap
+    cap = 8
+    monkeypatch.setattr(deg, "REFINE_ROUNDS", cap)
+    eigh, refine, calls = np.linalg.eigh, deg._cptp_refine, []
+
+    def counted(*args):
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        try:
+            return refine(*args)
+        finally:
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    monkeypatch.setattr(deg, "_cptp_refine", counted)
+    n_ab = zoo.build_entry("composite_complementary", repair=True).channel
+    d = deg.solve_degrading_map(n_ab, ch.complementary(n_ab)).as_dict()
+    assert d["status"] == "not_found" and d["stop"] == "refine_cap"
+    assert d["refine_rounds"] == cap == len(calls)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_feasible_instances_certify_after_refinement(seed):
+    # to = D o from for a random CPTP D: a map exists. With from of side 2 -> 3,
+    # T_from (9 x 4) is rank-deficient, so the affine set has directions the
+    # least-squares candidate fills with the maximally mixed state; with two
+    # Kraus operators, D's Choi matrix has rank 2 of 6 and that candidate
+    # fails CP, so the refinement runs
+    rng = np.random.default_rng(seed)
+    from_ch = _random_channel(rng, 2, 3, 2)
+    to_ch = ch.compose(from_ch, _random_channel(rng, 3, 2, 2))
+    sol = deg.solve_degrading_map(from_ch, to_ch)
+    d = sol.as_dict()
+    assert d["status"] == "certified" and d["refine_rounds"] > 0
+    assert d["map_residual"] <= 1e-8
+    _plain_recheck(sol.map.kraus, from_ch, to_ch, rng, seed)
 
 
 def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
@@ -220,6 +279,11 @@ def _random_isometry(rng, rows, cols):
     return np.linalg.qr(a)[0]
 
 
+def _random_channel(rng, d_in, d_out, k):
+    """A CPTP map with k Kraus operators, cut from a random isometry."""
+    return ch.KrausChannel(_random_isometry(rng, k * d_out, d_in).reshape(k, d_out, d_in), d_in, d_out)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_conjugated_problems_solve_alike(seed):
     # D solves from -> to exactly when conj(D) solves conj(from) -> conj(to),
@@ -234,7 +298,7 @@ def test_conjugated_problems_solve_alike(seed):
         c = ch.KrausChannel(v @ zoo.amplitude_damping(0.2).kraus @ u, 2, 2)
     else:
         d_in, d_out, k = rng.integers(2, 4, size=3)
-        c = ch.KrausChannel(_random_isometry(rng, k * d_out, d_in).reshape(k, d_out, d_in), d_in, d_out)
+        c = _random_channel(rng, d_in, d_out, k)
     for from_ch, to_ch in ((c, ch.complementary(c)), (ch.complementary(c), c)):
         sol = deg.solve_degrading_map(from_ch, to_ch)
         conj = deg.solve_degrading_map(
@@ -361,6 +425,13 @@ ZOO_STATUSES = {
 }
 
 
+ZOO_REFINED = {
+    ("horodecki", ()): {"E->B"},
+    ("erasure", (("p", 0.25), ("d", 2))): {"B->E"},
+    ("composite_complementary", (("x", 0.75), ("repair", True))): {"B->E"},
+}
+
+
 @pytest.fixture(scope="module")
 def zoo_reports(tmp_path_factory):
     """(Kraus record, classify report) of each input, through the CLI."""
@@ -383,6 +454,9 @@ def test_zoo_solve_statuses(zoo_reports):
         assert all("stop" not in sol for sol in sols.values()), key
         # the identity E->E' map: the primed solves are the unprimed ones
         assert sols["B->E'"] == sols["B->E"] and sols["E'->B"] == sols["E->B"]
+        # only solves that ran the refinement report its eigensolves
+        refined = {k for k in ("B->E", "E->B") if "refine_rounds" in sols[k]}
+        assert refined == ZOO_REFINED.get(key, set()), key
 
 
 def _complex(pairs):
@@ -447,6 +521,20 @@ def _solve_pairs(n_ab, d_e_to_eprime=None):
     return {"B->E": (n_ab, n_ae), "E->B": (n_ae, n_ab), "B->E'": (n_ab, n_aep), "E'->B": (n_aep, n_ab)}
 
 
+def _plain_recheck(kraus, from_ch, to_ch, rng, where=None):
+    """Recheck with plain numpy that the Kraus map ``kraus`` is complete and
+    takes ``from`` to ``to`` on four random states."""
+    completeness = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
+    assert np.max(np.abs(completeness - np.eye(kraus.shape[2]))) <= 1e-8, where
+    for _ in range(4):
+        g = rng.standard_normal((from_ch.dim_in,) * 2) + 1j * rng.standard_normal((from_ch.dim_in,) * 2)
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        mid = np.einsum("kab,bc,kdc->ad", from_ch.kraus, rho, from_ch.kraus.conj())
+        out = np.einsum("kab,bc,kdc->ad", kraus, mid, kraus.conj())
+        target = np.einsum("kab,bc,kdc->ad", to_ch.kraus, rho, to_ch.kraus.conj())
+        assert np.max(np.abs(out - target)) <= 1e-8, where
+
+
 def test_no_witness_against_a_certified_map(zoo_reports):
     # every certified solve carries no witness, and the Kraus map it returns
     # is complete and composes to the target on random states, rechecked
@@ -465,15 +553,7 @@ def test_no_witness_against_a_certified_map(zoo_reports):
                 continue
             assert "witness" not in report["solutions"][key]
             kraus = deg.solve_degrading_map(from_ch, to_ch).map.kraus
-            completeness = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
-            assert np.max(np.abs(completeness - np.eye(kraus.shape[2]))) <= 1e-8, (name, key)
-            for _ in range(4):
-                g = rng.standard_normal((n.dim_in,) * 2) + 1j * rng.standard_normal((n.dim_in,) * 2)
-                rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
-                mid = np.einsum("kab,bc,kdc->ad", from_ch.kraus, rho, from_ch.kraus.conj())
-                out = np.einsum("kab,bc,kdc->ad", kraus, mid, kraus.conj())
-                target = np.einsum("kab,bc,kdc->ad", to_ch.kraus, rho, to_ch.kraus.conj())
-                assert np.max(np.abs(out - target)) <= 1e-8, (name, key)
+            _plain_recheck(kraus, from_ch, to_ch, rng, (name, key))
             certified.add((name, key))
     # the refined maps: horodecki E->B and the composite B->E
     assert {("horodecki", "E->B"), ("composite_complementary", "B->E")} <= certified
