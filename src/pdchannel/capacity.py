@@ -6,6 +6,7 @@ multi-start maximization over input states.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from math import isfinite, isqrt, prod
 
@@ -233,15 +234,20 @@ def _fixed_starts(d: int) -> list:
 def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
     """Parameters of the ``restarts`` starting states in restart order: the
     fixed starts, the extra seed states, then random states from ``seed``,
-    cut to ``restarts``."""
-    rng = np.random.default_rng(seed)
+    cut to ``restarts``. A random state is g / Tr g with g = a a^dag for a
+    complex Ginibre matrix a, whose 2 d^2 Gaussians (real parts, then
+    imaginary parts, row-major) come from the standard library's Mersenne
+    Twister ``random.Random(seed)``, so the maximizer loads neither
+    numpy.random nor hashlib."""
+    rng = random.Random(seed)
     starts = _fixed_starts(d)
     for rho in extra_seed_states or []:
         rho = qmat.check_square(rho, (d,))
         ent.entropy(rho)  # raises NotDensityMatrix outside the clamping window
         starts.append(_state_to_params(rho))
     while len(starts) < restarts:
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        real, imag = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)], (2, d, d))
+        a = real + 1j * imag
         g = a @ a.conj().T
         starts.append(_state_to_params(g / np.trace(g).real))
     return starts[:restarts]
@@ -257,12 +263,14 @@ def maximize_coherent_information(
     """Multi-start L-BFGS ascent of I_coh over the Cholesky-parameterized
     density matrices, with the analytic gradient. The restarts run in
     lockstep blocks of ``LOCKSTEP_BLOCK`` (:func:`optimize.minimize_many`),
-    and each ends as it would run alone. Deterministic given the
-    seed. ``tol`` only sets how close the top two restarts must agree for
-    ``converged``. ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is
-    negative or not finite raise :class:`DomainError`; an extra seed state
-    of the wrong side raises :class:`DimMismatch`, and one with eigenvalues
-    outside the entropy clamping window :class:`NotDensityMatrix`."""
+    and each ends as it would run alone. Deterministic given the seed,
+    which seeds the standard library's ``random.Random`` for the random
+    starts (see :func:`_starts`). ``tol`` only sets how close the top two
+    restarts must agree for ``converged``. ``restarts`` < 1, ``seed`` < 0,
+    and ``tol`` that is negative or not finite raise :class:`DomainError`;
+    an extra seed state of the wrong side raises :class:`DimMismatch`, and
+    one with eigenvalues outside the entropy clamping window
+    :class:`NotDensityMatrix`."""
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
@@ -293,6 +301,13 @@ def maximize_coherent_information(
     )
 
 
+def check_two_copy_size(ch: chmod.KrausChannel) -> None:
+    """Raise :class:`SizeLimit` when the two-copy input side dim_in^2, which
+    :func:`additivity_probe` maximizes over, exceeds ``MAX_OPT_DIM``."""
+    if ch.dim_in**2 > MAX_OPT_DIM:
+        raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
+
+
 def additivity_probe(
     ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42,
     single: CoherentInfoResult | None = None,
@@ -302,8 +317,7 @@ def additivity_probe(
     restarts and seed, and is not computed again."""
     if n != 2:
         raise SizeLimit("only n = 2 is supported")
-    if ch.dim_in**2 > MAX_OPT_DIM:
-        raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
+    check_two_copy_size(ch)
     if single is None:
         single = maximize_coherent_information(ch, restarts=restarts, seed=seed)
     joint_ch = chmod.tensor(ch, ch)

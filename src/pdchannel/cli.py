@@ -117,14 +117,17 @@ def cmd_classify(args) -> int:
 
 def cmd_capacity(args) -> int:
     ch = _load(chmod.load_channel, args.file)
+    # a probe that cannot run is refused before the single-copy maximization
+    if args.tensor is not None:
+        if args.tensor != 2:
+            raise PdChannelError("--tensor only supports 2")
+        capmod.check_two_copy_size(ch)
     result = capmod.maximize_coherent_information(
         ch, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
     env = {**_report_env(), "seed": args.seed, "restarts": args.restarts, "tol": args.tol}
     out = {"env": env, **result.as_dict()}
     if args.tensor is not None:
-        if args.tensor != 2:
-            raise PdChannelError("--tensor only supports 2")
         # the single-copy optimum above is the one the probe would compute
         out["additivity"] = capmod.additivity_probe(
             ch, restarts=args.restarts, seed=args.seed, single=result

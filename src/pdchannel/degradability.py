@@ -37,10 +37,12 @@ from .errors import DimMismatch, SizeLimit
 
 def transfer_matrix(ch: chmod.KrausChannel) -> np.ndarray:
     """Superoperator T with vec(N(rho)) = T vec(rho), column-major vec."""
-    # [i, r, s, c, t] = conj(N_i)[r, c] N_i[s, t], i.e. kron(conj(N_i), N_i)
-    k = ch.kraus
-    t = k.conj()[:, :, None, :, None] * k[:, None, :, None, :]
-    return t.reshape(ch.dim_env, ch.dim_out**2, ch.dim_in**2).sum(axis=0)
+    # sum_i kron(conj(N_i), N_i)[(r, s), (c, t)] = sum_i conj(N_i)[r, c] N_i[s, t]:
+    # one matmul sums over i into [(r, c), (s, t)], so no (K, d_out^2, d_in^2)
+    # stack of the Kronecker products is ever built
+    k = ch.kraus.reshape(ch.dim_env, ch.dim_out * ch.dim_in)
+    t = (k.conj().T @ k).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return t.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2)
 
 
 def choi_of_transfer(t: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

@@ -243,6 +243,37 @@ def test_maximizer_eigendecomposes_once_per_term_per_round(monkeypatch):
     assert len(calls) <= 2 * rounds
 
 
+def test_starts_repeat_per_seed_and_differ_across_seeds():
+    d, extra = 3, [np.diag([0.5, 0.3, 0.2])]
+    one = cap._starts(d, 12, 7, extra)
+    assert len(one) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(one, cap._starts(d, 12, 7, extra)))
+    other = cap._starts(d, 12, 8, extra)
+    # the fixed starts (I/d and the d near-pure basis states) and the extra
+    # seed state come first and do not depend on the seed
+    head = d + 2
+    assert all(np.array_equal(a, b) for a, b in zip(one[:head], other[:head]))
+    assert np.array_equal(one[head - 1], cap._state_to_params(extra[0]))
+    assert all(not np.array_equal(a, b) for a, b in zip(one[head:], other[head:]))
+
+
+def test_random_starts_are_density_matrices():
+    for d in (2, 3, 4):
+        for x in cap._starts(d, d + 1 + 10, 5, None)[d + 1 :]:
+            rho = cap._params_to_state(x, d)
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def test_maximizer_takes_seeds_of_any_size():
+    # a negative seed stays an error: see test_maximizer_rejects_bad_settings
+    c = zoo.amplitude_damping(0.2)
+    big = cap.maximize_coherent_information(c, restarts=5, seed=2**64 + 3)
+    assert big.restarts_used == 5 and big.converged
+    assert len(cap._starts(2, 5, 2**70, None)) == 5
+
+
 def test_maximizer_rejects_bad_settings():
     c = zoo.dephasing(0.3)
     for kwargs in ({"restarts": 0}, {"restarts": -3}, {"seed": -1}, {"tol": float("nan")},

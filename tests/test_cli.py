@@ -100,6 +100,24 @@ def test_capacity_command_never_loads_scipy(tmp_path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
+def test_capacity_command_never_loads_numpy_random_or_hashlib(tmp_path):
+    # the random starts come from the standard library's random.Random, so a
+    # capacity process loads neither numpy.random nor secrets -> hashlib ->
+    # OpenSSL; eight restarts on a qubit input draw five random starts
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-X", "importtime", "-m", "pdchannel.cli", "capacity", path,
+            "--tensor", "2", "--restarts", "8"]
+    res = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["restarts_used"] == 8
+    imported = [line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "_random" in imported
+    assert [m for m in imported if m.split(".")[0] in ("secrets", "hashlib", "_hashlib")
+            or m.startswith("numpy.random")] == []
+
+
 def test_classify_degradable(tmp_path, capsys):
     path = _save(tmp_path, zoo.amplitude_damping(0.2))
     code, out, _ = _run(capsys, ["classify", path])
@@ -174,11 +192,19 @@ def test_json_reports_write_witness_arrays_one_row_a_line(tmp_path, capsys):
     assert rows <= {line.strip().rstrip(",") for line in out.splitlines()}
 
 
-def test_capacity_tensor_gate(tmp_path, capsys):
+def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
+    # a probe that cannot run is refused before any maximization
+    calls = []
+    monkeypatch.setattr(cli.capmod, "maximize_coherent_information", lambda *a, **k: calls.append(1))
     path = _save(tmp_path, zoo.dephasing(0.3))
     for value in ("3", "0"):
         code, _, err = _run(capsys, ["capacity", path, "--tensor", value])
         assert code == 2 and "--tensor" in err
+    # dim_in = 5: one copy fits MAX_OPT_DIM, two copies (25) do not
+    path = _save(tmp_path, zoo.depolarizing(0.3, d=5), "d5.json")
+    code, _, err = _run(capsys, ["capacity", path, "--tensor", "2"])
+    assert code == 2 and "exceeds" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -431,6 +432,18 @@ ZOO_REFINED = {
     ("composite_complementary", (("x", 0.75), ("repair", True))): {"B->E"},
 }
 
+ZOO_LABELS = {
+    ("horodecki", ()): "ANTI_DEGRADABLE",
+    ("symmetric_pd", ()): "SYMMETRIC_PD",
+    ("erasure", (("p", 0.25), ("d", 2))): "DEGRADABLE",
+    ("depolarizing", (("p", 0.5), ("d", 2))): "ANTI_DEGRADABLE",
+    ("amplitude_damping", (("gamma", 0.2),)): "DEGRADABLE",
+    ("dephasing", (("p", 0.3),)): "DEGRADABLE",
+    ("m_ae", (("repair", True),)): "UNDETERMINED",
+    ("composite_complementary", (("x", 0.75), ("repair", True))): "DEGRADABLE",
+    ("d_e_to_eprime", (("repair", True),)): "UNDETERMINED",
+}
+
 
 @pytest.fixture(scope="module")
 def zoo_reports(tmp_path_factory):
@@ -457,6 +470,29 @@ def test_zoo_solve_statuses(zoo_reports):
         # only solves that ran the refinement report its eigensolves
         refined = {k for k in ("B->E", "E->B") if "refine_rounds" in sols[k]}
         assert refined == ZOO_REFINED.get(key, set()), key
+
+
+def test_transfer_matrix_sums_over_kraus_without_a_stack(zoo_reports):
+    rng = np.random.default_rng(11)
+    for d_in, d_out, k in ((2, 3, 2), (3, 2, 4), (4, 4, 3)):
+        c = _random_channel(rng, d_in, d_out, k)
+        plain = sum(np.kron(op.conj(), op) for op in c.kraus)
+        assert np.max(np.abs(deg.transfer_matrix(c) - plain)) <= 1e-14
+    # the shape of nab_ae's certified E->B map: 156 Kraus operators of 12 x 25,
+    # whose stack of Kronecker products alone would take 225 MB
+    c = _random_channel(rng, 25, 12, 156)
+    tracemalloc.start()
+    try:
+        t = deg.transfer_matrix(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * t.nbytes
+    for key, (_, report) in zoo_reports.items():
+        sols = report["solutions"]
+        assert (report["label"], sols["B->E"]["status"], sols["E->B"]["status"]) == (
+            ZOO_LABELS[key], *ZOO_STATUSES[key]
+        ), key
 
 
 def _complex(pairs):
