@@ -1,8 +1,10 @@
 """Finite-dimensional quantum channel toolkit: representations,
 degradability analysis, partial-degradability classification, coherent
-information, and exact-rational polar rate accounting."""
+information, and exact-rational polar rate accounting.
 
-from . import capacity, channel, config, degradability, entanglement, polar, qmat, zoo
+``import pdchannel`` loads no submodule: each name in ``__all__`` is
+imported the first time it is read as an attribute, so a command pays only
+for the modules it runs."""
 
 __all__ = [
     "capacity",
@@ -16,3 +18,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        # the import statement's own machinery, which -X importtime reports
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

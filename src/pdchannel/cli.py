@@ -6,6 +6,9 @@ echoes the tolerances and size limit, and for ``capacity``, the only
 subcommand that takes them, ``--seed``, ``--restarts`` and ``--tol``.
 Exit codes: 0 success, 2 input error, 3 indeterminate result or invariant
 violation.
+
+Each command imports the package modules it runs when it runs, so
+``polar``, ``--help`` and usage errors start without numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +18,6 @@ import contextlib
 import json
 import sys
 
-from . import capacity as capmod
-from . import channel as chmod
-from . import degradability as degmod
-from . import polar as polmod
-from . import qmat
-from . import zoo as zoomod
 from .config import TOL, max_dim
 from .errors import PdChannelError
 
@@ -85,6 +82,7 @@ def _load(loader, path: str):
 
 
 def cmd_inspect(args) -> int:
+    from . import channel as chmod, qmat
     ch = _load(chmod.load_channel, args.file)
     # one eigendecomposition of the Choi matrix gives its least eigenvalue and its rank
     w, _ = qmat.eigh(chmod.to_choi(ch))
@@ -107,6 +105,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import channel as chmod, degradability as degmod
     ch = _load(chmod.load_channel, args.file)
     degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
     result = degmod.classify_pd(ch, degrading)
@@ -116,6 +115,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from . import capacity as capmod, channel as chmod
     ch = _load(chmod.load_channel, args.file)
     # a probe that cannot run is refused before the single-copy maximization
     if args.tensor is not None:
@@ -137,10 +137,11 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_polar(args) -> int:
+    from . import polar as polmod
     ledger = _load(polmod.load_ledger, args.file)
     violations = polmod.validate_partition(ledger)
     rates = {"delta": str(polmod.delta(ledger))}
-    if ledger.regime in ("DEGRADABLE", "DEGRADABLE_PD"):
+    if ledger.is_degradable_regime:
         rates["rate_degradable"] = str(polmod.rate_degradable(ledger))
     if ledger.regime == "DEGRADABLE_PD":
         rates["rate_pd_degradable"] = str(polmod.rate_pd_degradable(ledger))
@@ -161,6 +162,7 @@ def cmd_polar(args) -> int:
 
 
 def cmd_zoo(args) -> int:
+    from . import channel as chmod, zoo as zoomod
     if args.action == "list":
         _emit({"env": _report_env(), "entries": zoomod.list_entries()}, args)
         return EXIT_OK
@@ -176,7 +178,9 @@ def cmd_zoo(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(zoo_flags: bool = True) -> argparse.ArgumentParser:
+    """The ``pdchannel`` parser; ``zoo_flags=False`` leaves out the zoo
+    parameter flags, which are read off the numpy-backed zoo registry."""
     parser = argparse.ArgumentParser(
         prog="pdchannel", description="quantum channel degradability toolkit"
     )
@@ -215,19 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("id", nargs="?", default=None)
     # one flag per entry parameter; a flag left out keeps the entry's default
-    for flag, kind in zoomod.parameter_types().items():
-        if kind is bool:
-            p.add_argument(f"--{flag}", action="store_true", default=None)
-        else:
-            p.add_argument(f"--{flag}", type=kind, default=None)
+    if zoo_flags:
+        from . import zoo as zoomod
+        for flag, kind in zoomod.parameter_types().items():
+            if kind is bool:
+                p.add_argument(f"--{flag}", action="store_true", default=None)
+            else:
+                p.add_argument(f"--{flag}", type=kind, default=None)
     common(p)
     p.set_defaults(func=cmd_zoo)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word
+    # not starting with "-" is the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(zoo_flags=command == "zoo").parse_args(argv)
     try:
         return args.func(args)
     except PdChannelError as exc:

@@ -12,6 +12,7 @@ Repaired entries are labeled as such and kept apart from verbatim ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import qmat
 from .config import TOL, max_dim
 from .errors import DimMismatch, DomainError
 
-SQ2 = np.sqrt(2.0)
+SQ2 = math.sqrt(2.0)
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdchannel import channel as ch
-from pdchannel import cli, polar, zoo
+from pdchannel import capacity, cli, polar, zoo
 
 
 def _save(tmp_path, c, name="chan.json"):
@@ -85,17 +85,23 @@ def test_polar_bad_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
-def test_capacity_command_never_loads_scipy(tmp_path):
+def _importtime(*args):
+    """Run ``python -X importtime <args>``; return the finished process and
+    the names of the modules it imported."""
     # -X importtime lists every module the process imports, as
     # "import time: self | cumulative | name" lines on stderr
-    path = _save(tmp_path, zoo.amplitude_damping(0.2))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, "-X", "importtime", "-m", "pdchannel.cli", "capacity", path, "--restarts", "2"]
-    res = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["restarts_used"] == 2
+    res = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True)
     imported = [line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
                 if line.startswith("import time:")]
+    return res, imported
+
+
+def test_capacity_command_never_loads_scipy(tmp_path):
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    res, imported = _importtime("-m", "pdchannel.cli", "capacity", path, "--restarts", "2")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["restarts_used"] == 2
     assert "pdchannel.optimize" in imported
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
@@ -105,17 +111,40 @@ def test_capacity_command_never_loads_numpy_random_or_hashlib(tmp_path):
     # capacity process loads neither numpy.random nor secrets -> hashlib ->
     # OpenSSL; eight restarts on a qubit input draw five random starts
     path = _save(tmp_path, zoo.amplitude_damping(0.2))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, "-X", "importtime", "-m", "pdchannel.cli", "capacity", path,
-            "--tensor", "2", "--restarts", "8"]
-    res = subprocess.run(argv, env=env, capture_output=True, text=True)
+    res, imported = _importtime("-m", "pdchannel.cli", "capacity", path, "--tensor", "2", "--restarts", "8")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["restarts_used"] == 8
-    imported = [line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
-                if line.startswith("import time:")]
     assert "_random" in imported
     assert [m for m in imported if m.split(".")[0] in ("secrets", "hashlib", "_hashlib")
             or m.startswith("numpy.random")] == []
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(("-c", "import pdchannel.cli"), 0), (("-m", "pdchannel.cli", "--help"), 0),
+     (("-m", "pdchannel.cli", "polar", "LEDGER"), 0), (("-m", "pdchannel.cli", "capacity"), 2)],
+    ids=["import", "help", "polar", "usage-error"],
+)
+def test_import_help_polar_and_usage_errors_never_load_numpy(tmp_path, args, code):
+    # polar is exact rational arithmetic, and each command imports the
+    # package modules it runs only when it runs
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps(_VALID_LEDGER))
+    res, imported = _importtime(*(str(ledger) if a == "LEDGER" else a for a in args))
+    assert res.returncode == code, res.stderr
+    assert "pdchannel.config" in imported
+    # the listing also shows the modules a command imports when it runs
+    assert ("pdchannel.polar" in imported) == ("polar" in args)
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def test_inspect_command_loads_no_solver(tmp_path):
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    res, imported = _importtime("-m", "pdchannel.cli", "inspect", path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["choi_rank"] == 2
+    assert "pdchannel.qmat" in imported
+    assert {"pdchannel.capacity", "pdchannel.optimize", "pdchannel.degradability"} & set(imported) == set()
 
 
 def test_classify_degradable(tmp_path, capsys):
@@ -195,7 +224,7 @@ def test_json_reports_write_witness_arrays_one_row_a_line(tmp_path, capsys):
 def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
     # a probe that cannot run is refused before any maximization
     calls = []
-    monkeypatch.setattr(cli.capmod, "maximize_coherent_information", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(capacity, "maximize_coherent_information", lambda *a, **k: calls.append(1))
     path = _save(tmp_path, zoo.dephasing(0.3))
     for value in ("3", "0"):
         code, _, err = _run(capsys, ["capacity", path, "--tensor", value])
@@ -280,6 +309,12 @@ def test_zoo_export_accepts_exactly_the_registry_parameters(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["zoo", "export", "erasure", "--beta", "1"])
     assert exc.value.code == 2
+    # each type reaches argparse, whose messages name it: a numpy scalar
+    # default would print "invalid float64 value"
+    assert set(zoo.parameter_types().values()) <= {float, int, bool}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zoo", "export", "d_e_to_eprime", "--a1", "abc"])
+    assert exc.value.code == 2 and "argument --a1: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_classify_has_no_conjugate_flag(tmp_path, capsys):

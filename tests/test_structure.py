@@ -1,7 +1,12 @@
 """Module boundaries of the package: no module reads another package
-module's private (single-underscore) names."""
+module's private (single-underscore) names, and ``import pdchannel`` loads
+a submodule only when it is first read."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pdchannel
@@ -68,3 +73,26 @@ def test_degradability_leaves_the_optimizer_to_capacity():
         elif isinstance(node, ast.ImportFrom):
             imported |= {alias.name for alias in node.names} | {node.module}
     assert not imported & {"capacity", "optimize"}
+
+
+def test_package_imports_a_submodule_on_first_attribute_access():
+    script = (
+        "import json, sys\n"
+        "import pdchannel\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('pdchannel.'))\n"
+        "resolved = {n: getattr(pdchannel, n) is sys.modules['pdchannel.' + n] for n in pdchannel.__all__}\n"
+        "try:\n"
+        "    pdchannel.no_such_module\n"
+        "    error = None\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "print(json.dumps([loaded, pdchannel.__all__, resolved, error]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded, names, resolved, error = json.loads(res.stdout)
+    assert loaded == []
+    assert names == ["capacity", "channel", "config", "degradability", "entanglement", "polar", "qmat", "zoo"]
+    assert resolved == dict.fromkeys(names, True)
+    assert "no_such_module" in error
