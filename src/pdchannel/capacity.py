@@ -5,7 +5,6 @@ multi-start maximization over input states.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from math import isfinite, isqrt, prod
@@ -116,57 +115,37 @@ class CoherentInfoResult:
         }
 
 
-# Parameter layout of a d x d lower-triangular factor L: x[:d] is the real
-# diagonal, then each strictly-lower entry, in np.tril_indices(d, -1) order,
-# as a (real, imaginary) pair. The helpers below map stacks along leading
-# axes as well: (..., d^2) parameters to (..., d, d) factors and back.
-
-
-@functools.lru_cache(maxsize=None)
-def _tril(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(d, -1), built once per side and read-only, since
-    every call shares the arrays."""
-    rows, cols = np.tril_indices(d, -1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+# A state is a full complex d x d factor A, rho = A A^dag / Tr(A A^dag)
+# (Burer & Monteiro, Math. Program. 95, 2003). Its 2 d^2 real parameters
+# are A's entries, row-major, each a (real, imaginary) pair: the float64
+# view of A. The helpers map stacks along leading axes as well.
 
 
 def _params_to_factor(x: np.ndarray, d: int) -> np.ndarray:
-    l = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
-    diag = np.arange(d)
-    l[..., diag, diag] = x[..., :d]
-    rows, cols = _tril(d)
-    l[..., rows, cols] = x[..., d::2] + 1j * x[..., d + 1 :: 2]
-    return l
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return x.view(np.complex128).reshape(x.shape[:-1] + (d, d))
 
 
-def _factor_to_params(m: np.ndarray) -> np.ndarray:
-    """Read the parameter layout off the diagonal and lower triangle of m."""
-    d = m.shape[-1]
-    rows, cols = _tril(d)
-    x = np.empty(m.shape[:-2] + (d * d,))
-    x[..., :d] = m.diagonal(axis1=-2, axis2=-1).real
-    x[..., d::2] = m[..., rows, cols].real
-    x[..., d + 1 :: 2] = m[..., rows, cols].imag
-    return x
+def _factor_to_params(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.complex128).reshape(a.shape[:-2] + (-1,)).view(np.float64)
 
 
 _TINY_TRACE = 1e-300
 
 
-def _factor_to_state(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, t) with t = Tr(L L^dag) and rho = L L^dag / t, or the maximally
+def _factor_to_state(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, t) with t = Tr(A A^dag) and rho = A A^dag / t, or the maximally
     mixed state where t underflows (below ``_TINY_TRACE``)."""
-    d = l.shape[-1]
-    g = l @ l.conj().swapaxes(-1, -2)
+    d = a.shape[-1]
+    g = a @ a.conj().swapaxes(-1, -2)
     tr = np.trace(g, axis1=-2, axis2=-1).real
     tiny = (tr < _TINY_TRACE)[..., None, None]
     return np.where(tiny, np.eye(d) / d, g / np.where(tiny, 1.0, tr[..., None, None])), tr
 
 
 def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
-    """Map a real parameter vector of length d^2 to a density matrix via a
-    lower-triangular factor rho = L L^dag / Tr(L L^dag)."""
+    """Map a real parameter vector of length 2 d^2 to the density matrix
+    rho = A A^dag / Tr(A A^dag) of its factor A."""
     return _factor_to_state(_params_to_factor(x, d))[0]
 
 
@@ -184,38 +163,39 @@ def _state_to_params(rho: np.ndarray) -> np.ndarray:
         return _factor_to_params(factor(2e-9))
 
 
-def _objective(terms: list):
-    """-sum_k c_k H(M_k(rho)) over the parameter layout, with its exact
-    gradient; ``terms`` lists the (c_k, M_k), all on the input side d of the
-    d^2 parameters. The objective takes one parameter vector, or an (R, d^2)
-    stack of them and then returns R values and an (R, d^2) gradient stack,
-    with one eigendecomposition per term for the whole stack; a row comes
-    out the same either way.
+def _objective(ch: chmod.KrausChannel):
+    """-I_coh = H(N_c(rho)) - H(N(rho)) over the 2 d^2 parameters of the
+    input side d, with its exact gradient. The objective takes one
+    parameter vector, or an (R, 2 d^2) stack of them and then returns R
+    values and an (R, 2 d^2) gradient stack, with one eigendecomposition per
+    channel for the whole stack; a row comes out the same either way.
 
-    The gradient in rho is A = sum_k c_k M_k^dag(log2 M_k(rho)): the identity
-    terms of d(-Tr s log2 s) add up to a multiple of I, which the projection
-    below removes. Through rho = L L^dag / t it is
-    B = 2 (A - Tr(A rho) I) L / t in L, read off as (Re B_ii; Re B_ij, Im B_ij).
-    Value and A are accumulated from zero in term order.
+    The gradient in rho is G = sum_k c_k M_k^dag(log2 M_k(rho)) over
+    (c_k, M_k) = (1, N), (-1, N_c): the identity terms of d(-Tr s log2 s)
+    add up to a multiple of I, which the projection below removes. Through
+    rho = A A^dag / t it is B = 2 (G - Tr(G rho) I) A / t in A, read off as
+    (Re B_ij, Im B_ij) for every entry. Value and G are accumulated from
+    zero, N first.
     """
+    terms = [(1, ch), (-1, chmod.complementary(ch))]
 
     def objective(x):
         stack = np.reshape(x, (-1, np.shape(x)[-1]))
-        d = isqrt(stack.shape[-1])
-        l = _params_to_factor(stack, d)
-        rho, t = _factor_to_state(l)
-        value, a = 0.0, np.zeros(rho.shape, dtype=np.complex128)
+        d = isqrt(stack.shape[-1] // 2)
+        a = _params_to_factor(stack, d)
+        rho, t = _factor_to_state(a)
+        value, g = 0.0, np.zeros(rho.shape, dtype=np.complex128)
         for c, m in terms:
             h, log = ent.entropy_and_log2(chmod.apply(m, rho))
             value += c * h
-            a += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
+            g += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
         live = (t >= _TINY_TRACE)[:, None, None]
-        tr_a_rho = np.trace(a @ rho, axis1=-2, axis2=-1).real[:, None, None]
-        b = 2 * (a @ l - tr_a_rho * l) / np.where(live, t[:, None, None], 1.0)
-        grad = np.where(live, b, 0.0)
+        tr_g_rho = np.trace(g @ rho, axis1=-2, axis2=-1).real[:, None, None]
+        b = 2 * (g @ a - tr_g_rho * a) / np.where(live, t[:, None, None], 1.0)
+        grad = _factor_to_params(np.where(live, b, 0.0))
         if np.ndim(x) == 1:
-            return -value[0], _factor_to_params(grad[0])
-        return -value, _factor_to_params(grad)
+            return -value[0], grad[0]
+        return -value, grad
 
     return objective
 
@@ -233,12 +213,11 @@ def _fixed_starts(d: int) -> list:
 
 def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
     """Parameters of the ``restarts`` starting states in restart order: the
-    fixed starts, the extra seed states, then random states from ``seed``,
-    cut to ``restarts``. A random state is g / Tr g with g = a a^dag for a
-    complex Ginibre matrix a, whose 2 d^2 Gaussians (real parts, then
-    imaginary parts, row-major) come from the standard library's Mersenne
-    Twister ``random.Random(seed)``, so the maximizer loads neither
-    numpy.random nor hashlib."""
+    fixed starts, the extra seed states, then random factors from ``seed``,
+    cut to ``restarts``. A random start is a complex Ginibre factor A, whose
+    2 d^2 Gaussians (real parts, then imaginary parts, row-major) come from
+    the standard library's Mersenne Twister ``random.Random(seed)``, so the
+    maximizer loads neither numpy.random nor hashlib."""
     rng = random.Random(seed)
     starts = _fixed_starts(d)
     for rho in extra_seed_states or []:
@@ -247,9 +226,7 @@ def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
         starts.append(_state_to_params(rho))
     while len(starts) < restarts:
         real, imag = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)], (2, d, d))
-        a = real + 1j * imag
-        g = a @ a.conj().T
-        starts.append(_state_to_params(g / np.trace(g).real))
+        starts.append(_factor_to_params(real + 1j * imag))
     return starts[:restarts]
 
 
@@ -260,8 +237,9 @@ def maximize_coherent_information(
     seed: int = 42,
     extra_seed_states: list | None = None,
 ) -> CoherentInfoResult:
-    """Multi-start L-BFGS ascent of I_coh over the Cholesky-parameterized
-    density matrices, with the analytic gradient. The restarts run in
+    """Multi-start L-BFGS ascent of I_coh over the density matrices
+    rho = A A^dag / Tr(A A^dag) of complex d x d factors A, with the
+    analytic gradient. The restarts run in
     lockstep blocks of ``LOCKSTEP_BLOCK`` (:func:`optimize.minimize_many`),
     and each ends as it would run alone. Deterministic given the seed,
     which seeds the standard library's ``random.Random`` for the random
@@ -280,7 +258,7 @@ def maximize_coherent_information(
     d = ch.dim_in
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
-    objective = _objective([(1, ch), (-1, chmod.complementary(ch))])
+    objective = _objective(ch)
     starts = _starts(d, restarts, seed, extra_seed_states)
     values, status, best_x = [], [], None
     for i in range(0, len(starts), LOCKSTEP_BLOCK):

@@ -141,9 +141,14 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
     1/dim_in so that it has trace 1 when N is trace preserving.
 
     Factor order is input (slow) then output (fast). Trace preservation is
-    not checked: a flagged channel has a Choi matrix of another trace.
+    not checked: a flagged channel has a Choi matrix of another trace. A
+    side dim_in * dim_out above ``max_dim()`` raises :class:`SizeLimit`
+    before anything is built.
     """
     d_a, d_b = ch.dim_in, ch.dim_out
+    cap = max_dim()
+    if d_a * d_b > cap:
+        raise SizeLimit(f"Choi side {d_a * d_b} exceeds side cap {cap}")
     # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]
     w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
     j = (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)

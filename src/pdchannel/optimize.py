@@ -52,15 +52,12 @@ class OptimizeResult:
     message: str
 
 
-def minimize(fun, x0, jac=True) -> OptimizeResult:
+def minimize(fun, x0) -> OptimizeResult:
     """Minimize ``fun`` from ``x0``; ``fun(x)`` returns (value, gradient).
 
-    ``jac`` must be True: the gradient always comes with the value. When a
-    line search fails, the step memory is dropped and the search is tried
-    again along -g; a second failure stops the run at the last iterate.
+    When a line search fails, the step memory is dropped and the search is
+    tried again along -g; a second failure stops the run at the last iterate.
     """
-    if jac is not True:
-        raise TypeError("fun must return (value, gradient); only jac=True is supported")
     run = _lbfgs(x0)
     x = next(run)
     while True:

@@ -91,27 +91,30 @@ def test_params_state_roundtrip():
     back = cap._params_to_state(x, 3)
     assert np.max(np.abs(back - rho)) <= 1e-9
     # degenerate parameters fall back to the maximally mixed state
-    assert np.allclose(cap._params_to_state(np.zeros(9), 3), np.eye(3) / 3)
+    assert np.allclose(cap._params_to_state(np.zeros(18), 3), np.eye(3) / 3)
 
 
-def test_parameter_layout_is_row_major_lower_triangle():
-    # reference: the diagonal, then (re, im) pairs row by row below it
+def test_parameter_layout_is_row_major_re_im_pairs():
+    # reference: entry (i, j) of the factor is x[2 (d i + j)] + 1j x[2 (d i + j) + 1]
     d = 4
-    x = np.arange(1.0, d * d + 1)
+    x = np.arange(1.0, 2 * d * d + 1)
     want = np.zeros((d, d), dtype=complex)
-    want[np.diag_indices(d)] = x[:d]
-    idx = d
     for i in range(d):
-        for j in range(i):
-            want[i, j] = x[idx] + 1j * x[idx + 1]
-            idx += 2
+        for j in range(d):
+            k = 2 * (d * i + j)
+            want[i, j] = x[k] + 1j * x[k + 1]
     assert np.array_equal(cap._params_to_factor(x, d), want)
     assert np.array_equal(cap._factor_to_params(want), x)
+    # stacks map row by row, and the maps round-trip
+    stack = np.stack([x, -x])
+    factors = cap._params_to_factor(stack, d)
+    assert np.array_equal(factors, np.stack([want, -want]))
+    assert np.array_equal(cap._factor_to_params(factors), stack)
 
 
 def test_objective_at_zero_params_is_maximally_mixed():
     c = zoo.amplitude_damping(0.2)
-    value, grad = cap._objective([(1, c), (-1, ch.complementary(c))])(np.zeros(4))
+    value, grad = cap._objective(c)(np.zeros(8))
     assert np.isfinite(value) and np.all(np.isfinite(grad))
     assert value == pytest.approx(-cap.coherent_information(c, np.eye(2) / 2), abs=1e-12)
 
@@ -126,8 +129,8 @@ def test_analytic_gradient_matches_central_differences():
         zoo.erasure(0.25),
     )
     for c in channels:
-        objective = cap._objective([(1, c), (-1, ch.complementary(c))])
-        n = c.dim_in**2
+        objective = cap._objective(c)
+        n = 2 * c.dim_in**2
         for _ in range(3):
             x = rng.standard_normal(n)
             value, grad = objective(x)
@@ -161,22 +164,25 @@ def test_maximizer_reports_per_restart_status():
         assert isinstance(entry["message"], str) and entry["message"]
 
 
-def _coherent_objective(c):
-    return cap._objective([(1, c), (-1, ch.complementary(c))])
-
-
 def test_maximizer_matches_scipy_lbfgsb():
     sopt = pytest.importorskip("scipy.optimize")
     c = zoo.amplitude_damping(0.2)
     joint = ch.tensor(c, c)
     ours = cap.maximize_coherent_information(joint, restarts=16, seed=42)
-    objective = _coherent_objective(joint)
+    objective = cap._objective(joint)
     options = {"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10}
     ref = [
         -sopt.minimize(objective, x0, jac=True, method="L-BFGS-B", options=options).fun
         for x0 in cap._starts(joint.dim_in, 16, 42, None)
     ]
     assert np.max(np.abs(np.subtract(ours.per_restart_values, ref))) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_two_copy_dephasing_restart_reaches_the_optimum(seed):
+    c = zoo.dephasing(0.3)
+    res = cap.maximize_coherent_information(ch.tensor(c, c), restarts=32, seed=seed)
+    assert res.value - min(res.per_restart_values) <= 1e-6
 
 
 def _dephrasure(p, q):
@@ -208,7 +214,7 @@ def test_lockstep_runs_match_runs_alone(single):
     # one batched evaluation per round hands every run the rows it would
     # get alone, so each run takes exactly the same steps
     c = ch.tensor(single, single)
-    objective = _coherent_objective(c)
+    objective = cap._objective(c)
     starts = cap._starts(c.dim_in, 32, 42, None)
     together = optimize.minimize_many(objective, starts)
     alone = [optimize.minimize(objective, x0) for x0 in starts]
@@ -219,7 +225,7 @@ def test_maximizer_blocks_match_runs_alone():
     # 70 restarts span three lockstep blocks
     c = zoo.amplitude_damping(0.2)
     res = cap.maximize_coherent_information(c, restarts=70, seed=42)
-    objective = _coherent_objective(c)
+    objective = cap._objective(c)
     alone = [optimize.minimize(objective, x0) for x0 in cap._starts(c.dim_in, 70, 42, None)]
     assert 70 > 2 * cap.LOCKSTEP_BLOCK
     assert res.per_restart_values == [-r.fun for r in alone]

@@ -210,6 +210,14 @@ def test_classify_respects_the_side_cap(tmp_path, monkeypatch, capsys):
     assert code == 0 and json.loads(out)["env"]["max_dim"] == 20
 
 
+def test_inspect_respects_the_side_cap(tmp_path, monkeypatch, capsys):
+    # a 20 -> 20 channel has a Choi matrix of side 400
+    monkeypatch.setenv("QPD_MAX_DIM", "100")
+    code, out, err = _run(capsys, ["inspect", _save(tmp_path, ch.identity_channel(20))])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_json_reports_write_witness_arrays_one_row_a_line(tmp_path, capsys):
     # every other part of a report is json.dumps(indent=2, sort_keys=True)
     report = {"b": [1.5, {"c": None}, []], "a": {"x": "\u00e9", "e": {}}, "t": (True, 2)}

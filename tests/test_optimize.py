@@ -52,8 +52,3 @@ def test_wrong_gradient_ends_in_line_search_failure():
     assert res.nit == 0
     assert np.array_equal(res.x, [1.0, -2.0])
     assert res.nfev == 1 + optimize.MAX_LS
-
-
-def test_gradient_must_come_with_the_value():
-    with pytest.raises(TypeError):
-        optimize.minimize(_rosenbrock, np.zeros(2), jac=False)
