@@ -150,17 +150,12 @@ def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _state_to_params(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    # Cholesky of a slightly smoothed copy so boundary states have a factor
-    def factor(eps):
-        return np.linalg.cholesky((rho + eps * np.eye(d)) / (1 + eps * d))
-
-    try:
-        return _factor_to_params(factor(1e-12))
-    except np.linalg.LinAlgError:
-        # a least eigenvalue below -1e-12 that the entropy window still
-        # admits (down to -1e-9): smooth past it
-        return _factor_to_params(factor(2e-9))
+    """Parameters of the factor A = V sqrt(max(w, 0) + 1e-12) of a density
+    matrix rho = V diag(w) V^dag. The 1e-12 keeps every column of A nonzero:
+    the gradient of a zero column is zero, so a rank-deficient seed would
+    never leave its face."""
+    w, v = np.linalg.eigh(rho)
+    return _factor_to_params(v * np.sqrt(np.maximum(w, 0.0) + 1e-12))
 
 
 def _objective(ch: chmod.KrausChannel):
@@ -202,13 +197,10 @@ def _objective(ch: chmod.KrausChannel):
 
 def _fixed_starts(d: int) -> list:
     """Parameters of the seed-independent starting states: I/d, then the d
-    near-pure basis states 0.999 |k><k| + 0.001 I/d."""
-    starts = [_state_to_params(np.eye(d) / d)]
-    for k in range(d):
-        rho = np.full((d, d), 0.001 / d, dtype=np.complex128) * np.eye(d)
-        rho[k, k] += 0.999
-        starts.append(_state_to_params(rho))
-    return starts
+    near-pure basis states 0.999 |k><k| + 0.001 I/d, each as its diagonal
+    factor sqrt(diag(rho))."""
+    diagonals = np.vstack([np.full(d, 1.0 / d), 0.999 * np.eye(d) + 0.001 / d])
+    return [_factor_to_params(np.diag(np.sqrt(p))) for p in diagonals]
 
 
 def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:

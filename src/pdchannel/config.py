@@ -7,24 +7,24 @@ thresholds, so every tolerance lives here and nowhere else.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, asdict
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
 class Tolerances:
+    # read-only class attributes: no dataclasses import at CLI start-up
+    __slots__ = ()
     # max |m - m^dagger| entrywise allowed before a matrix counts as non-Hermitian
-    herm_tol: float = 1e-10
+    herm_tol = 1e-10
     # minimum eigenvalue allowed before a matrix counts as non-PSD
-    psd_tol: float = -1e-9
+    psd_tol = -1e-9
     # generic residual bound for reconstruction / composition checks
-    residual_tol: float = 1e-8
+    residual_tol = 1e-8
     # relative cutoff for the pseudo-inverse and for numerical rank
-    pinv_cutoff: float = 1e-10
+    pinv_cutoff = 1e-10
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: value for name, value in vars(Tolerances).items() if isinstance(value, float)}
 
 
 TOL = Tolerances()

@@ -5,7 +5,9 @@ The search direction comes from the two-loop recursion over the last
 Alg. 7.4), and the step length from a line search for the strong Wolfe
 conditions (Alg. 3.5, with the zoom of Alg. 3.6 using cubic interpolation).
 The stop tests are those of L-BFGS-B: max |g_i| <= ``GTOL``, or a relative
-reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``.
+reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``. A line
+search that finds no acceptable step in ``MAX_LS`` evaluations ends the run
+at the last iterate.
 
 The run itself is one generator, which yields each point it needs
 evaluated and is sent back (value, gradient). Two drivers feed it:
@@ -40,7 +42,7 @@ _EPS = np.finfo(np.float64).eps
 _GRADIENT = f"converged: max |gradient| <= {GTOL:g}"
 _REDUCTION = f"converged: relative reduction of f <= {FTOL:g}"
 _ROUNDING = "converged: predicted reduction of f is below its rounding error"
-_LINE_SEARCH = "stopped: no step along -gradient meets the strong Wolfe conditions"
+_LINE_SEARCH = "stopped: no step along the search direction meets the strong Wolfe conditions"
 
 
 @dataclass
@@ -55,8 +57,7 @@ class OptimizeResult:
 def minimize(fun, x0) -> OptimizeResult:
     """Minimize ``fun`` from ``x0``; ``fun(x)`` returns (value, gradient).
 
-    When a line search fails, the step memory is dropped and the search is
-    tried again along -g; a second failure stops the run at the last iterate.
+    A failed line search stops the run at the last iterate.
     """
     run = _lbfgs(x0)
     x = next(run)
@@ -120,11 +121,8 @@ def _lbfgs(x0):
         step = 1.0 / np.linalg.norm(d) if nit == 0 else 1.0
         found = yield from _line_search(evaluate, x, f, g, d, step)
         if found is None:
-            if not pairs:
-                message = _LINE_SEARCH
-                break
-            pairs.clear()
-            continue
+            message = _LINE_SEARCH
+            break
         x_new, f_new, g_new = found
         nit += 1
         s, y = x_new - x, g_new - g

@@ -306,12 +306,43 @@ def test_maximizer_rejects_bad_seed_states():
 
 
 def test_maximizer_takes_a_seed_at_the_edge_of_the_entropy_window():
-    # a least eigenvalue of -5e-10 passes the entropy window (-1e-9) but is
-    # below what a 1e-12 smoothing lifts to a Cholesky factor
+    # a least eigenvalue of -5e-10 passes the entropy window (-1e-9); the
+    # seed's factor clips it to zero before taking square roots
     seed = np.diag([1 + 5e-10, -5e-10])
     c = zoo.amplitude_damping(0.2)
     res = cap.maximize_coherent_information(c, restarts=2, extra_seed_states=[seed])
     assert res.restarts_used == 2 and np.isfinite(res.per_restart_values[1])
+
+
+def test_fixed_starts_are_the_maximally_mixed_and_near_pure_states():
+    for d in (2, 3, 4):
+        eye = np.eye(d)
+        want = [eye / d] + [0.999 * np.outer(e, e) + 0.001 * eye / d for e in eye]
+        got = [cap._params_to_state(x, d) for x in cap._fixed_starts(d)]
+        assert len(got) == d + 1
+        assert all(np.max(np.abs(g - w)) <= 1e-15 for g, w in zip(got, want))
+
+
+def test_pure_seed_gets_a_full_rank_factor():
+    # a zero column of the factor would keep a zero gradient column, and
+    # the restart could never leave the seed's face
+    a = cap._params_to_factor(cap._state_to_params(np.diag([1.0, 0.0, 0.0])), 3)
+    assert np.linalg.svd(a, compute_uv=False).min() >= 1e-7
+
+
+def test_capacity_tensor_maximizations_take_at_most_120_rounds():
+    # rounds of a lockstep block = its slowest restart's evaluations; the
+    # six maximizations of capacity --tensor 2 --restarts 32 --seed 42 on
+    # the bench's three channels
+    rounds = 0
+    for c in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3), zoo.dephasing(0.3)):
+        single = cap.maximize_coherent_information(c, restarts=32, seed=42)
+        joint = cap.maximize_coherent_information(
+            ch.tensor(c, c), restarts=32, seed=42,
+            extra_seed_states=[np.kron(single.argmax_state, single.argmax_state)],
+        )
+        rounds += sum(max(s["nfev"] for s in r.per_restart_status) for r in (single, joint))
+    assert rounds <= 120
 
 
 def test_ssa_known_states():

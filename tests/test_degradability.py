@@ -312,6 +312,19 @@ def test_conjugated_problems_solve_alike(seed):
             assert conj.witness["score"] == pytest.approx(sol.witness["score"], abs=1e-12)
 
 
+def test_rotated_channels_keep_their_statuses():
+    # V N(U . U^dag) V^dag with its Kraus stack mixed by W is degradable or
+    # anti-degradable exactly when N is, so both solves report N's status
+    rng = np.random.default_rng(1)
+    for d_in, d_out, k in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (2, 2, 4)):
+        for _ in range(6):
+            c = _random_channel(rng, d_in, d_out, k)
+            u, v, w = (_random_isometry(rng, n, n) for n in (d_in, d_out, k))
+            rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1), d_in, d_out)
+            for solve in (deg.is_degradable, deg.is_antidegradable):
+                assert solve(rotated).status == solve(c).status, (d_in, d_out, k, solve.__name__)
+
+
 def test_verify_pd_identity_exact_and_mismatch():
     n_ab, n_ae = zoo.symmetric_pd_channel()
     ident = ch.identity_channel(8)

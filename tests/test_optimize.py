@@ -52,3 +52,21 @@ def test_wrong_gradient_ends_in_line_search_failure():
     assert res.nit == 0
     assert np.array_equal(res.x, [1.0, -2.0])
     assert res.nfev == 1 + optimize.MAX_LS
+
+
+def test_failed_line_search_ends_the_run():
+    # the gradient turns to its negative after three evaluations: no later
+    # step along the quasi-Newton direction can meet the Wolfe conditions,
+    # and the run ends at its last iterate after one line search
+    h, points = np.array([1.0, 10.0]), []
+
+    def fun(x):
+        points.append(x.copy())
+        g = h * x
+        return 0.5 * x @ g, (g if len(points) <= 3 else -g)
+
+    res = optimize.minimize(fun, np.array([1.0, 1.0]))
+    assert res.message == optimize._LINE_SEARCH
+    assert res.nit == 3
+    assert res.nfev == len(points) == 4 + optimize.MAX_LS
+    assert np.array_equal(res.x, points[3])

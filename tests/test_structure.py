@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pdchannel
+from pdchannel.config import TOL
 
 SRC = Path(pdchannel.__file__).parent
 
@@ -96,3 +99,16 @@ def test_package_imports_a_submodule_on_first_attribute_access():
     assert names == ["capacity", "channel", "config", "degradability", "entanglement", "polar", "qmat", "zoo"]
     assert resolved == dict.fromkeys(names, True)
     assert "no_such_module" in error
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up of every command, --help and usage errors included; the
+    # tolerances stay read-only without a frozen dataclass
+    with pytest.raises(AttributeError):
+        TOL.herm_tol = 0.0
+    assert TOL.as_dict() == {"herm_tol": 1e-10, "psd_tol": -1e-9, "residual_tol": 1e-8, "pinv_cutoff": 1e-10}
+    script = "import sys\nimport pdchannel.cli\nprint('dataclasses' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
