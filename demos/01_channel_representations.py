@@ -37,13 +37,9 @@ print("complementary channel matches the environment marginal ->",
 
 choi = ch.to_choi(c)
 print(f"\nChoi matrix: trace {np.trace(choi).real:.3f}, "
-      f"rank {ch.choi_rank(choi)} (= minimal environment dimension)")
+      f"rank {qmat.numerical_rank(qmat.eigh(choi)[0])} (= minimal environment dimension)")
 
-rebuilt = ch.KrausChannel(
-    kraus=ch.kraus_from_choi(choi * c.dim_in, c.dim_in, c.dim_out),
-    dim_in=c.dim_in,
-    dim_out=c.dim_out,
-)
+rebuilt = ch.KrausChannel(ch.kraus_from_choi(choi * c.dim_in, c.dim_in, c.dim_out))
 print("Kraus re-extraction from the Choi acts identically ->",
       np.allclose(ch.apply(rebuilt, rho), out, atol=1e-10))
 

@@ -70,8 +70,9 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     w_eig, v_eig = qmat.eigh(rho)
     # purification over A (rows) and reference R (columns)
     psi = v_eig * np.sqrt(np.clip(w_eig, 0.0, None))
-    psi = np.einsum("eba,ar->ber", n_ab.kraus, psi)
-    psi = np.einsum("fxb,hge,ber->xfghr", d_b_to_eprime.kraus, d_e_to_eprime.kraus, psi)
+    ber = np.einsum("eba,ar->ber", n_ab.kraus, psi)
+    h_b = _marginal_entropy(ber, ber.shape, [0])
+    psi = np.einsum("fxb,hge,ber->xfghr", d_b_to_eprime.kraus, d_e_to_eprime.kraus, ber)
     dims = psi.shape  # E', F, G, H, R
 
     h_ep = _marginal_entropy(psi, dims, [0])
@@ -82,7 +83,7 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     return {
         "h_f_given_eprime": h_epf - h_ep,
         "h_h_given_g": h_gh - h_g,
-        "h_b_minus_h_eprime": h_epf - h_ep,  # H(B) = H(E'F) under the isometry of D^{B->E'}
+        "h_b_minus_h_eprime": h_b - h_ep,
         "h_rf_given_eprime": h_epfr - h_ep,
     }
 

@@ -12,7 +12,6 @@ reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,41 +20,29 @@ from .config import TOL, max_dim
 from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 
-@dataclass
 class KrausChannel:
     """CP map in Kraus form, carried as one stacked array.
 
     ``kraus`` is a complex128 array of shape (K, dim_out, dim_in) whose
     slice ``kraus[i]`` is the operator N_i; any sequence of equally shaped
-    matrices is accepted and stacked. ``kraus_adj`` is the stack of the
+    matrices is accepted and stacked. ``dim_env``, ``dim_out`` and
+    ``dim_in`` are read off that shape. ``kraus_adj`` is the stack of the
     adjoints N_i^dag, formed once here.
     """
 
-    kraus: np.ndarray
-    dim_in: int
-    dim_out: int
-    name: str = ""
-    kraus_adj: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, kraus, name: str = ""):
         try:
-            ops = np.ascontiguousarray(self.kraus, dtype=np.complex128)
+            ops = np.ascontiguousarray(kraus, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise DimMismatch(f"Kraus operators do not stack: {exc}") from exc
         if ops.ndim != 3 or len(ops) == 0:
             raise DimMismatch("channel needs at least one Kraus operator")
-        if ops.shape[1:] != (self.dim_out, self.dim_in):
-            raise DimMismatch(
-                f"Kraus operator shape {ops.shape[1:]} != ({self.dim_out}, {self.dim_in})"
-            )
         if not np.all(np.isfinite(ops)):
             raise DimMismatch("Kraus operators contain NaN or Inf entries")
         self.kraus = ops
         self.kraus_adj = ops.conj().transpose(0, 2, 1)
-
-    @property
-    def dim_env(self) -> int:
-        return len(self.kraus)
+        self.dim_env, self.dim_out, self.dim_in = ops.shape
+        self.name = name
 
     @property
     def flagged(self) -> bool:
@@ -71,32 +58,17 @@ class KrausChannel:
         return float(np.max(np.abs(self.completeness() - np.eye(self.dim_in))))
 
 
-@dataclass
-class ValidationReport:
-    tp_residual: float
-    cp_ok: bool
-    choi_min_eig: float
-    flagged: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "tp_residual": self.tp_residual,
-            "cp_ok": self.cp_ok,
-            "choi_min_eig": self.choi_min_eig,
-            "flagged": self.flagged,
-        }
-
-
-def validate(ch: KrausChannel) -> ValidationReport:
-    """Report trace preservation and Choi positivity; never raises on TP failure."""
+def validate(ch: KrausChannel) -> dict:
+    """Report trace preservation and Choi positivity as
+    {tp_residual, cp_ok, choi_min_eig, flagged}; never raises on TP failure."""
     tp = ch.tp_residual()
     w, _ = qmat.eigh(to_choi(ch))
-    return ValidationReport(
-        tp_residual=tp,
-        cp_ok=True,  # Kraus form is CP by construction
-        choi_min_eig=float(w[-1]),
-        flagged=tp > TOL.residual_tol,
-    )
+    return {
+        "tp_residual": tp,
+        "cp_ok": True,  # Kraus form is CP by construction
+        "choi_min_eig": float(w[-1]),
+        "flagged": tp > TOL.residual_tol,
+    }
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
@@ -129,9 +101,7 @@ def complementary(ch: KrausChannel) -> KrausChannel:
     """
     _require_tp(ch)
     return KrausChannel(
-        kraus=ch.kraus.transpose(1, 0, 2),
-        dim_in=ch.dim_in,
-        dim_out=ch.dim_env,
+        ch.kraus.transpose(1, 0, 2),
         name=f"complementary({ch.name})" if ch.name else "complementary",
     )
 
@@ -153,12 +123,6 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
     w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
     j = (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
     return j / d_a
-
-
-def choi_rank(choi: np.ndarray) -> int:
-    """Numerical rank of a Choi matrix: the minimal environment dimension."""
-    w, _ = qmat.eigh(choi)
-    return qmat.numerical_rank(w)
 
 
 def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -191,9 +155,7 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
         )
     ops = then.kraus[:, None] @ first.kraus[None, :]  # [m, n] = M_m N_n
     return KrausChannel(
-        kraus=_pruned(ops, then.dim_out, first.dim_in),
-        dim_in=first.dim_in,
-        dim_out=then.dim_out,
+        _pruned(ops, then.dim_out, first.dim_in),
         name=f"{first.name};{then.name}" if first.name or then.name else "",
     )
 
@@ -206,15 +168,13 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
     d_out, d_in = a.dim_out * b.dim_out, a.dim_in * b.dim_in
     return KrausChannel(
-        kraus=_pruned(ops, d_out, d_in),
-        dim_in=d_in,
-        dim_out=d_out,
+        _pruned(ops, d_out, d_in),
         name=f"{a.name}(x){b.name}" if a.name or b.name else "",
     )
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(kraus=[np.eye(d)], dim_in=d, dim_out=d, name=f"identity_{d}")
+    return KrausChannel([np.eye(d)], name=f"identity_{d}")
 
 
 def flagged_direct_sum(x: float, inner: KrausChannel) -> KrausChannel:
@@ -238,9 +198,7 @@ def flagged_direct_sum(x: float, inner: KrausChannel) -> KrausChannel:
         ops = np.sqrt(1.0 - x) * inner.kraus
         blocks.append(np.concatenate([np.zeros_like(ops), ops], axis=1))
     return KrausChannel(
-        kraus=np.concatenate(blocks),
-        dim_in=d_in,
-        dim_out=2 * d_block,
+        np.concatenate(blocks),
         name=f"flagged_direct_sum(x={x},{inner.name})",
     )
 
@@ -293,7 +251,7 @@ def channel_from_dict(d) -> KrausChannel:
         if not np.all(np.isfinite(a)):
             raise DimMismatch(f"kraus[{idx}] contains NaN or Inf entries")
         ops.append(a[..., 0] + 1j * a[..., 1])
-    return KrausChannel(kraus=ops, dim_in=dim_in, dim_out=dim_out, name=name)
+    return KrausChannel(ops, name=name)
 
 
 def save_channel(ch: KrausChannel, path: str) -> None:

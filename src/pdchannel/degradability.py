@@ -176,7 +176,7 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
     )
     if sol.success:
         ops = chmod.kraus_from_choi(choi, d_mid, d_out)
-        sol.map = chmod.KrausChannel(ops, d_mid, d_out, name="degrading")
+        sol.map = chmod.KrausChannel(ops, name="degrading")
         sol.map_residual = _probe_residual(t_to - transfer_matrix(sol.map) @ t_from, d_in)
         sol.map_tp_residual = sol.map.tp_residual()
     return sol
@@ -371,9 +371,6 @@ class PdClassification:
             "solutions": {k: v.as_dict() for k, v in self.solutions.items()},
             "reports": {k: v.as_dict() for k, v in self.reports.items()},
         }
-
-
-SOLVE_KEYS = ("B->E", "E->B", "B->E'", "E'->B")
 
 
 def _choi_report(ch: chmod.KrausChannel) -> ent.BoundEntanglementReport:

@@ -10,11 +10,10 @@ search that finds no acceptable step in ``MAX_LS`` evaluations ends the run
 at the last iterate.
 
 The run itself is one generator, which yields each point it needs
-evaluated and is sent back (value, gradient). Two drivers feed it:
-:func:`minimize` evaluates one run's points one at a time, and
+evaluated and is sent back (value, gradient). One driver feeds it:
 :func:`minimize_many` advances many runs in lockstep, with one call of the
-objective per round on the stack of the points they wait on. A run takes
-the same steps under either driver.
+objective per round on the stack of the points they wait on.
+:func:`minimize` is that driver on a single start.
 """
 
 from __future__ import annotations
@@ -59,13 +58,12 @@ def minimize(fun, x0) -> OptimizeResult:
 
     A failed line search stops the run at the last iterate.
     """
-    run = _lbfgs(x0)
-    x = next(run)
-    while True:
-        try:
-            x = run.send(fun(x))
-        except StopIteration as stop:
-            return stop.value
+
+    def one_row(xs):
+        value, grad = fun(xs[0])
+        return [value], [grad]
+
+    return minimize_many(one_row, [x0])[0]
 
 
 def minimize_many(fun, x0s) -> list:

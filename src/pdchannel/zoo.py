@@ -20,7 +20,7 @@ import numpy as np
 from . import channel as chmod
 from . import qmat
 from .config import TOL, max_dim
-from .errors import DimMismatch, DomainError
+from .errors import DomainError
 
 SQ2 = math.sqrt(2.0)
 
@@ -48,9 +48,7 @@ def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
     ops = list(ch.kraus @ inv_sqrt)
     for col in v[:, ~support].T:
         ops.append(_ket(0, ch.dim_out) @ col.conj().reshape(1, -1))
-    return chmod.KrausChannel(
-        kraus=ops, dim_in=ch.dim_in, dim_out=ch.dim_out, name=ch.name + " [repaired]"
-    )
+    return chmod.KrausChannel(ops, ch.name + " [repaired]")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +68,7 @@ def horodecki_channel(alpha: float) -> chmod.KrausChannel:
     for k in range(3):
         l = (k - 1) % 3
         ops.append(np.sqrt((5.0 - alpha) / 7.0) * (_ket(l, 3) @ _ket(k, 3).conj().T))
-    return chmod.KrausChannel(ops, 3, 3, f"horodecki(alpha={alpha})")
+    return chmod.KrausChannel(ops, f"horodecki(alpha={alpha})")
 
 
 def horodecki_state(alpha: float) -> np.ndarray:
@@ -119,7 +117,7 @@ def m_ae_channel(repair: bool = False) -> chmod.KrausChannel:
         w56 * np.kron(_X, d5),
         w56 * np.kron(_Y, d6),
     ]
-    ch = chmod.KrausChannel(ops, 4, 4, "m_ae")
+    ch = chmod.KrausChannel(ops, "m_ae")
     return _repair(ch) if repair else ch
 
 
@@ -131,31 +129,17 @@ def composite_complementary(x: float, repair: bool = False) -> chmod.KrausChanne
     ops = [np.sqrt(x) * np.kron(_ket(0, 2), np.eye(4, dtype=np.complex128))]
     ops += [np.sqrt(1.0 - x) * np.kron(_ket(1, 2), k) for k in inner.kraus]
     name = f"composite_complementary(x={x})" + (" [repaired]" if repair else "")
-    return chmod.KrausChannel([o for o in ops if np.linalg.norm(o) > 0] or ops, 4, 8, name)
+    return chmod.KrausChannel([o for o in ops if np.linalg.norm(o) > 0] or ops, name)
 
 
-def default_inner() -> chmod.KrausChannel:
-    """Deterministic isometric 4->6 embedding used as the inner block when
-    none is supplied."""
-    v = np.zeros((6, 4), dtype=np.complex128)
-    v[:4, :4] = np.eye(4)
-    return chmod.KrausChannel(kraus=[v], dim_in=4, dim_out=6, name="embed_4_to_6")
-
-
-def nab_ae_channel(x: float, inner: chmod.KrausChannel | None = None) -> chmod.KrausChannel:
-    """4->12 flag direct sum around an inner 4->6 block.
+def nab_ae_channel(x: float) -> chmod.KrausChannel:
+    """4->12 flag direct sum around the isometric 4->6 embedding.
 
     x >= 1/2 is the anti-degradable regime; x < 1/2 builds the same map as
     the variant whose complementary is read against the degraded
     environment.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must be in [0, 1], got {x}")
-    if inner is None:
-        inner = default_inner()
-    if (inner.dim_in, inner.dim_out) != (4, 6):
-        raise DimMismatch("inner block must map 4 -> 6")
-    ch = chmod.flagged_direct_sum(x, inner)
+    ch = chmod.flagged_direct_sum(x, chmod.KrausChannel([np.eye(6, 4)]))
     ch.name = f"nab_ae(x={x})"
     return ch
 
@@ -175,7 +159,7 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     n1 = np.zeros((2, 8), dtype=np.complex128)
     n1[0, 0] = np.sqrt(1.0 - a1)
     n1[1, 1] = np.sqrt(1.0 - a2)
-    ch = chmod.KrausChannel([n0, n1], 8, 2, f"d_e_to_eprime(a1={a1},a2={a2})")
+    ch = chmod.KrausChannel([n0, n1], f"d_e_to_eprime(a1={a1},a2={a2})")
     return _repair(ch) if repair else ch
 
 
@@ -209,7 +193,7 @@ def d_b_to_eprime(x: float) -> chmod.KrausChannel:
         c = np.zeros((2, 12), dtype=np.complex128)
         c[0, j] = coef_c
         ops.append(c)
-    return chmod.KrausChannel(ops, 12, 2, f"d_b_to_eprime(x={x})")
+    return chmod.KrausChannel(ops, f"d_b_to_eprime(x={x})")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +218,8 @@ def symmetric_pd_channel() -> tuple:
     v = symmetric_isometry()
     t = v.reshape(8, 8, 4)
     # the Kraus index is the traced factor: fast for B, slow for E
-    n_ab = chmod.KrausChannel(t.transpose(1, 0, 2), 4, 8, name="symmetric_pd_ab")
-    n_ae = chmod.KrausChannel(t, 4, 8, name="symmetric_pd_ae")
+    n_ab = chmod.KrausChannel(t.transpose(1, 0, 2), name="symmetric_pd_ab")
+    n_ae = chmod.KrausChannel(t, name="symmetric_pd_ae")
     return n_ab, n_ae
 
 
@@ -266,7 +250,7 @@ def corollary4_degrading_map(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
     # bras as printed (no conjugation applied to the phase factors)
     ops.append((1.0 / 8.0) * (gamma @ gamma.reshape(1, 3)))
     ops.append((1.0 / 8.0) * (kappa @ kappa.reshape(1, 3)))
-    return chmod.KrausChannel(ops, 3, 3, f"corollary4_degrading(n={n_vec})")
+    return chmod.KrausChannel(ops, f"corollary4_degrading(n={n_vec})")
 
 
 def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
@@ -279,7 +263,7 @@ def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
         theta = (complex(-1.0) ** (n / 2.0)) * _ket(j, 3)
         dyad = (ups @ ups.reshape(1, 3)) @ (theta @ theta.reshape(1, 3))
         ops.append((1.0 / 8.0) * dyad)
-    return chmod.KrausChannel(ops, 3, 3, f"corollary4_rank_one(n={n_vec})")
+    return chmod.KrausChannel(ops, f"corollary4_rank_one(n={n_vec})")
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +290,7 @@ def erasure(p: float, d: int = 2) -> chmod.KrausChannel:
     ops = [np.sqrt(1.0 - p) * embed]
     for k in range(d):
         ops.append(np.sqrt(p) * (_ket(d, d + 1) @ _ket(k, d).conj().T))
-    return chmod.KrausChannel(kraus=ops, dim_in=d, dim_out=d + 1, name=f"erasure(p={p},d={d})")
+    return chmod.KrausChannel(ops, f"erasure(p={p},d={d})")
 
 
 def depolarizing(p: float, d: int = 2) -> chmod.KrausChannel:
@@ -324,7 +308,7 @@ def depolarizing(p: float, d: int = 2) -> chmod.KrausChannel:
                 ops.append(np.sqrt(1.0 - p + p / d**2) * w)
             else:
                 ops.append((np.sqrt(p) / d) * w)
-    return chmod.KrausChannel(kraus=ops, dim_in=d, dim_out=d, name=f"depolarizing(p={p},d={d})")
+    return chmod.KrausChannel(ops, f"depolarizing(p={p},d={d})")
 
 
 def amplitude_damping(gamma: float) -> chmod.KrausChannel:
@@ -332,18 +316,13 @@ def amplitude_damping(gamma: float) -> chmod.KrausChannel:
         raise DomainError(f"gamma must be in [0, 1], got {gamma}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return chmod.KrausChannel(kraus=[k0, k1], dim_in=2, dim_out=2, name=f"amplitude_damping(gamma={gamma})")
+    return chmod.KrausChannel([k0, k1], f"amplitude_damping(gamma={gamma})")
 
 
 def dephasing(p: float) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
-    return chmod.KrausChannel(
-        kraus=[np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z],
-        dim_in=2,
-        dim_out=2,
-        name=f"dephasing(p={p})",
-    )
+    return chmod.KrausChannel([np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z], f"dephasing(p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +335,7 @@ class ZooEntry:
     id: str
     params: dict
     channel: chmod.KrausChannel
-    validation: chmod.ValidationReport
+    validation: dict
     notes: str = ""
 
     def as_dict(self) -> dict:
@@ -367,8 +346,8 @@ class ZooEntry:
             "dim_in": self.channel.dim_in,
             "dim_out": self.channel.dim_out,
             "kraus_count": len(self.channel.kraus),
-            "validation": self.validation.as_dict(),
-            "status": "FLAGGED" if self.channel.flagged else "OK",
+            "validation": self.validation,
+            "status": "FLAGGED" if self.validation["flagged"] else "OK",
             "notes": self.notes,
         }
 

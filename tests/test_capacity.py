@@ -43,11 +43,11 @@ def test_pd_isometries_validation():
         cap.coherent_information_pd(n_ab, ident8, ident8, np.eye(2) / 2)
     # a map whose completeness misses the identity by more than the
     # residual tolerance has no isometry
-    bad = ch.KrausChannel(kraus=[np.ones((8, 8))], dim_in=8, dim_out=8)
+    bad = ch.KrausChannel([np.ones((8, 8))])
     for legs in ((bad, ident8), (ident8, bad)):
         with pytest.raises(NotTracePreserving):
             cap.coherent_information_pd(n_ab, *legs, rho)
-    half = ch.KrausChannel(kraus=[0.5 * np.eye(2)], dim_in=2, dim_out=2)
+    half = ch.KrausChannel([0.5 * np.eye(2)])
     with pytest.raises(NotTracePreserving):
         cap.coherent_information_pd(half, ch.identity_channel(1), ch.identity_channel(2), np.eye(2) / 2)
 
@@ -192,7 +192,7 @@ def _dephrasure(p, q):
     erase = np.zeros((2, 3, 2))
     erase[0, 2, 0] = erase[1, 2, 1] = np.sqrt(q)
     kraus = [np.sqrt((1 - q) * (1 - p)) * embed, np.sqrt((1 - q) * p) * embed @ z, *erase]
-    return ch.KrausChannel(kraus=kraus, dim_in=2, dim_out=3, name="dephrasure")
+    return ch.KrausChannel(kraus, name="dephrasure")
 
 
 def test_dephrasure_is_superadditive():

@@ -14,9 +14,9 @@ def _ad(gamma=0.3):
 
 def test_kraus_channel_shape_checks():
     with pytest.raises(DimMismatch):
-        ch.KrausChannel(kraus=[np.eye(2)], dim_in=2, dim_out=3)
+        ch.KrausChannel([np.eye(2), np.eye(3)])
     with pytest.raises(DimMismatch):
-        ch.KrausChannel(kraus=[], dim_in=2, dim_out=2)
+        ch.KrausChannel([])
 
 
 def test_validate_and_apply():
@@ -24,8 +24,8 @@ def test_validate_and_apply():
     rep = c.tp_residual()
     assert rep <= 1e-14
     v = ch.validate(c)
-    assert v.tp_residual <= 1e-14 and v.cp_ok and not v.flagged
-    assert v.choi_min_eig >= -1e-12
+    assert v["tp_residual"] <= 1e-14 and v["cp_ok"] and not v["flagged"]
+    assert v["choi_min_eig"] >= -1e-12
     rho = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
     out = ch.apply(c, rho)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
@@ -64,7 +64,7 @@ def test_stinespring_reproduces_action_and_complementary():
 
 
 def test_stinespring_rejects_non_tp():
-    bad = ch.KrausChannel(kraus=[0.5 * np.eye(2)], dim_in=2, dim_out=2)
+    bad = ch.KrausChannel([0.5 * np.eye(2)])
     assert bad.flagged
     with pytest.raises(NotTracePreserving):
         ch.stinespring(bad)
@@ -91,8 +91,8 @@ def test_choi_normalization_and_rank():
     # TP: tracing out the output factor leaves the maximally mixed input
     marg = qmat.partial_trace(choi, (2, 2), keep=[0])
     assert np.allclose(marg, np.eye(2) / 2)
-    assert ch.choi_rank(choi) == 2
-    assert ch.choi_rank(ch.to_choi(ch.identity_channel(3))) == 1
+    assert qmat.numerical_rank(qmat.eigh(choi)[0]) == 2
+    assert qmat.numerical_rank(qmat.eigh(ch.to_choi(ch.identity_channel(3)))[0]) == 1
     assert qmat.numerical_rank(np.zeros(4)) == 0
 
 
@@ -100,7 +100,7 @@ def test_kraus_from_choi_roundtrip():
     c = zoo.depolarizing(0.37)
     choi = ch.to_choi(c)
     ops = ch.kraus_from_choi(choi * c.dim_in, c.dim_in, c.dim_out)
-    rebuilt = ch.KrausChannel(kraus=ops, dim_in=c.dim_in, dim_out=c.dim_out)
+    rebuilt = ch.KrausChannel(ops)
     assert rebuilt.tp_residual() <= 1e-10
     rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]], dtype=complex)
     assert np.allclose(ch.apply(rebuilt, rho), ch.apply(c, rho), atol=1e-10)
@@ -109,11 +109,9 @@ def test_kraus_from_choi_roundtrip():
 def test_compose_order():
     # prepare |0> then flip: distinguishable from flip-then-prepare
     prep = ch.KrausChannel(
-        kraus=[np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex)],
-        dim_in=2,
-        dim_out=2,
+        [np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex)]
     )
-    flip = ch.KrausChannel(kraus=[np.array([[0, 1], [1, 0]], dtype=complex)], dim_in=2, dim_out=2)
+    flip = ch.KrausChannel([np.array([[0, 1], [1, 0]], dtype=complex)])
     rho = np.diag([0.0, 1.0]).astype(complex)
     out = ch.apply(ch.compose(prep, flip), rho)
     assert np.allclose(out, np.diag([0.0, 1.0]))
@@ -135,7 +133,7 @@ def test_tensor_action_and_cap(monkeypatch):
 
 
 def test_flagged_direct_sum_is_tp_and_block_structured():
-    inner = zoo.default_inner()
+    inner = ch.KrausChannel([np.eye(6, 4)])
     c = ch.flagged_direct_sum(0.75, inner)
     assert c.dim_in == 4 and c.dim_out == 12
     assert c.tp_residual() <= 1e-12

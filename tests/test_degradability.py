@@ -219,7 +219,7 @@ def _x_measure(weight=1.0):
     """Complete Z dephasing mixed with weight ``weight`` of an X measurement."""
     x = np.array([[[1, 1], [0, 0]], [[0, 0], [1, -1]]]) / np.sqrt(2)
     ops = np.concatenate([np.sqrt(1 - weight) * zoo.dephasing(0.5).kraus, np.sqrt(weight) * x])
-    return ch.KrausChannel(ops, 2, 2)
+    return ch.KrausChannel(ops)
 
 
 def test_solve_without_linear_solution_stops_at_least_squares():
@@ -282,7 +282,7 @@ def _random_isometry(rng, rows, cols):
 
 def _random_channel(rng, d_in, d_out, k):
     """A CPTP map with k Kraus operators, cut from a random isometry."""
-    return ch.KrausChannel(_random_isometry(rng, k * d_out, d_in).reshape(k, d_out, d_in), d_in, d_out)
+    return ch.KrausChannel(_random_isometry(rng, k * d_out, d_in).reshape(k, d_out, d_in))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -296,14 +296,14 @@ def test_conjugated_problems_solve_alike(seed):
     elif seed == 1:
         # AD(0.2) between complex bases: degradable, with complex Kraus operators
         u, v = _random_isometry(rng, 2, 2), _random_isometry(rng, 2, 2)
-        c = ch.KrausChannel(v @ zoo.amplitude_damping(0.2).kraus @ u, 2, 2)
+        c = ch.KrausChannel(v @ zoo.amplitude_damping(0.2).kraus @ u)
     else:
         d_in, d_out, k = rng.integers(2, 4, size=3)
         c = _random_channel(rng, d_in, d_out, k)
     for from_ch, to_ch in ((c, ch.complementary(c)), (ch.complementary(c), c)):
         sol = deg.solve_degrading_map(from_ch, to_ch)
         conj = deg.solve_degrading_map(
-            *(ch.KrausChannel(m.kraus.conj(), m.dim_in, m.dim_out) for m in (from_ch, to_ch))
+            *(ch.KrausChannel(m.kraus.conj()) for m in (from_ch, to_ch))
         )
         assert conj.status == sol.status
         assert conj.residual == pytest.approx(sol.residual, abs=1e-12)
@@ -320,7 +320,7 @@ def test_rotated_channels_keep_their_statuses():
         for _ in range(6):
             c = _random_channel(rng, d_in, d_out, k)
             u, v, w = (_random_isometry(rng, n, n) for n in (d_in, d_out, k))
-            rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1), d_in, d_out)
+            rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1))
             for solve in (deg.is_degradable, deg.is_antidegradable):
                 assert solve(rotated).status == solve(c).status, (d_in, d_out, k, solve.__name__)
 
@@ -347,7 +347,7 @@ def test_verify_pd_identity_exact_and_mismatch():
 def test_classify_plain_labels():
     res = deg.classify_pd(zoo.amplitude_damping(0.1))
     assert res.label == "DEGRADABLE"
-    assert set(res.solutions) == set(deg.SOLVE_KEYS)
+    assert set(res.solutions) == {"B->E", "E->B", "B->E'", "E'->B"}
     res = deg.classify_pd(zoo.amplitude_damping(0.9))
     assert res.label == "ANTI_DEGRADABLE"
     assert "choi_n_ae" in res.reports and "sigma_eprime_r" in res.reports

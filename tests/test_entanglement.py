@@ -90,7 +90,7 @@ def test_entanglement_breaking_verdicts():
             op = np.zeros((2, 2), dtype=complex)
             op[m, k] = 1.0 / np.sqrt(2)
             ops.append(op)
-    tr_replace = ch.KrausChannel(kraus=ops, dim_in=2, dim_out=2)
+    tr_replace = ch.KrausChannel(ops)
     rep = ent.is_entanglement_breaking(tr_replace)
     assert rep.verdict == "yes" and "rank one" in rep.witness
 

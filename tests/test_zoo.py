@@ -4,7 +4,7 @@ import pytest
 from pdchannel import channel as ch
 from pdchannel import degradability as deg
 from pdchannel import zoo
-from pdchannel.errors import DimMismatch, DomainError
+from pdchannel.errors import DomainError
 
 
 def test_horodecki_channel_is_tp_and_matches_state():
@@ -50,8 +50,6 @@ def test_nab_ae_channel():
     c = zoo.nab_ae_channel(0.75)
     assert (c.dim_in, c.dim_out) == (4, 12)
     assert c.tp_residual() <= 1e-12
-    with pytest.raises(DimMismatch):
-        zoo.nab_ae_channel(0.5, inner=zoo.amplitude_damping(0.1))
     with pytest.raises(DomainError):
         zoo.nab_ae_channel(1.5)
 
@@ -147,3 +145,12 @@ def test_list_entries_covers_registry():
     for e in entries:
         assert e["status"] in ("OK", "FLAGGED")
         assert "validation" in e
+
+
+def test_entry_dims_come_from_the_kraus_stack():
+    for entry_id in zoo.zoo_ids():
+        entry = zoo.build_entry(entry_id)
+        c = entry.channel
+        assert (c.dim_env, c.dim_out, c.dim_in) == c.kraus.shape, entry_id
+        assert entry.validation["flagged"] == c.flagged, entry_id
+        assert entry.as_dict()["validation"] == ch.validate(c), entry_id
