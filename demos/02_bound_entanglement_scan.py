@@ -15,9 +15,9 @@ print(f"{'alpha':>6} {'min PT eig':>12} {'PPT':>5} {'CCNR':>8} {'bound?':>7}")
 for alpha in (3.0, 3.1, 3.5, 4.0, 4.3, 4.7, 5.0):
     rho = zoo.horodecki_state(alpha)
     rep = ent.bound_entanglement_report(rho, (3, 3))
-    min_eig = min(rep.ppt.min_eig_ta, rep.ppt.min_eig_tb)
-    print(f"{alpha:6.1f} {min_eig:12.5f} {str(rep.ppt.is_ppt):>5} "
-          f"{rep.ccnr_value:8.5f} {str(rep.flagged_bound_entangled):>7}")
+    min_eig = min(rep["ppt"]["min_eig_ta"], rep["ppt"]["min_eig_tb"])
+    print(f"{alpha:6.1f} {min_eig:12.5f} {str(rep['ppt']['is_ppt']):>5} "
+          f"{rep['ccnr_value']:8.5f} {str(rep['flagged_bound_entangled']):>7}")
 
 # the state is exactly the Choi-type output of the matching channel
 alpha = 3.5
@@ -30,5 +30,5 @@ delta = np.max(np.abs(ch.apply(big, rho_in) - zoo.horodecki_state(alpha)))
 print(f"\nchannel-state consistency at alpha={alpha}: max deviation {delta:.2e}")
 
 rep = ent.is_entanglement_breaking(zoo.horodecki_channel(alpha))
-print(f"entanglement-breaking verdict for the channel: {rep.verdict}")
-print(f"  witness: {rep.witness}")
+print(f"entanglement-breaking verdict for the channel: {rep['verdict']}")
+print(f"  witness: {rep['witness']}")

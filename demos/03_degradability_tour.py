@@ -14,7 +14,7 @@ for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
     c = zoo.amplitude_damping(gamma)
     fwd = deg.is_degradable(c)
     bwd = deg.is_antidegradable(c)
-    label = deg.classify_pd(c).label
+    label = deg.classify_pd(c)["label"]
     print(f"{gamma:6.1f} {fwd.status:>10} {fwd.residual:10.2e} "
           f"{fwd.cp_min_eig:10.2e} {bwd.status:>10} {label:>16}")
 

@@ -20,8 +20,8 @@ cases = (
 )
 for label, channel, want in cases:
     res = cap.maximize_coherent_information(channel, restarts=32, seed=42)
-    print(f"  {label:>16}: {res.value:.6f}  (expected {want:.6f}, "
-          f"converged={res.converged})")
+    print(f"  {label:>16}: {res['value']:.6f}  (expected {want:.6f}, "
+          f"converged={res['converged']})")
 
 print("\ntwo-copy additivity probe (gap = joint - 2 * single):")
 for channel in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3),

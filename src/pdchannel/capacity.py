@@ -6,7 +6,6 @@ multi-start maximization over input states.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isfinite, isqrt, prod
 
 import numpy as np
@@ -86,34 +85,6 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
         "h_b_minus_h_eprime": h_b - h_ep,
         "h_rf_given_eprime": h_epfr - h_ep,
     }
-
-
-@dataclass
-class CoherentInfoResult:
-    """Best coherent information over the restarts.
-
-    ``converged`` means only that the top two restarts agree within
-    10 * max(tol, 1e-6); it says nothing about any single L-BFGS run, whose
-    iteration count, evaluation count and stop message are in
-    ``per_restart_status`` (one dict per restart, in restart order).
-    """
-
-    value: float
-    argmax_state: np.ndarray
-    restarts_used: int
-    converged: bool
-    per_restart_values: list
-    per_restart_status: list
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "restarts_used": self.restarts_used,
-            "converged": self.converged,
-            "per_restart_values": self.per_restart_values,
-            "per_restart_status": self.per_restart_status,
-            "argmax_state": qmat.as_pairs(self.argmax_state),
-        }
 
 
 # A state is a full complex d x d factor A, rho = A A^dag / Tr(A A^dag)
@@ -229,19 +200,27 @@ def maximize_coherent_information(
     tol: float = 1e-6,
     seed: int = 42,
     extra_seed_states: list | None = None,
-) -> CoherentInfoResult:
+) -> dict:
     """Multi-start L-BFGS ascent of I_coh over the density matrices
     rho = A A^dag / Tr(A A^dag) of complex d x d factors A, with the
     analytic gradient. The restarts run in
     lockstep blocks of ``LOCKSTEP_BLOCK`` (:func:`optimize.minimize_many`),
     and each ends as it would run alone. Deterministic given the seed,
     which seeds the standard library's ``random.Random`` for the random
-    starts (see :func:`_starts`). ``tol`` only sets how close the top two
-    restarts must agree for ``converged``. ``restarts`` < 1, ``seed`` < 0,
-    and ``tol`` that is negative or not finite raise :class:`DomainError`;
-    an extra seed state of the wrong side raises :class:`DimMismatch`, and
-    one with eigenvalues outside the entropy clamping window
-    :class:`NotDensityMatrix`."""
+    starts (see :func:`_starts`).
+
+    Returns the best value over the restarts, ``value``, the state that
+    reaches it, ``argmax_state``, in the :func:`qmat.as_pairs` layout,
+    ``restarts_used``, and per restart, in restart order, its value
+    (``per_restart_values``) and its L-BFGS iteration count, evaluation
+    count and stop message (``per_restart_status``). ``converged`` means
+    only that the top two restarts agree within 10 * max(tol, 1e-6), which
+    is all ``tol`` sets; it says nothing about any single L-BFGS run.
+
+    ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is negative or not
+    finite raise :class:`DomainError`; an extra seed state of the wrong
+    side raises :class:`DimMismatch`, and one with eigenvalues outside the
+    entropy clamping window :class:`NotDensityMatrix`."""
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
@@ -262,14 +241,14 @@ def maximize_coherent_information(
                 best_x = res.x
     ordered = sorted(values, reverse=True)
     converged = len(ordered) >= 2 and (ordered[0] - ordered[1]) <= max(tol, 1e-6) * 10
-    return CoherentInfoResult(
-        value=max(values),
-        argmax_state=_params_to_state(best_x, d),
-        restarts_used=len(values),
-        converged=converged,
-        per_restart_values=values,
-        per_restart_status=status,
-    )
+    return {
+        "value": max(values),
+        "argmax_state": qmat.as_pairs(_params_to_state(best_x, d)),
+        "restarts_used": len(values),
+        "converged": converged,
+        "per_restart_values": values,
+        "per_restart_status": status,
+    }
 
 
 def check_two_copy_size(ch: chmod.KrausChannel) -> None:
@@ -281,22 +260,26 @@ def check_two_copy_size(ch: chmod.KrausChannel) -> None:
 
 def additivity_probe(
     ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42,
-    single: CoherentInfoResult | None = None,
+    single: dict | None = None,
 ) -> dict:
     """Compare the two-copy optimum against twice the single-copy optimum;
-    ``single``, when given, is the single-copy optimum found with the same
-    restarts and seed, and is not computed again."""
+    ``single``, when given, is the report of
+    :func:`maximize_coherent_information` with the same restarts and seed,
+    and is not computed again. The product of the single-copy optimal
+    state with itself seeds the two-copy restarts."""
     if n != 2:
         raise SizeLimit("only n = 2 is supported")
     check_two_copy_size(ch)
     if single is None:
         single = maximize_coherent_information(ch, restarts=restarts, seed=seed)
     joint_ch = chmod.tensor(ch, ch)
-    product_seed = np.kron(single.argmax_state, single.argmax_state)
+    # [re, im] pairs back to the complex state; exact in floating point
+    rho = np.asarray(single["argmax_state"]) @ [1, 1j]
     joint = maximize_coherent_information(
-        joint_ch, restarts=restarts, seed=seed, extra_seed_states=[product_seed]
+        joint_ch, restarts=restarts, seed=seed, extra_seed_states=[np.kron(rho, rho)]
     )
-    return {"single": single.value, "joint": joint.value, "gap": joint.value - 2 * single.value}
+    gap = joint["value"] - 2 * single["value"]
+    return {"single": single["value"], "joint": joint["value"], "gap": gap}
 
 
 def ssa_check(rho, dims) -> float:

@@ -109,9 +109,8 @@ def cmd_classify(args) -> int:
     ch = _load(chmod.load_channel, args.file)
     degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
     result = degmod.classify_pd(ch, degrading)
-    out = {"env": _report_env(), **result.as_dict()}
-    _emit(out, args)
-    return EXIT_INDETERMINATE if result.label == "UNDETERMINED" else EXIT_OK
+    _emit({"env": _report_env(), **result}, args)
+    return EXIT_INDETERMINATE if result["label"] == "UNDETERMINED" else EXIT_OK
 
 
 def cmd_capacity(args) -> int:
@@ -126,7 +125,7 @@ def cmd_capacity(args) -> int:
         ch, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
     env = {**_report_env(), "seed": args.seed, "restarts": args.restarts, "tol": args.tol}
-    out = {"env": env, **result.as_dict()}
+    out = {"env": env, **result}
     if args.tensor is not None:
         # the single-copy optimum above is the one the probe would compute
         out["additivity"] = capmod.additivity_probe(
@@ -239,7 +238,8 @@ def main(argv=None) -> int:
     args = build_parser(zoo_flags=command == "zoo").parse_args(argv)
     try:
         return args.func(args)
-    except PdChannelError as exc:
+    except (PdChannelError, OSError) as exc:
+        # OSError: a path that is a directory, or whose directory is missing
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -24,7 +24,7 @@ one of three statuses:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,27 +359,20 @@ def _acts_as_identity(ch: chmod.KrausChannel) -> bool:
     return _probe_residual(r, ch.dim_in) <= TOL.residual_tol
 
 
-@dataclass
-class PdClassification:
-    label: str
-    solutions: dict
-    reports: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "solutions": {k: v.as_dict() for k, v in self.solutions.items()},
-            "reports": {k: v.as_dict() for k, v in self.reports.items()},
-        }
-
-
-def _choi_report(ch: chmod.KrausChannel) -> ent.BoundEntanglementReport:
+def _choi_report(ch: chmod.KrausChannel) -> dict:
     return ent.bound_entanglement_report(chmod.to_choi(ch), (ch.dim_in, ch.dim_out))
 
 
-def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None = None) -> PdClassification:
+def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None = None) -> dict:
     """Label N_AB = ``ch`` by four degrading solves between its output B,
-    its environment E and E', the image of ``d_e_to_eprime`` (E if None)."""
+    its environment E and E', the image of ``d_e_to_eprime`` (E if None).
+
+    Returns ``label``; ``solutions``, the report
+    (:meth:`DegradingSolution.as_dict`) of each solve by its key B->E,
+    E->B, B->E' and E'->B; and ``reports``, the bound-entanglement reports
+    of the Choi states of N_AE (``choi_n_ae``) and N_AE'
+    (``sigma_eprime_r``). Without a degrading map the primed entries are
+    the unprimed ones, the same objects."""
     n_ab = ch
     n_ae = chmod.complementary(ch)
     if d_e_to_eprime is not None and d_e_to_eprime.dim_in != n_ae.dim_out:
@@ -387,22 +380,22 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
             f"degrading map dim_in {d_e_to_eprime.dim_in} != environment dim {n_ae.dim_out}"
         )
     solutions = {
-        "B->E": solve_degrading_map(n_ab, n_ae),
-        "E->B": solve_degrading_map(n_ae, n_ab),
+        "B->E": solve_degrading_map(n_ab, n_ae).as_dict(),
+        "E->B": solve_degrading_map(n_ae, n_ab).as_dict(),
     }
     if d_e_to_eprime is None:
         # the default E->E' map is the identity: E' is E, so the primed
-        # problems are the unprimed ones and share their solutions
+        # problems are the unprimed ones and share their reports
         n_aep = n_ae
         solutions["B->E'"] = solutions["B->E"]
         solutions["E'->B"] = solutions["E->B"]
         trivial_degrading = True
     else:
         n_aep = chmod.compose(n_ae, d_e_to_eprime)
-        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep)
-        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab)
+        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep).as_dict()
+        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab).as_dict()
         trivial_degrading = _acts_as_identity(d_e_to_eprime)
-    ok = {k: v.success for k, v in solutions.items()}
+    ok = {k: v["success"] for k, v in solutions.items()}
 
     if ok["B->E'"] and ok["E'->B"]:
         # output and degraded environment simulate each other
@@ -423,7 +416,7 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
     reports["sigma_eprime_r"] = (
         reports["choi_n_ae"] if d_e_to_eprime is None else _choi_report(n_aep)
     )
-    return PdClassification(label=label, solutions=solutions, reports=reports)
+    return {"label": label, "solutions": solutions, "reports": reports}
 
 
 def check_theorem3_exclusions(d_e_to_eprime: chmod.KrausChannel) -> dict:
@@ -435,7 +428,7 @@ def check_theorem3_exclusions(d_e_to_eprime: chmod.KrausChannel) -> dict:
     degr = is_degradable(d_e_to_eprime)
     return {
         "identity": identity,
-        "entanglement_breaking": eb.as_dict(),
+        "entanglement_breaking": eb,
         "degradable": degr.as_dict(),
-        "disqualified": identity or eb.verdict == "yes",
+        "disqualified": identity or eb["verdict"] == "yes",
     }

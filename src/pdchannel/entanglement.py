@@ -7,7 +7,6 @@ dimensions ``dims`` alongside. All entropies are in bits (log base 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
@@ -68,30 +67,16 @@ def _resolve(rho, dims: Sequence[int]):
     return qmat.check_square(rho, dims), tuple(int(d) for d in dims)
 
 
-@dataclass
-class PptReport:
-    min_eig_ta: float
-    min_eig_tb: float
-
-    @property
-    def is_ppt(self) -> bool:
-        return self.min_eig_ta >= TOL.psd_tol and self.min_eig_tb >= TOL.psd_tol
-
-    def as_dict(self) -> dict:
-        return {
-            "min_eig_ta": self.min_eig_ta,
-            "min_eig_tb": self.min_eig_tb,
-            "is_ppt": self.is_ppt,
-        }
-
-
-def ppt_check(rho, dims: Sequence[int]) -> PptReport:
+def ppt_check(rho, dims: Sequence[int]) -> dict:
+    """The least eigenvalues of both partial transposes of a bipartite
+    state, ``min_eig_ta`` and ``min_eig_tb``, and ``is_ppt``: whether both
+    are at least ``TOL.psd_tol``."""
     mat, dims = _resolve(rho, dims)
     if len(dims) != 2:
         raise DimMismatch("ppt_check needs a bipartite dims annotation")
-    ta = np.linalg.eigvalsh(qmat.partial_transpose(mat, dims, 0))
-    tb = np.linalg.eigvalsh(qmat.partial_transpose(mat, dims, 1))
-    return PptReport(min_eig_ta=float(ta.min()), min_eig_tb=float(tb.min()))
+    ta = float(np.linalg.eigvalsh(qmat.partial_transpose(mat, dims, 0)).min())
+    tb = float(np.linalg.eigvalsh(qmat.partial_transpose(mat, dims, 1)).min())
+    return {"min_eig_ta": ta, "min_eig_tb": tb, "is_ppt": ta >= TOL.psd_tol and tb >= TOL.psd_tol}
 
 
 def realign(rho, dims: Sequence[int]) -> np.ndarray:
@@ -110,34 +95,16 @@ def ccnr(rho, dims: Sequence[int]) -> float:
     return float(np.sum(s))
 
 
-@dataclass
-class BoundEntanglementReport:
-    ppt: PptReport
-    ccnr_value: float
-
-    @property
-    def flagged_bound_entangled(self) -> bool:
-        return self.ppt.is_ppt and self.ccnr_value > 1.0 + TOL.residual_tol
-
-    def as_dict(self) -> dict:
-        return {
-            "ppt": self.ppt.as_dict(),
-            "ccnr_value": self.ccnr_value,
-            "flagged_bound_entangled": self.flagged_bound_entangled,
-        }
-
-
-def bound_entanglement_report(rho, dims: Sequence[int]) -> BoundEntanglementReport:
-    return BoundEntanglementReport(ppt=ppt_check(rho, dims), ccnr_value=ccnr(rho, dims))
-
-
-@dataclass
-class EbReport:
-    verdict: str  # "yes" | "no" | "undetermined"
-    witness: str
-
-    def as_dict(self) -> dict:
-        return {"verdict": self.verdict, "witness": self.witness}
+def bound_entanglement_report(rho, dims: Sequence[int]) -> dict:
+    """The PPT report of a bipartite state (:func:`ppt_check`), its CCNR
+    value, and ``flagged_bound_entangled``: PPT yet CCNR above
+    1 + ``TOL.residual_tol``, so entangled without being distillable."""
+    ppt, value = ppt_check(rho, dims), ccnr(rho, dims)
+    return {
+        "ppt": ppt,
+        "ccnr_value": value,
+        "flagged_bound_entangled": ppt["is_ppt"] and value > 1.0 + TOL.residual_tol,
+    }
 
 
 def _all_rank_one(ops: np.ndarray) -> bool:
@@ -145,8 +112,9 @@ def _all_rank_one(ops: np.ndarray) -> bool:
     return all(qmat.numerical_rank(s) <= 1 for s in np.linalg.svd(ops, compute_uv=False))
 
 
-def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
-    """Decide entanglement breaking where the computable criteria allow.
+def is_entanglement_breaking(ch: chmod.KrausChannel) -> dict:
+    """Decide entanglement breaking where the computable criteria allow;
+    returns ``{verdict, witness}`` with the verdict one of:
 
     yes: a rank-one Kraus decomposition is exhibited (given set or Choi
     eigenvectors), or the Choi is PPT on dims small enough (d_in * d_out <= 6)
@@ -155,30 +123,27 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> EbReport:
     undetermined: everything else.
     """
     if _all_rank_one(ch.kraus):
-        return EbReport(verdict="yes", witness="all given Kraus operators are rank one")
+        return dict(verdict="yes", witness="all given Kraus operators are rank one")
     choi = chmod.to_choi(ch)
     dims = (ch.dim_in, ch.dim_out)
     ppt = ppt_check(choi, dims)
-    if not ppt.is_ppt:
-        return EbReport(
-            verdict="no",
-            witness=f"Choi is NPT (min PT eigenvalue {min(ppt.min_eig_ta, ppt.min_eig_tb):.3e})",
-        )
-    eig_ops = chmod.kraus_from_choi(choi, ch.dim_in, ch.dim_out)
-    if _all_rank_one(eig_ops):
-        return EbReport(
+    if not ppt["is_ppt"]:
+        least = min(ppt["min_eig_ta"], ppt["min_eig_tb"])
+        return dict(verdict="no", witness=f"Choi is NPT (min PT eigenvalue {least:.3e})")
+    if _all_rank_one(chmod.kraus_from_choi(choi, ch.dim_in, ch.dim_out)):
+        return dict(
             verdict="yes", witness="Choi eigendecomposition yields rank-one Kraus operators"
         )
     if prod(dims) <= 6:
-        return EbReport(
+        return dict(
             verdict="yes",
             witness="Choi PPT with d_in*d_out <= 6 (PPT is sufficient for separability)",
         )
     value = ccnr(choi, dims)
     if value > 1.0 + TOL.residual_tol:
         # PPT yet realignment-entangled Choi: binding, not breaking
-        return EbReport(verdict="no", witness=f"Choi PPT but CCNR = {value:.6f} > 1")
-    return EbReport(
+        return dict(verdict="no", witness=f"Choi PPT but CCNR = {value:.6f} > 1")
+    return dict(
         verdict="undetermined",
         witness=f"Choi PPT, CCNR = {value:.6f} <= 1, dims too large for PPT sufficiency",
     )

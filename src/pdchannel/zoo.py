@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import qmat
-from .config import TOL, max_dim
+from .config import max_dim
 from .errors import DomainError
 
 SQ2 = math.sqrt(2.0)
@@ -37,16 +37,18 @@ def _ket(i: int, d: int) -> np.ndarray:
 
 
 def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
-    """Right-rescale by (sum N^dag N)^{-1/2}; complete any untouched input
-    subspace with trace-collecting terms into |0><0| so the result is TP."""
+    """Right-rescale by (sum N^dag N)^{-1/2} on its support, the span of its
+    top :func:`qmat.numerical_rank` eigenvectors; complete the untouched
+    input subspace with trace-collecting terms into |0><0| so the result
+    is TP."""
     s = ch.completeness()
     w, v = qmat.eigh(s)
     inv_sqrt = np.zeros_like(s)
-    support = w > TOL.pinv_cutoff * max(float(w[0]), 1.0)
-    for lam, col in zip(w[support], v[:, support].T):
+    rank = qmat.numerical_rank(w)
+    for lam, col in zip(w[:rank], v[:, :rank].T):
         inv_sqrt += np.outer(col, col.conj()) / np.sqrt(lam)
     ops = list(ch.kraus @ inv_sqrt)
-    for col in v[:, ~support].T:
+    for col in v[:, rank:].T:
         ops.append(_ket(0, ch.dim_out) @ col.conj().reshape(1, -1))
     return chmod.KrausChannel(ops, ch.name + " [repaired]")
 

@@ -85,6 +85,33 @@ def test_polar_bad_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "dir"],
+        ["classify", "f.json", "--degrading", "dir"],
+        ["zoo", "export", "dephasing", "--out", "missing/x.json"],
+        ["zoo", "list", "--out", "missing/r.json"],
+        ["polar", "l.json", "--out", "dir"],
+    ],
+    ids=["inspect-dir", "classify-degrading-dir", "export-missing-dir", "list-missing-dir",
+         "polar-out-dir"],
+)
+def test_unusable_paths_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # a path that is a directory, or whose directory does not exist, is an
+    # input error: one line on stderr, nothing on stdout, no file written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    _save(tmp_path, zoo.dephasing(0.3), "f.json")
+    (tmp_path / "l.json").write_text(json.dumps(_VALID_LEDGER))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def _importtime(*args):
     """Run ``python -X importtime <args>``; return the finished process and
     the names of the modules it imported."""
@@ -173,6 +200,16 @@ def test_capacity_report(tmp_path, capsys):
     assert report["value"] == pytest.approx(0.5, abs=1e-3)
     assert report["env"]["seed"] == 7 and report["env"]["restarts"] == 4
     assert report["env"]["tol"] == 1e-6
+
+
+def test_capacity_report_is_the_maximizer_dict(tmp_path, capsys):
+    # the CLI prints the maximizer's dict as it is, next to its env
+    c = zoo.amplitude_damping(0.2)
+    code, out, _ = _run(capsys, ["capacity", _save(tmp_path, c), "--restarts", "8"])
+    assert code == 0
+    report = json.loads(out)
+    report.pop("env")
+    assert report == capacity.maximize_coherent_information(c, restarts=8)
 
 
 @pytest.mark.parametrize("command", ["inspect", "classify", "polar"])

@@ -314,7 +314,9 @@ def test_conjugated_problems_solve_alike(seed):
 
 def test_rotated_channels_keep_their_statuses():
     # V N(U . U^dag) V^dag with its Kraus stack mixed by W is degradable or
-    # anti-degradable exactly when N is, so both solves report N's status
+    # anti-degradable exactly when N is, so both solves report N's status;
+    # and the complementary of the complementary is N itself, so swapping N
+    # for N^c swaps the two solves, report for report
     rng = np.random.default_rng(1)
     for d_in, d_out, k in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (2, 2, 4)):
         for _ in range(6):
@@ -323,6 +325,10 @@ def test_rotated_channels_keep_their_statuses():
             rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1))
             for solve in (deg.is_degradable, deg.is_antidegradable):
                 assert solve(rotated).status == solve(c).status, (d_in, d_out, k, solve.__name__)
+            comp = ch.complementary(c)
+            where = (d_in, d_out, k)
+            assert deg.is_antidegradable(comp).as_dict() == deg.is_degradable(c).as_dict(), where
+            assert deg.is_degradable(comp).as_dict() == deg.is_antidegradable(c).as_dict(), where
 
 
 def test_verify_pd_identity_exact_and_mismatch():
@@ -346,18 +352,16 @@ def test_verify_pd_identity_exact_and_mismatch():
 
 def test_classify_plain_labels():
     res = deg.classify_pd(zoo.amplitude_damping(0.1))
-    assert res.label == "DEGRADABLE"
-    assert set(res.solutions) == {"B->E", "E->B", "B->E'", "E'->B"}
+    assert res["label"] == "DEGRADABLE"
+    assert set(res["solutions"]) == {"B->E", "E->B", "B->E'", "E'->B"}
     res = deg.classify_pd(zoo.amplitude_damping(0.9))
-    assert res.label == "ANTI_DEGRADABLE"
-    assert "choi_n_ae" in res.reports and "sigma_eprime_r" in res.reports
+    assert res["label"] == "ANTI_DEGRADABLE"
+    assert "choi_n_ae" in res["reports"] and "sigma_eprime_r" in res["reports"]
 
 
 def test_classify_symmetric_pd():
     n_ab, _ = zoo.symmetric_pd_channel()
-    res = deg.classify_pd(n_ab)
-    assert res.label == "SYMMETRIC_PD"
-    d = res.as_dict()
+    d = deg.classify_pd(n_ab)
     assert d["label"] == "SYMMETRIC_PD"
     assert d["solutions"]["B->E'"]["success"]
     assert d["solutions"]["E'->B"]["success"]
@@ -380,10 +384,10 @@ def test_classify_default_map_solves_each_problem_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     res = deg.classify_pd(zoo.amplitude_damping(0.2))
     assert len(calls) == 2
-    assert res.label == "DEGRADABLE"
-    assert res.solutions["B->E'"] is res.solutions["B->E"]
-    assert res.solutions["E'->B"] is res.solutions["E->B"]
-    assert res.reports["sigma_eprime_r"] is res.reports["choi_n_ae"]
+    assert res["label"] == "DEGRADABLE"
+    assert res["solutions"]["B->E'"] is res["solutions"]["B->E"]
+    assert res["solutions"]["E'->B"] is res["solutions"]["E->B"]
+    assert res["reports"]["sigma_eprime_r"] is res["reports"]["choi_n_ae"]
 
 
 def test_sigma_eprime_r_is_the_choi_state_of_n_aep():
@@ -395,9 +399,9 @@ def test_sigma_eprime_r_is_the_choi_state_of_n_aep():
     sigma = ch.apply(ch.tensor(ch.identity_channel(4), n_aep), np.outer(psi, psi.conj()))
     assert np.max(np.abs(sigma - ch.to_choi(n_aep))) <= 1e-14
     old = ent.bound_entanglement_report(sigma, (4, n_aep.dim_out))
-    rep = deg.classify_pd(n_ab, d).reports["sigma_eprime_r"]
-    assert rep.ppt.is_ppt == old.ppt.is_ppt
-    assert rep.flagged_bound_entangled == old.flagged_bound_entangled
+    rep = deg.classify_pd(n_ab, d)["reports"]["sigma_eprime_r"]
+    assert rep["ppt"]["is_ppt"] == old["ppt"]["is_ppt"]
+    assert rep["flagged_bound_entangled"] == old["flagged_bound_entangled"]
 
 
 def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
@@ -408,9 +412,9 @@ def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
     calls = _count_solves(monkeypatch)
     res = deg.classify_pd(n_ab, zoo.d_e_to_eprime(repair=True))
     assert len(calls) == 4
-    assert res.label == "DEGRADABLE_PD"
-    assert res.solutions["B->E'"].success
-    assert not res.solutions["E'->B"].success
+    assert res["label"] == "DEGRADABLE_PD"
+    assert res["solutions"]["B->E'"]["success"]
+    assert not res["solutions"]["E'->B"]["success"]
 
 
 def test_theorem3_exclusions():
@@ -483,6 +487,23 @@ def test_zoo_solve_statuses(zoo_reports):
         # only solves that ran the refinement report its eigensolves
         refined = {k for k in ("B->E", "E->B") if "refine_rounds" in sols[k]}
         assert refined == ZOO_REFINED.get(key, set()), key
+
+
+def test_classify_report_is_the_library_dict(zoo_reports, tmp_path):
+    # the CLI prints classify_pd's dict as it is, next to its env
+    def without_env(report):
+        return {k: v for k, v in report.items() if k != "env"}
+
+    for key, (record, report) in zoo_reports.items():
+        want = json.loads(json.dumps(deg.classify_pd(ch.channel_from_dict(record))))
+        assert without_env(report) == want, key
+    n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
+    n_path, d_path, out = (tmp_path / name for name in ("n_ab.json", "d.json", "report.json"))
+    ch.save_channel(n_ab, str(n_path))
+    ch.save_channel(d, str(d_path))
+    assert cli.main(["classify", str(n_path), "--degrading", str(d_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert without_env(report) == json.loads(json.dumps(deg.classify_pd(n_ab, d)))
 
 
 def test_transfer_matrix_sums_over_kraus_without_a_stack(zoo_reports):
@@ -593,7 +614,7 @@ def test_no_witness_against_a_certified_map(zoo_reports):
         for (entry_id, _), (record, report) in zoo_reports.items()
     ]
     n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
-    cases.append(("symmetric_pd --degrading", n_ab, d, deg.classify_pd(n_ab, d).as_dict()))
+    cases.append(("symmetric_pd --degrading", n_ab, d, deg.classify_pd(n_ab, d)))
     rng = np.random.default_rng(11)
     certified = set()
     for name, n, d, report in cases:
