@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 input error, 3 indeterminate result or invariant
 violation.
 
 Each command imports the package modules it runs when it runs, so
-``polar``, ``--help`` and usage errors start without numpy.
+``polar``, ``--help`` and usage errors start without numpy. :func:`run` is
+the ``pdchannel`` command and ``python -m pdchannel.cli``; :func:`main`
+runs a command in the calling process and returns its exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .config import TOL, max_dim
@@ -244,5 +247,19 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> None:
+    """Run :func:`main` on the command line, flush stdout and stderr, and
+    end the process with its exit code at once: the interpreter's teardown
+    would only free memory the operating system reclaims anyway. A flush
+    that fails (a closed pipe) leaves the exit to ``sys.exit``."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

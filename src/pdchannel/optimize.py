@@ -1,26 +1,27 @@
-"""Unconstrained minimization by L-BFGS.
+"""Unconstrained minimization by L-BFGS, many runs in lockstep.
 
 The search direction comes from the two-loop recursion over the last
 ``MEMORY`` steps (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
 Alg. 7.4), and the step length from a line search for the strong Wolfe
 conditions (Alg. 3.5, with the zoom of Alg. 3.6 using cubic interpolation).
 The stop tests are those of L-BFGS-B: max |g_i| <= ``GTOL``, or a relative
-reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``. A line
-search that finds no acceptable step in ``MAX_LS`` evaluations ends the run
-at the last iterate.
+reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``. A run also
+stops when the next trial step predicts a decrease below the rounding of f,
+and a line search that finds no acceptable step in ``MAX_LS`` evaluations
+ends the run at the last iterate.
 
-The run itself is one generator, which yields each point it needs
-evaluated and is sent back (value, gradient). One driver feeds it:
-:func:`minimize_many` advances many runs in lockstep, with one call of the
-objective per round on the stack of the points they wait on.
+:func:`minimize_many` advances R runs together on one array state: the
+iterates, values and gradients as (R, n), (R,) and (R, n) arrays; the
+``MEMORY`` newest steps (s, y, 1 / s.y) as zero-padded (R, ``MEMORY``, n)
+stacks, newest last, so that an empty slot adds exact zeros; and each
+run's line-search bracket, trial step and trial count as (R,) arrays. A
+round evaluates the trial points of the unfinished runs in one call of the
+objective and updates them with a fixed sequence of numpy calls, each of
+which works row by row, so a run takes the same steps alone or in a block.
 :func:`minimize` is that driver on a single start.
 """
 
 from __future__ import annotations
-
-import math
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,20 +38,23 @@ MAX_LS = 20
 EXTRAPOLATE = 4.0
 _EPS = np.finfo(np.float64).eps
 
-# the stop messages, one per reason; the iteration cap's is built in _lbfgs
+# the stop messages, one per reason; the iteration cap's is built in
+# minimize_many, which reads MAX_ITER when it starts
 _GRADIENT = f"converged: max |gradient| <= {GTOL:g}"
 _REDUCTION = f"converged: relative reduction of f <= {FTOL:g}"
 _ROUNDING = "converged: predicted reduction of f is below its rounding error"
 _LINE_SEARCH = "stopped: no step along the search direction meets the strong Wolfe conditions"
 
 
-@dataclass
 class OptimizeResult:
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    message: str
+    """The end of one run: its last iterate ``x`` and value ``fun``, its
+    iteration and evaluation counts ``nit`` and ``nfev``, and its stop
+    ``message``."""
+
+    __slots__ = ("x", "fun", "nit", "nfev", "message")
+
+    def __init__(self, x, fun, nit, nfev, message):
+        self.x, self.fun, self.nit, self.nfev, self.message = x, fun, nit, nfev, message
 
 
 def minimize(fun, x0) -> OptimizeResult:
@@ -74,135 +78,135 @@ def minimize_many(fun, x0s) -> list:
     ``fun`` gives on its points alone ends as :func:`minimize` ends from its
     start.
     """
-    runs = [_lbfgs(x0) for x0 in x0s]
-    waiting = {i: next(run) for i, run in enumerate(runs)}
-    results = [None] * len(runs)
-    while waiting:
-        values, grads = fun(np.stack(list(waiting.values())))
-        for i, f, g in zip(list(waiting), values, grads):
-            try:
-                waiting[i] = runs[i].send((f, g))
-            except StopIteration as stop:
-                results[i] = stop.value
-                del waiting[i]
+    capped = f"stopped: {MAX_ITER} iterations reached"
+    messages = [None, _GRADIENT, _REDUCTION, _ROUNDING, _LINE_SEARCH, capped]
+    x = np.array(x0s, dtype=np.float64)
+    runs, n = x.shape
+    results = [None] * runs
+    order = np.arange(runs)  # each unfinished run's place among the starts
+    xt = x  # the point each run waits on: its start, then its trial steps
+    f, g = np.zeros(runs), np.zeros((runs, n))
+    # the MEMORY newest (s, y, 1 / s.y), newest last; an empty slot holds zeros
+    s_mem, y_mem, rho = np.zeros((runs, MEMORY, n)), np.zeros((runs, MEMORY, n)), np.zeros((runs, MEMORY))
+    d, slope0, step = np.zeros((runs, n)), np.zeros(runs), np.zeros(runs)
+    # the line-search bracket: lo is the lowest trial so far with sufficient
+    # decrease, hi the other end once a bracket exists, as (step, f, slope)
+    lo, hi, bracketed = np.zeros((runs, 3)), np.zeros((runs, 3)), np.zeros(runs, dtype=bool)
+    trials, nit, nfev = np.zeros(runs, dtype=int), np.zeros(runs, dtype=int), np.zeros(runs, dtype=int)
+
+    def end(rows, message):
+        """End the runs among ``rows`` that this round has not ended yet."""
+        stop[rows & (stop == 0)] = messages.index(message)
+
+    while order.size:
+        values, grads = fun(xt)
+        ft, gt = np.asarray(values, dtype=np.float64), np.asarray(grads, dtype=np.float64)
+        begun = nfev > 0
+        nfev += 1
+        trials += 1
+        slope = _dot(gt, d)
+        high = begun & ((ft > f + C1 * step * slope0) | (ft >= lo[:, 1]))
+        accept = begun & ~high & (np.abs(slope) <= -C2 * slope0)
+        low = begun & ~high & ~accept
+        # a slope rising toward hi (or, before a bracket, along d) puts the
+        # acceptable steps between this trial and lo
+        flip = low & np.where(bracketed, slope * (hi[:, 0] - lo[:, 0]) >= 0, slope > 0)
+        trial = np.stack([step, ft, slope], axis=1)
+        hi = np.where(high[:, None], trial, np.where(flip[:, None], lo, hi))
+        lo = np.where(low[:, None], trial, lo)
+        bracketed |= high | flip
+
+        s, y = xt - x, gt - g
+        sy = _dot(s, y)
+        # a strong-Wolfe step has s.y > 0 unless rounding undoes it
+        push = accept & (sy > 0)
+        for memory, newest in ((s_mem, s[push]), (y_mem, y[push]), (rho, 1.0 / sy[push])):
+            memory[push, :-1] = memory[push, 1:]
+            memory[push, -1] = newest
+        nit += accept
+        new = ~begun | accept
+        f_old = f
+        x, f, g = np.where(new[:, None], xt, x), np.where(new, ft, f), np.where(new[:, None], gt, g)
+
+        stop = np.zeros(order.size, dtype=int)  # an index into messages, 0 while running
+        end(~new & (trials >= MAX_LS), _LINE_SEARCH)
+        end(new & (np.max(np.abs(g), axis=1) <= GTOL), _GRADIENT)
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f)), 1.0)
+        end(accept & (f_old - f <= FTOL * scale), _REDUCTION)
+        end(new & (nit >= MAX_ITER), capped)
+
+        # runs at a new iterate start a line search along -H g
+        begin = new & (stop == 0)
+        k = np.flatnonzero(begin)
+        d[k] = _direction(g[k], s_mem[k], y_mem[k], rho[k])
+        slope0[k] = _dot(g[k], d[k])
+        # -g.d / 2 is the reduction a unit quasi-Newton step predicts; below
+        # the rounding of f, no trial value could show a decrease
+        end(begin & (rho[:, -1] > 0) & (-0.5 * slope0 <= _EPS * np.maximum(np.abs(f), 1.0)), _ROUNDING)
+        end(begin & ~(slope0 < 0), _LINE_SEARCH)
+        # the first step of a run is scaled to unit length
+        step[k] = np.where(nit[k] == 0, 1.0 / np.sqrt(_dot(d[k], d[k])), 1.0)
+        lo[k] = np.stack([np.zeros(k.size), f[k], slope0[k]], axis=1)
+        bracketed[k] = False
+        trials[k] = 0
+        # the others go on with theirs: inside the bracket, or further out
+        going = ~new & (stop == 0)
+        b = np.flatnonzero(going & bracketed)
+        step[b] = _cubic_min(lo[b], hi[b])
+        step[going & ~bracketed] *= EXTRAPOLATE
+        # a trial step whose predicted decrease is below the rounding of f
+        # cannot show one
+        end(-step * slope0 <= _EPS * np.maximum(np.abs(f), 1.0), _ROUNDING)
+
+        for i in np.flatnonzero(stop):
+            results[order[i]] = OptimizeResult(
+                x[i].copy(), float(f[i]), int(nit[i]), int(nfev[i]), messages[stop[i]])
+        if stop.any():
+            keep = stop == 0
+            (order, x, f, g, s_mem, y_mem, rho, d, slope0, step, lo, hi, bracketed, trials, nit, nfev) = (
+                a[keep] for a in (order, x, f, g, s_mem, y_mem, rho, d, slope0, step, lo, hi,
+                                  bracketed, trials, nit, nfev))
+        xt = x + step[:, None] * d
     return results
 
 
-def _lbfgs(x0):
-    """The L-BFGS run from ``x0`` as a generator: it yields each point to
-    evaluate, is sent (value, gradient) there, and returns the
-    :class:`OptimizeResult`."""
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        nfev += 1
-        value, grad = yield x
-        return float(value), np.asarray(grad, dtype=np.float64)
-
-    x = np.array(x0, dtype=np.float64)
-    f, g = yield from evaluate(x)
-    pairs = deque(maxlen=MEMORY)  # (s, y, 1 / s.y), oldest first
-    nit = 0
-    message = _GRADIENT if np.max(np.abs(g)) <= GTOL else None
-    while message is None:
-        if nit >= MAX_ITER:
-            message = f"stopped: {MAX_ITER} iterations reached"
-            break
-        d = _direction(g, pairs)
-        # -g.d / 2 is the reduction a unit quasi-Newton step predicts; below
-        # the rounding of f, no trial value could show a decrease
-        if pairs and -0.5 * (g @ d) <= _EPS * max(abs(f), 1.0):
-            message = _ROUNDING
-            break
-        # the first step of the run is scaled to unit length
-        step = 1.0 / np.linalg.norm(d) if nit == 0 else 1.0
-        found = yield from _line_search(evaluate, x, f, g, d, step)
-        if found is None:
-            message = _LINE_SEARCH
-            break
-        x_new, f_new, g_new = found
-        nit += 1
-        s, y = x_new - x, g_new - g
-        sy = s @ y
-        # a strong-Wolfe step has s.y > 0 unless rounding undoes it
-        if sy > 0:
-            pairs.append((s, y, 1.0 / sy))
-        f_old, x, f, g = f, x_new, f_new, g_new
-        if np.max(np.abs(g)) <= GTOL:
-            message = _GRADIENT
-        elif f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0):
-            message = _REDUCTION
-    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, message=message)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``, each
+    one BLAS dot, as ``a[i] @ b[i]`` gives it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _direction(g: np.ndarray, pairs) -> np.ndarray:
-    """-H g by the two-loop recursion, with H0 = (s.y / y.y) I taken from
-    the newest pair."""
+def _direction(g: np.ndarray, s_mem: np.ndarray, y_mem: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """-H g for each row by the two-loop recursion over its stored steps,
+    with H0 = (s.y / y.y) I taken from the newest, or I without one. The
+    loops skip the slots that are empty in every row; a slot empty in some
+    rows only adds exact zeros to them."""
     q = -g
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
-        alphas.append(a)
-        q = q - a * y
-    if pairs:
-        s, y, rho = pairs[-1]
-        q = q / (rho * (y @ y))
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q = q + (a - rho * (y @ q)) * s
+    slots = range(MEMORY - int(np.count_nonzero(rho, axis=1).max(initial=0)), MEMORY)
+    alphas = {}
+    for j in reversed(slots):
+        alphas[j] = rho[:, j] * _dot(s_mem[:, j], q)
+        q = q - alphas[j][:, None] * y_mem[:, j]
+    newest = rho[:, -1]
+    q = q / np.where(newest > 0, newest * _dot(y_mem[:, -1], y_mem[:, -1]), 1.0)[:, None]
+    for j in slots:
+        q = q + (alphas[j] - rho[:, j] * _dot(y_mem[:, j], q))[:, None] * s_mem[:, j]
     return q
 
 
-def _line_search(evaluate, x, f0, g0, d, step):
-    """(x, f, g) at a step along d meeting the strong Wolfe conditions, or
-    None when ``MAX_LS`` evaluations find none or d is not a descent
-    direction; a generator like the run that delegates to it, with each
-    trial point evaluated through ``evaluate``.
-
-    ``lo`` is the lowest trial so far that has sufficient decrease and
-    ``hi`` the other end of a bracket around an acceptable step, as
-    (step, value, slope) triples; until a bracket is found the trial step
-    grows.
-    """
-    slope0 = g0 @ d
-    if not slope0 < 0:
-        return None
-    lo, hi = (0.0, f0, slope0), None
-    for _ in range(MAX_LS):
-        if hi is not None:
-            step = _cubic_min(lo, hi)
-        x_new = x + step * d
-        f, g = yield from evaluate(x_new)
-        slope = g @ d
-        if f > f0 + C1 * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-            continue
-        if abs(slope) <= -C2 * slope0:
-            return x_new, f, g
-        # a slope rising toward hi (or, before a bracket, along d) puts the
-        # acceptable steps between this trial and lo
-        if slope * (math.inf if hi is None else hi[0] - lo[0]) >= 0:
-            hi = lo
-        lo = (step, f, slope)
-        if hi is None:
-            step *= EXTRAPOLATE
-    return None
-
-
-def _cubic_min(lo, hi) -> float:
-    """Minimizer of the cubic that matches value and slope at both ends
-    (Nocedal & Wright eq. 3.59), or the midpoint when that minimizer does
-    not exist or falls outside the middle 80% of the bracket."""
-    (a0, f0, d0), (a1, f1, d1) = lo, hi
+def _cubic_min(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each row of the (R, 3) bracket ends ``lo`` and ``hi``, as (step,
+    f, slope): the minimizer of the cubic that matches value and slope at
+    both ends (Nocedal & Wright eq. 3.59), or the midpoint when that
+    minimizer does not exist or falls outside the middle 80% of the
+    bracket."""
+    (a0, f0, d0), (a1, f1, d1) = lo.T, hi.T
     t1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
     disc = t1 * t1 - d0 * d1
-    if disc >= 0:
-        t2 = math.copysign(math.sqrt(disc), a1 - a0)
-        denom = d1 - d0 + 2.0 * t2
-        if denom != 0:
-            a = a1 - (a1 - a0) * (d1 + t2 - t1) / denom
-            left, right = min(a0, a1), max(a0, a1)
-            margin = 0.1 * (right - left)
-            if left + margin <= a <= right - margin:
-                return a
-    return 0.5 * (a0 + a1)
+    t2 = np.copysign(np.sqrt(np.maximum(disc, 0.0)), a1 - a0)
+    denom = d1 - d0 + 2.0 * t2
+    a = a1 - (a1 - a0) * (d1 + t2 - t1) / np.where(denom != 0, denom, 1.0)
+    margin = 0.1 * np.abs(a1 - a0)
+    left, right = np.minimum(a0, a1) + margin, np.maximum(a0, a1) - margin
+    inside = (disc >= 0) & (denom != 0) & (left <= a) & (a <= right)
+    return np.where(inside, a, 0.5 * (a0 + a1))

@@ -136,13 +136,14 @@ def test_capacity_command_never_loads_scipy(tmp_path):
 def test_capacity_command_never_loads_numpy_random_or_hashlib(tmp_path):
     # the random starts come from the standard library's random.Random, so a
     # capacity process loads neither numpy.random nor secrets -> hashlib ->
-    # OpenSSL; eight restarts on a qubit input draw five random starts
+    # OpenSSL; eight restarts on a qubit input draw five random starts. The
+    # optimizer's result is a plain class, so dataclasses stays out too
     path = _save(tmp_path, zoo.amplitude_damping(0.2))
     res, imported = _importtime("-m", "pdchannel.cli", "capacity", path, "--tensor", "2", "--restarts", "8")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["restarts_used"] == 8
     assert "_random" in imported
-    assert [m for m in imported if m.split(".")[0] in ("secrets", "hashlib", "_hashlib")
+    assert [m for m in imported if m.split(".")[0] in ("secrets", "hashlib", "_hashlib", "dataclasses")
             or m.startswith("numpy.random")] == []
 
 
@@ -597,3 +598,44 @@ def _broken_ledger(draw):
 @given(_broken_ledger())
 def test_fuzzed_ledger_files_exit_2(record):
     _assert_input_error("polar", json.dumps(record))
+
+
+def _module_run(cwd, *args):
+    # without PYTHONUNBUFFERED, stdout reaches the pipe only when flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    return subprocess.run([sys.executable, "-m", "pdchannel.cli", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_commands_exit_with_their_output_complete(tmp_path, capsys):
+    # a command process ends without the interpreter's teardown, after
+    # flushing; its report and the file it wrote are the in-process ones
+    res = _module_run(tmp_path, "zoo", "export", "amplitude_damping", "--out", "f.json")
+    code, out, err = _run(capsys, ["zoo", "export", "amplitude_damping", "--out", str(tmp_path / "g.json")])
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err) == (0, out, "")
+    assert json.loads(out)["id"] == "amplitude_damping"
+    assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
+    res = _module_run(tmp_path, "inspect", "missing.json")
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: no such file: missing.json\n")
+    # in process, main returns the code and the process goes on
+    assert cli.main(["inspect", str(tmp_path / "missing.json")]) == 2
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"pdchannel": "pdchannel.cli:run"}
+
+
+def test_failed_flush_leaves_the_exit_to_sys_exit(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code}) after a failed flush"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3

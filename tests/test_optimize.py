@@ -70,3 +70,51 @@ def test_failed_line_search_ends_the_run():
     assert res.nit == 3
     assert res.nfev == len(points) == 4 + optimize.MAX_LS
     assert np.array_equal(res.x, points[3])
+
+
+def test_lockstep_rows_with_mixed_stops_match_runs_alone(monkeypatch):
+    # the first coordinate is a tag with zero gradient, so it never moves,
+    # and it picks each row's problem: one block holds runs that end for
+    # every reason, after different numbers of rounds and with different
+    # numbers of stored steps
+    a, b = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0])
+    lam, c = 1e8, 1.0 / 3.0
+    problems = (
+        _rosenbrock,  # started at its minimizer
+        lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b),
+        lambda x: (0.5 * lam * (x[0] - c) ** 2, np.array([lam * (x[0] - c), 0.0])),
+        lambda x: (x @ x, -2 * x),  # a gradient of the wrong sign
+        _rosenbrock,  # cut by the iteration cap
+    )
+
+    def tagged(xs):
+        rows = [problems[int(x[0])](x[1:]) for x in xs]
+        return [v for v, _ in rows], [np.concatenate(([0.0], g)) for _, g in rows]
+
+    monkeypatch.setattr(optimize, "MAX_ITER", 6)
+    starts = [np.array(x0) for x0 in ([0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                      [3.0, 1.0, -2.0], [4.0, -1.2, 1.0])]
+    together = optimize.minimize_many(tagged, starts)
+    assert [r.message for r in together] == [
+        optimize._GRADIENT, optimize._GRADIENT, optimize._ROUNDING, optimize._LINE_SEARCH,
+        "stopped: 6 iterations reached",
+    ]
+    assert (together[0].nfev, together[3].nfev) == (1, 1 + optimize.MAX_LS)
+    for res, x0 in zip(together, starts):
+        alone = optimize.minimize(lambda x: tuple(part[0] for part in tagged([x])), x0)
+        assert (res.fun, res.x.tolist(), res.nit, res.nfev, res.message) == (
+            alone.fun, alone.x.tolist(), alone.nit, alone.nfev, alone.message)
+        assert res.x[0] == x0[0]
+
+
+def test_trial_step_below_rounding_ends_the_first_line_search():
+    # 1e-6 from the minimizer of f = (x - c)^2 / 2 + 1e6, f's decrease is
+    # far below its rounding while |g| = 1e-6 exceeds GTOL: the first line
+    # search halves its step until a trial predicts a decrease below the
+    # rounding of f, and the run stops there instead of after MAX_LS trials
+    c = 1.0 / 3.0
+    x0 = np.array([c + 1e-6])
+    res = optimize.minimize(lambda x: (0.5 * (x[0] - c) ** 2 + 1e6, x - c), x0)
+    assert res.message == optimize._ROUNDING
+    assert res.nit == 0 and np.array_equal(res.x, x0)
+    assert res.nfev < 1 + optimize.MAX_LS
