@@ -35,9 +35,9 @@ for key, value in out.items():
 
 print("\ncase 3: degradable channel, solved degrading as the output leg")
 c = zoo.amplitude_damping(0.2)
-sol = deg.is_degradable(c)
+_, d_b_to_e = deg.is_degradable(c)
 rho = np.eye(2, dtype=complex) / 2
-out = cap.coherent_information_pd(c, ch.identity_channel(2), sol.map, rho)
+out = cap.coherent_information_pd(c, ch.identity_channel(2), d_b_to_e, rho)
 print(f"  h_b_minus_h_eprime  : {out['h_b_minus_h_eprime']:+.9f}")
 print(f"  standard I_coh      : {cap.coherent_information(c, rho):+.9f}")
 

@@ -119,10 +119,10 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
     cap = max_dim()
     if d_a * d_b > cap:
         raise SizeLimit(f"Choi side {d_a * d_b} exceeds side cap {cap}")
-    # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]
+    # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]:
+    # one matmul sums over k, so no (K, d_a d_b, d_a d_b) stack is ever built
     w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
-    j = (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
-    return j / d_a
+    return (w.T @ w.conj()) / d_a
 
 
 def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:

@@ -171,12 +171,12 @@ def cmd_zoo(args) -> int:
     if not args.id:
         raise PdChannelError("zoo export needs an entry id")
     params = {k: getattr(args, k) for k in zoomod.parameter_types() if getattr(args, k) is not None}
-    entry = zoomod.build_entry(args.id, **params)
+    report, ch = zoomod.build_entry(args.id, **params)
     if args.out:
         # --out receives the channel file; the report goes to stdout
-        chmod.save_channel(entry.channel, args.out)
+        chmod.save_channel(ch, args.out)
         args.out = None
-    _emit({"env": _report_env(), **entry.as_dict()}, args)
+    _emit({"env": _report_env(), **report}, args)
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ one of three statuses:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,80 +105,24 @@ ANDERSON_MEMORY = 5
 ANDERSON_REG = 1e-10
 
 
-@dataclass
-class DegradingSolution:
-    """Certificates of one degrading-map solve.
-
-    ``map`` is the certified map (None unless ``success``), with
-    ``map_residual`` and ``map_tp_residual`` the certificates of that Kraus
-    map itself. ``witness`` proves that no map exists; ``stop`` says where
-    a solve that found neither a map nor a witness ended.
-    ``refine_rounds`` is the number of Choi eigensolves the refinement
-    spent, None when none ran.
-    """
-
-    map: chmod.KrausChannel | None
-    residual: float
-    cp_min_eig: float
-    tp_residual: float
-    map_residual: float | None = None
-    map_tp_residual: float | None = None
-    witness: dict | None = None
-    stop: str | None = None
-    refine_rounds: int | None = None
-
-    @property
-    def success(self) -> bool:
-        return (
-            self.residual <= TOL.residual_tol
-            and self.cp_min_eig >= TOL.psd_tol
-            and self.tp_residual <= TOL.residual_tol
-        )
-
-    @property
-    def status(self) -> str:
-        if self.success:
-            return "certified"
-        return "not_found" if self.witness is None else "impossible"
-
-    def as_dict(self) -> dict:
-        d = {
-            "success": self.success,
-            "residual": self.residual,
-            "cp_min_eig": self.cp_min_eig,
-            "tp_residual": self.tp_residual,
-            "status": self.status,
-        }
-        if self.success:
-            d["map_residual"] = self.map_residual
-            d["map_tp_residual"] = self.map_tp_residual
-        elif self.witness is not None:
-            d["witness"] = self.witness
-        else:
-            d["stop"] = self.stop
-        if self.refine_rounds is not None:
-            d["refine_rounds"] = self.refine_rounds
-        return d
-
-
-def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> DegradingSolution:
-    """Certificates of the candidate T_d; when they pass, the Kraus map
-    clipped from its Choi matrix is attached and certified in turn."""
+def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> tuple:
+    """The report of the candidate T_d and, when its certificates pass, the
+    Kraus map clipped from its Choi matrix, certified in turn; else None."""
     residual = _probe_residual(t_to - t_d @ t_from, d_in)
     choi = choi_of_transfer(t_d, d_mid, d_out)
     choi_h = (choi + choi.conj().T) / 2
     cp_min_eig = float(np.linalg.eigvalsh(choi_h)[0])
     tr_out = qmat.partial_trace(choi_h, (d_mid, d_out), keep=[0])
     tp_residual = float(np.max(np.abs(tr_out - np.eye(d_mid))))
-    sol = DegradingSolution(
-        map=None, residual=residual, cp_min_eig=cp_min_eig, tp_residual=tp_residual
-    )
-    if sol.success:
-        ops = chmod.kraus_from_choi(choi, d_mid, d_out)
-        sol.map = chmod.KrausChannel(ops, name="degrading")
-        sol.map_residual = _probe_residual(t_to - transfer_matrix(sol.map) @ t_from, d_in)
-        sol.map_tp_residual = sol.map.tp_residual()
-    return sol
+    success = residual <= TOL.residual_tol and cp_min_eig >= TOL.psd_tol and tp_residual <= TOL.residual_tol
+    report = {"success": success, "residual": residual, "cp_min_eig": cp_min_eig,
+              "tp_residual": tp_residual, "status": "certified" if success else "not_found"}
+    if not success:
+        return report, None
+    d = chmod.KrausChannel(chmod.kraus_from_choi(choi, d_mid, d_out), name="degrading")
+    report["map_residual"] = _probe_residual(t_to - transfer_matrix(d) @ t_from, d_in)
+    report["map_tp_residual"] = d.tp_residual()
+    return report, d
 
 
 def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
@@ -258,8 +201,17 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
     return x, REFINE_ROUNDS
 
 
-def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> DegradingSolution:
+def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
     """Find a CPTP map D with to = D o from, or prove that none exists.
+
+    Returns ``(report, map)``: the report ``classify`` prints for the solve,
+    and the certified Kraus map, None unless ``status`` is ``certified``.
+    The report holds ``success``, ``residual``, ``cp_min_eig``,
+    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
+    and ``map_tp_residual``, the certificates of the returned map itself,
+    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
+    A solve that ran the refinement adds ``refine_rounds``, the Choi
+    eigensolves it spent.
 
     The trace-preserving least-squares solutions of T T_from = T_to form an
     affine set A, and ``affine`` is its Frobenius projection: with Pi the
@@ -304,12 +256,12 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         return t_ls + t_off + mixed * (r - tr_out @ t_off)
 
     t_d = affine(np.zeros_like(t_ls))
-    sol = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
-    if sol.success:
-        return sol
+    report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
+    if d is not None:
+        return report, d
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
     trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
-    remainder = trace_mismatch or sol.residual > TOL.residual_tol
+    remainder = trace_mismatch or report["residual"] > TOL.residual_tol
     if trace_mismatch:
         y, z = t_ls @ t_from - t_to - np.outer(tr_out, g), t_from @ g.conj()
     elif remainder:
@@ -320,26 +272,28 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         neg = transfer_of_choi(-(v * np.clip(w, None, 0.0)) @ v.conj().T, d_mid, d_out)
         y = neg @ f_pinv.conj().T
         z = (tr_out @ (neg - neg @ pi)).conj().ravel() / d_out
-    sol.witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
-    if sol.witness is not None:
-        return sol
+    witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
+    if witness is not None:
+        report.update(status="impossible", witness=witness)
+        return report, None
     if remainder:
-        sol.stop = "least_squares_residual"
-        return sol
+        report["stop"] = "least_squares_residual"
+        return report, None
     t_ref, rounds = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
-    refined = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-    if not refined.success:
-        refined = sol
-        refined.stop = "refine_cap"
-    refined.refine_rounds = rounds
-    return refined
+    refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
+    if d is None:
+        # the report is the least-squares candidate's, not the last iterate's
+        refined = report
+        refined["stop"] = "refine_cap"
+    refined["refine_rounds"] = rounds
+    return refined, d
 
 
-def is_degradable(ch: chmod.KrausChannel) -> DegradingSolution:
+def is_degradable(ch: chmod.KrausChannel) -> tuple:
     return solve_degrading_map(ch, chmod.complementary(ch))
 
 
-def is_antidegradable(ch: chmod.KrausChannel) -> DegradingSolution:
+def is_antidegradable(ch: chmod.KrausChannel) -> tuple:
     return solve_degrading_map(chmod.complementary(ch), ch)
 
 
@@ -367,10 +321,9 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
     """Label N_AB = ``ch`` by four degrading solves between its output B,
     its environment E and E', the image of ``d_e_to_eprime`` (E if None).
 
-    Returns ``label``; ``solutions``, the report
-    (:meth:`DegradingSolution.as_dict`) of each solve by its key B->E,
-    E->B, B->E' and E'->B; and ``reports``, the bound-entanglement reports
-    of the Choi states of N_AE (``choi_n_ae``) and N_AE'
+    Returns ``label``; ``solutions``, the report of each solve
+    (:func:`solve_degrading_map`) by its key B->E, E->B, B->E' and E'->B;
+    and ``reports``, the bound-entanglement reports of the Choi states of N_AE (``choi_n_ae``) and N_AE'
     (``sigma_eprime_r``). Without a degrading map the primed entries are
     the unprimed ones, the same objects."""
     n_ab = ch
@@ -380,8 +333,8 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
             f"degrading map dim_in {d_e_to_eprime.dim_in} != environment dim {n_ae.dim_out}"
         )
     solutions = {
-        "B->E": solve_degrading_map(n_ab, n_ae).as_dict(),
-        "E->B": solve_degrading_map(n_ae, n_ab).as_dict(),
+        "B->E": solve_degrading_map(n_ab, n_ae)[0],
+        "E->B": solve_degrading_map(n_ae, n_ab)[0],
     }
     if d_e_to_eprime is None:
         # the default E->E' map is the identity: E' is E, so the primed
@@ -392,8 +345,8 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
         trivial_degrading = True
     else:
         n_aep = chmod.compose(n_ae, d_e_to_eprime)
-        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep).as_dict()
-        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab).as_dict()
+        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep)[0]
+        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab)[0]
         trivial_degrading = _acts_as_identity(d_e_to_eprime)
     ok = {k: v["success"] for k, v in solutions.items()}
 
@@ -425,10 +378,9 @@ def check_theorem3_exclusions(d_e_to_eprime: chmod.KrausChannel) -> dict:
     breaking, or being degradable itself."""
     identity = _acts_as_identity(d_e_to_eprime)
     eb = ent.is_entanglement_breaking(d_e_to_eprime)
-    degr = is_degradable(d_e_to_eprime)
     return {
         "identity": identity,
         "entanglement_breaking": eb,
-        "degradable": degr.as_dict(),
+        "degradable": is_degradable(d_e_to_eprime)[0],
         "disqualified": identity or eb["verdict"] == "yes",
     }

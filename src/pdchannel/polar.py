@@ -12,7 +12,6 @@ by pre-shared entanglement (b).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -37,22 +36,22 @@ def _frac(value) -> Fraction:
         raise DomainError(f"ledger fraction {value!r} is not a rational: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class PolarLedger:
-    g_amp: Fraction
-    g_phase: Fraction
-    p1: Fraction
-    p1_prime: Fraction
-    p2: Fraction
-    p2_prime: Fraction
-    b: Fraction
-    regime: str
+    """The fractions of one regime, each read exactly by :func:`_frac`."""
 
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise DomainError(f"unknown regime {self.regime!r}")
-        for name in _FIELDS:
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    __slots__ = _FIELDS + ("regime",)
+
+    def __init__(self, g_amp, g_phase, p1, p1_prime, p2, p2_prime, b, regime):
+        if regime not in REGIMES:
+            raise DomainError(f"unknown regime {regime!r}")
+        self.regime = regime
+        for name, value in zip(_FIELDS, (g_amp, g_phase, p1, p1_prime, p2, p2_prime, b)):
+            setattr(self, name, _frac(value))
+
+    def __eq__(self, other):
+        if not isinstance(other, PolarLedger):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def is_degradable_regime(self) -> bool:

@@ -13,7 +13,6 @@ Repaired entries are labeled as such and kept apart from verbatim ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -332,28 +331,6 @@ def dephasing(p: float) -> chmod.KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ZooEntry:
-    id: str
-    params: dict
-    channel: chmod.KrausChannel
-    validation: dict
-    notes: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "name": self.channel.name,
-            "dim_in": self.channel.dim_in,
-            "dim_out": self.channel.dim_out,
-            "kraus_count": len(self.channel.kraus),
-            "validation": self.validation,
-            "status": "FLAGGED" if self.validation["flagged"] else "OK",
-            "notes": self.notes,
-        }
-
-
 _REGISTRY = {
     "horodecki": (
         horodecki_channel,
@@ -418,7 +395,9 @@ def parameter_types() -> dict:
     return dict(sorted(types.items()))
 
 
-def build_entry(entry_id: str, **params) -> ZooEntry:
+def build_entry(entry_id: str, **params) -> tuple:
+    """Build entry ``entry_id`` with ``params`` over its defaults. Returns
+    ``(report, channel)``: the report ``zoo export`` prints, and the channel."""
     if entry_id not in _REGISTRY:
         raise DomainError(f"unknown zoo id: {entry_id}")
     builder, defaults, notes = _REGISTRY[entry_id]
@@ -428,14 +407,20 @@ def build_entry(entry_id: str, **params) -> ZooEntry:
             raise DomainError(f"unknown parameter {key!r} for {entry_id}")
         merged[key] = type(defaults[key])(value)
     ch = builder(**merged)
-    return ZooEntry(
-        id=entry_id,
-        params=merged,
-        channel=ch,
-        validation=chmod.validate(ch),
-        notes=notes,
-    )
+    validation = chmod.validate(ch)
+    report = {
+        "id": entry_id,
+        "params": merged,
+        "name": ch.name,
+        "dim_in": ch.dim_in,
+        "dim_out": ch.dim_out,
+        "kraus_count": len(ch.kraus),
+        "validation": validation,
+        "status": "FLAGGED" if validation["flagged"] else "OK",
+        "notes": notes,
+    }
+    return report, ch
 
 
 def list_entries() -> list:
-    return [build_entry(entry_id).as_dict() for entry_id in zoo_ids()]
+    return [build_entry(entry_id)[0] for entry_id in zoo_ids()]

@@ -212,7 +212,7 @@ def test_12_nab_ae_anti_degradable_with_a_witness():
     # B->E is ruled out by a Farkas witness, so no refinement runs for it;
     # E->B refines to a certified map within 20 Choi eigensolves
     start = time.monotonic()
-    n_ab = zoo.build_entry("nab_ae").channel
+    _, n_ab = zoo.build_entry("nab_ae")
     res = deg.classify_pd(n_ab)
     assert res["label"] == "ANTI_DEGRADABLE"
     assert res["solutions"]["B->E"]["status"] == "impossible"

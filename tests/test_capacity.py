@@ -70,10 +70,10 @@ def test_isometry_chain_degradable_channel_value():
     from pdchannel import degradability as deg
 
     c = zoo.amplitude_damping(0.2)
-    sol = deg.is_degradable(c)
-    assert sol.success
+    sol, d_b_to_e = deg.is_degradable(c)
+    assert sol["success"]
     rho = np.eye(2, dtype=complex) / 2
-    out = cap.coherent_information_pd(c, ch.identity_channel(2), sol.map, rho)
+    out = cap.coherent_information_pd(c, ch.identity_channel(2), d_b_to_e, rho)
     assert out["h_b_minus_h_eprime"] == pytest.approx(
         cap.coherent_information(c, rho), abs=1e-8
     )

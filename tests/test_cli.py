@@ -163,7 +163,23 @@ def test_import_help_polar_and_usage_errors_never_load_numpy(tmp_path, args, cod
     assert "pdchannel.config" in imported
     # the listing also shows the modules a command imports when it runs
     assert ("pdchannel.polar" in imported) == ("polar" in args)
-    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "dataclasses")] == []
+
+
+@pytest.mark.parametrize(
+    "args, module",
+    [(("classify", "CHANNEL"), "pdchannel.degradability"), (("zoo", "list"), "pdchannel.zoo"),
+     (("zoo", "export", "m_ae"), "pdchannel.zoo")],
+    ids=["classify", "zoo-list", "zoo-export"],
+)
+def test_numpy_commands_never_load_dataclasses(tmp_path, args, module):
+    # solves and zoo entries return plain dicts next to the objects they
+    # build, so these commands, like polar above, never import dataclasses
+    path = _save(tmp_path, zoo.amplitude_damping(0.2))
+    res, imported = _importtime("-m", "pdchannel.cli", *(path if a == "CHANNEL" else a for a in args))
+    assert res.returncode == 0, res.stderr
+    assert module in imported
+    assert "dataclasses" not in imported
 
 
 def test_inspect_command_loads_no_solver(tmp_path):
@@ -340,7 +356,7 @@ def test_zoo_list_and_export(tmp_path, capsys):
 
 
 def test_zoo_export_accepts_exactly_the_registry_parameters(tmp_path, capsys):
-    defaults = {i: zoo.build_entry(i).params for i in zoo.zoo_ids()}
+    defaults = {i: zoo.build_entry(i)[0]["params"] for i in zoo.zoo_ids()}
     names = {k for params in defaults.values() for k in params}
     args = vars(cli.build_parser().parse_args(["zoo", "list"]))
     assert set(args) - {"command", "func", "action", "id", "out", "format"} == names

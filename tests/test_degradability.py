@@ -44,37 +44,36 @@ def test_probe_states_span_and_validity():
 @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.4])
 def test_amplitude_damping_degradable_solve(gamma):
     c = zoo.amplitude_damping(gamma)
-    sol = deg.is_degradable(c)
-    assert sol.success
-    assert sol.residual <= 1e-8
-    assert sol.cp_min_eig >= -1e-9
-    assert sol.tp_residual <= 1e-8
-    assert sol.map is not None and sol.map.tp_residual() <= 1e-8
+    d, m = deg.is_degradable(c)
+    assert d["success"]
+    assert d["residual"] <= 1e-8
+    assert d["cp_min_eig"] >= -1e-9
+    assert d["tp_residual"] <= 1e-8
+    assert m is not None and m.tp_residual() <= 1e-8
     # the report certifies the returned Kraus map itself
-    d = sol.as_dict()
     assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status",
                       "map_residual", "map_tp_residual"}
     assert d["status"] == "certified"
-    assert d["map_tp_residual"] == sol.map.tp_residual()
+    assert d["map_tp_residual"] == m.tp_residual()
     assert 0.0 <= d["map_residual"] <= 1e-8
     # the returned Kraus map really degrades output to environment
     comp = ch.complementary(c)
     for rho in deg.probe_states(2):
         lhs = ch.apply(comp, rho)
-        rhs = ch.apply(sol.map, ch.apply(c, rho))
+        rhs = ch.apply(m, ch.apply(c, rho))
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
 @pytest.mark.parametrize("gamma", [0.7, 0.9])
 def test_amplitude_damping_antidegradable_solve(gamma):
     c = zoo.amplitude_damping(gamma)
-    assert deg.is_antidegradable(c).success
-    assert not deg.is_degradable(c).success
+    assert deg.is_antidegradable(c)[0]["success"]
+    assert not deg.is_degradable(c)[0]["success"]
 
 
 def test_erasure_degradability_switch():
-    assert deg.is_degradable(zoo.erasure(0.25)).success
-    assert deg.is_antidegradable(zoo.erasure(0.75)).success
+    assert deg.is_degradable(zoo.erasure(0.25))[0]["success"]
+    assert deg.is_antidegradable(zoo.erasure(0.75))[0]["success"]
 
 
 def test_solve_rejects_mismatched_inputs():
@@ -84,10 +83,9 @@ def test_solve_rejects_mismatched_inputs():
 
 def test_failed_solve_reports_not_raises():
     # anti-degradable channel has no B->E degrading map
-    sol = deg.is_degradable(zoo.amplitude_damping(0.9))
-    assert not sol.success
-    assert sol.map is None
-    d = sol.as_dict()
+    d, m = deg.is_degradable(zoo.amplitude_damping(0.9))
+    assert not d["success"]
+    assert m is None
     assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status", "witness"}
     assert d["status"] == "impossible"
 
@@ -120,7 +118,7 @@ def _count_refines(monkeypatch) -> list:
         (lambda: deg.is_antidegradable(zoo.erasure(0.25)), 0),
         (lambda: deg.classify_pd(zoo.horodecki_channel(3.5)), 1),
         (lambda: deg.is_degradable(zoo.erasure(0.25)), 1),
-        (lambda: deg.classify_pd(zoo.build_entry("composite_complementary", repair=True).channel), 1),
+        (lambda: deg.classify_pd(zoo.build_entry("composite_complementary", repair=True)[1]), 1),
     ],
     ids=["amplitude_damping", "depolarizing", "erasure-E->B", "horodecki", "erasure-B->E", "composite"],
 )
@@ -140,12 +138,12 @@ def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
     [
         (lambda: zoo.horodecki_channel(3.5), "E->B"),
         (lambda: zoo.erasure(0.25), "B->E"),
-        (lambda: zoo.build_entry("composite_complementary", repair=True).channel, "B->E"),
+        (lambda: zoo.build_entry("composite_complementary", repair=True)[1], "B->E"),
     ],
     ids=["horodecki", "erasure", "composite"],
 )
 def test_refined_solves_report_their_eigensolves(make, direction):
-    d = deg.solve_degrading_map(*_solve_pairs(make())[direction]).as_dict()
+    d, _ = deg.solve_degrading_map(*_solve_pairs(make())[direction])
     assert d["status"] == "certified"
     assert 0 < d["refine_rounds"] <= REFINE_BUDGET
 
@@ -166,8 +164,8 @@ def test_refine_cap_counts_every_eigensolve(monkeypatch):
             monkeypatch.setattr(np.linalg, "eigh", eigh)
 
     monkeypatch.setattr(deg, "_cptp_refine", counted)
-    n_ab = zoo.build_entry("composite_complementary", repair=True).channel
-    d = deg.solve_degrading_map(n_ab, ch.complementary(n_ab)).as_dict()
+    _, n_ab = zoo.build_entry("composite_complementary", repair=True)
+    d, _ = deg.solve_degrading_map(n_ab, ch.complementary(n_ab))
     assert d["status"] == "not_found" and d["stop"] == "refine_cap"
     assert d["refine_rounds"] == cap == len(calls)
 
@@ -182,11 +180,10 @@ def test_random_feasible_instances_certify_after_refinement(seed):
     rng = np.random.default_rng(seed)
     from_ch = _random_channel(rng, 2, 3, 2)
     to_ch = ch.compose(from_ch, _random_channel(rng, 3, 2, 2))
-    sol = deg.solve_degrading_map(from_ch, to_ch)
-    d = sol.as_dict()
+    d, m = deg.solve_degrading_map(from_ch, to_ch)
     assert d["status"] == "certified" and d["refine_rounds"] > 0
     assert d["map_residual"] <= 1e-8
-    _plain_recheck(sol.map.kraus, from_ch, to_ch, rng, seed)
+    _plain_recheck(m.kraus, from_ch, to_ch, rng, seed)
 
 
 def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
@@ -204,15 +201,15 @@ def test_refined_iterate_solves_the_affine_constraints(monkeypatch):
     monkeypatch.setattr(deg, "_cptp_refine", kept)
     n_ab = zoo.horodecki_channel(3.5)
     n_ae = ch.complementary(n_ab)
-    sol = deg.solve_degrading_map(n_ae, n_ab)
-    assert sol.status == "certified"
+    d, m = deg.solve_degrading_map(n_ae, n_ab)
+    assert d["status"] == "certified"
     (t,) = iterates
     d_mid, d_out = n_ae.dim_out, n_ab.dim_out
     t_from, t_to = deg.transfer_matrix(n_ae), deg.transfer_matrix(n_ab)
     assert deg._probe_residual(t_to - t @ t_from, n_ab.dim_in) <= deg.REFINE_STOP
     tr_out = qmat.partial_trace(deg.choi_of_transfer(t, d_mid, d_out), (d_mid, d_out), keep=[0])
     assert np.max(np.abs(tr_out - np.eye(d_mid))) <= deg.REFINE_STOP
-    assert np.max(np.abs(deg.transfer_matrix(sol.map) - t)) <= 1e-9
+    assert np.max(np.abs(deg.transfer_matrix(m) - t)) <= 1e-9
 
 
 def _x_measure(weight=1.0):
@@ -226,15 +223,14 @@ def test_solve_without_linear_solution_stops_at_least_squares():
     # complete Z dephasing erases the off-diagonal entries an X measurement
     # reads, so no linear map exists; the witness Y = -R, with R the
     # least-squares remainder, scores -||R||_F^2 = -1
-    sol = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure())
-    assert sol.residual > 1e-8 and sol.status == "impossible"
-    assert sol.witness["score"] == pytest.approx(-1.0, abs=1e-12)
-    assert np.all(np.array(sol.witness["z"]) == 0)
+    d, _ = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure())
+    assert d["residual"] > 1e-8 and d["status"] == "impossible"
+    assert d["witness"]["score"] == pytest.approx(-1.0, abs=1e-12)
+    assert np.all(np.array(d["witness"]["z"]) == 0)
     # a weight of 1e-6 leaves a residual above 1e-8 but a score of -1e-12,
     # inside the rounding margin: neither a map nor a proof
-    sol = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure(1e-6))
-    assert sol.residual > 1e-8
-    d = sol.as_dict()
+    d, _ = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure(1e-6))
+    assert d["residual"] > 1e-8
     assert d["status"] == "not_found" and d["stop"] == "least_squares_residual"
 
 
@@ -252,9 +248,9 @@ def test_farkas_witness_assumes_nothing_of_the_channels():
     # the identity; the witness proves this with the flagged map as ``from``
     flagged = zoo.corollary4_degrading_map()
     assert flagged.flagged
-    sol = deg.solve_degrading_map(flagged, ch.identity_channel(3))
-    assert sol.status == "impossible"
-    assert sol.witness["kind"] == "farkas" and sol.witness["score"] < -deg.FARKAS_MARGIN
+    d, _ = deg.solve_degrading_map(flagged, ch.identity_channel(3))
+    assert d["status"] == "impossible"
+    assert d["witness"]["kind"] == "farkas" and d["witness"]["score"] < -deg.FARKAS_MARGIN
 
 
 def test_trace_mismatch_alone_is_proved_impossible(monkeypatch):
@@ -265,13 +261,13 @@ def test_trace_mismatch_alone_is_proved_impossible(monkeypatch):
     # -||R||_F^2 - ||g||^2 with R = 0, without a refinement
     ends = _count_refines(monkeypatch)
     flagged = zoo.corollary4_degrading_map()
-    sol = deg.solve_degrading_map(ch.identity_channel(3), flagged)
-    assert sol.residual <= 1e-8 and sol.status == "impossible" and ends == []
+    d, _ = deg.solve_degrading_map(ch.identity_channel(3), flagged)
+    assert d["residual"] <= 1e-8 and d["status"] == "impossible" and ends == []
     t_from, t_to = np.eye(9), _plain_transfer(flagged.kraus)
     g = np.eye(3).reshape(-1) @ t_to - np.eye(3).reshape(-1) @ t_from
-    assert sol.witness["score"] == pytest.approx(-np.vdot(g, g).real, abs=1e-12)
-    assert _plain_farkas_score(sol.as_dict()["witness"], t_from, t_to) == pytest.approx(
-        sol.witness["score"], abs=1e-9
+    assert d["witness"]["score"] == pytest.approx(-np.vdot(g, g).real, abs=1e-12)
+    assert _plain_farkas_score(d["witness"], t_from, t_to) == pytest.approx(
+        d["witness"]["score"], abs=1e-9
     )
 
 
@@ -301,22 +297,30 @@ def test_conjugated_problems_solve_alike(seed):
         d_in, d_out, k = rng.integers(2, 4, size=3)
         c = _random_channel(rng, d_in, d_out, k)
     for from_ch, to_ch in ((c, ch.complementary(c)), (ch.complementary(c), c)):
-        sol = deg.solve_degrading_map(from_ch, to_ch)
-        conj = deg.solve_degrading_map(
+        sol, _ = deg.solve_degrading_map(from_ch, to_ch)
+        conj, _ = deg.solve_degrading_map(
             *(ch.KrausChannel(m.kraus.conj()) for m in (from_ch, to_ch))
         )
-        assert conj.status == sol.status
-        assert conj.residual == pytest.approx(sol.residual, abs=1e-12)
-        assert conj.cp_min_eig == pytest.approx(sol.cp_min_eig, abs=1e-12)
-        if sol.witness is not None:
-            assert conj.witness["score"] == pytest.approx(sol.witness["score"], abs=1e-12)
+        assert conj["status"] == sol["status"]
+        assert conj["residual"] == pytest.approx(sol["residual"], abs=1e-12)
+        assert conj["cp_min_eig"] == pytest.approx(sol["cp_min_eig"], abs=1e-12)
+        if "witness" in sol:
+            assert conj["witness"]["score"] == pytest.approx(sol["witness"]["score"], abs=1e-12)
 
 
 def test_rotated_channels_keep_their_statuses():
     # V N(U . U^dag) V^dag with its Kraus stack mixed by W is degradable or
     # anti-degradable exactly when N is, so both solves report N's status;
     # and the complementary of the complementary is N itself, so swapping N
-    # for N^c swaps the two solves, report for report
+    # for N^c swaps the two solves, report for report. Each solve hands back
+    # a map exactly when it certifies one, and its report certifies that map
+    def report(pair):
+        d, m = pair
+        assert (m is not None) == (d["status"] == "certified")
+        if m is not None:
+            assert d["map_tp_residual"] == m.tp_residual()
+        return d
+
     rng = np.random.default_rng(1)
     for d_in, d_out, k in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (2, 2, 4)):
         for _ in range(6):
@@ -324,11 +328,13 @@ def test_rotated_channels_keep_their_statuses():
             u, v, w = (_random_isometry(rng, n, n) for n in (d_in, d_out, k))
             rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1))
             for solve in (deg.is_degradable, deg.is_antidegradable):
-                assert solve(rotated).status == solve(c).status, (d_in, d_out, k, solve.__name__)
+                assert report(solve(rotated))["status"] == report(solve(c))["status"], (
+                    d_in, d_out, k, solve.__name__
+                )
             comp = ch.complementary(c)
             where = (d_in, d_out, k)
-            assert deg.is_antidegradable(comp).as_dict() == deg.is_degradable(c).as_dict(), where
-            assert deg.is_degradable(comp).as_dict() == deg.is_antidegradable(c).as_dict(), where
+            assert report(deg.is_antidegradable(comp)) == report(deg.is_degradable(c)), where
+            assert report(deg.is_degradable(comp)) == report(deg.is_antidegradable(c)), where
 
 
 def test_verify_pd_identity_exact_and_mismatch():
@@ -470,7 +476,7 @@ def zoo_reports(tmp_path_factory):
     for key in ZOO_STATUSES:
         entry_id, params = key
         path, report = tmp / f"{entry_id}.json", tmp / f"{entry_id}.report.json"
-        ch.save_channel(zoo.build_entry(entry_id, **dict(params)).channel, str(path))
+        ch.save_channel(zoo.build_entry(entry_id, **dict(params))[1], str(path))
         assert cli.main(["classify", str(path), "--out", str(report)]) in (0, 3)
         out[key] = (json.loads(path.read_text()), json.loads(report.read_text()))
     return out
@@ -527,6 +533,21 @@ def test_transfer_matrix_sums_over_kraus_without_a_stack(zoo_reports):
         assert (report["label"], sols["B->E"]["status"], sols["E->B"]["status"]) == (
             ZOO_LABELS[key], *ZOO_STATUSES[key]
         ), key
+
+
+def test_to_choi_sums_over_kraus_without_a_stack():
+    # 64 Kraus operators of 8 x 8: a stack of their 64 x 64 outer products
+    # would take 64 times the Choi matrix
+    c = zoo.depolarizing(0.5, d=8)
+    tracemalloc.start()
+    try:
+        j = ch.to_choi(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * j.nbytes
+    w = c.kraus.transpose(0, 2, 1).reshape(len(c.kraus), -1)
+    assert np.max(np.abs(j - sum(np.outer(v, v.conj()) for v in w) / 8)) <= 1e-15
 
 
 def _complex(pairs):
@@ -622,7 +643,7 @@ def test_no_witness_against_a_certified_map(zoo_reports):
             if report["solutions"][key]["status"] != "certified":
                 continue
             assert "witness" not in report["solutions"][key]
-            kraus = deg.solve_degrading_map(from_ch, to_ch).map.kraus
+            kraus = deg.solve_degrading_map(from_ch, to_ch)[1].kraus
             _plain_recheck(kraus, from_ch, to_ch, rng, (name, key))
             certified.add((name, key))
     # the refined maps: horodecki E->B and the composite B->E

@@ -119,20 +119,20 @@ def test_baselines_are_tp():
 
 
 def test_amplitude_damping_degradability_handoff():
-    assert deg.is_degradable(zoo.amplitude_damping(0.3)).success
-    assert deg.is_antidegradable(zoo.amplitude_damping(0.7)).success
+    assert deg.is_degradable(zoo.amplitude_damping(0.3))[0]["success"]
+    assert deg.is_antidegradable(zoo.amplitude_damping(0.7))[0]["success"]
 
 
 def test_registry_listing_and_build():
     ids = zoo.zoo_ids()
     assert "horodecki" in ids and "symmetric_pd" in ids and len(ids) == 13
-    entry = zoo.build_entry("horodecki", alpha=4.0)
-    assert entry.params["alpha"] == 4.0
-    assert entry.as_dict()["status"] == "OK"
-    entry = zoo.build_entry("m_ae")
-    assert entry.as_dict()["status"] == "FLAGGED"
-    entry = zoo.build_entry("m_ae", repair=True)
-    assert entry.as_dict()["status"] == "OK"
+    report, _ = zoo.build_entry("horodecki", alpha=4.0)
+    assert report["params"]["alpha"] == 4.0
+    assert report["status"] == "OK"
+    report, _ = zoo.build_entry("m_ae")
+    assert report["status"] == "FLAGGED"
+    report, _ = zoo.build_entry("m_ae", repair=True)
+    assert report["status"] == "OK"
     with pytest.raises(DomainError):
         zoo.build_entry("nope")
     with pytest.raises(DomainError):
@@ -149,8 +149,7 @@ def test_list_entries_covers_registry():
 
 def test_entry_dims_come_from_the_kraus_stack():
     for entry_id in zoo.zoo_ids():
-        entry = zoo.build_entry(entry_id)
-        c = entry.channel
+        report, c = zoo.build_entry(entry_id)
         assert (c.dim_env, c.dim_out, c.dim_in) == c.kraus.shape, entry_id
-        assert entry.validation["flagged"] == c.flagged, entry_id
-        assert entry.as_dict()["validation"] == ch.validate(c), entry_id
+        assert report["validation"]["flagged"] == c.flagged, entry_id
+        assert report["validation"] == ch.validate(c), entry_id
