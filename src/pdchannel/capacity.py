@@ -32,17 +32,12 @@ def coherent_information(ch: chmod.KrausChannel, rho) -> float:
     return ent.entropy(out) - ent.entropy(env)
 
 
-def _marginal_entropy(psi: np.ndarray, dims, keep) -> float:
-    """Entropy of the reduced state of a pure state over the kept factors."""
-    dims = tuple(dims)
-    keep = sorted(keep)
-    rest = [i for i in range(len(dims)) if i not in keep]
-    t = psi.reshape(dims).transpose(keep + rest)
-    m = t.reshape(prod(dims[k] for k in keep), -1)
-    s = np.linalg.svd(m, compute_uv=False)
-    p = np.clip(s**2, 0.0, 1.0)
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+def _marginal_entropy(psi: np.ndarray, keep: list) -> float:
+    """Entropy of the reduced state of a pure state, one axis per factor,
+    over the factors on the axes ``keep``."""
+    rest = [i for i in range(psi.ndim) if i not in keep]
+    m = psi.transpose(keep + rest).reshape(prod(psi.shape[k] for k in keep), -1)
+    return ent.entropy(m @ m.conj().T)
 
 
 def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
@@ -50,8 +45,10 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     three channels, each its Kraus stack with the Kraus index as
     environment: N_AB sends A to B(x)E, D^{E->E'} sends E to G(x)H (G the
     degraded environment) and D^{B->E'} sends B to E'(x)F. A channel that
-    is not trace preserving raises :class:`NotTracePreserving`, and a
-    degrading that acts on neither E nor B as placed :class:`DimMismatch`.
+    is not trace preserving raises :class:`NotTracePreserving`, a
+    degrading that acts on neither E nor B as placed :class:`DimMismatch`,
+    and a ``rho`` whose reduced states fall outside the entropy clamping
+    window (not a density matrix, say of trace 3) :class:`NotDensityMatrix`.
 
     Returns entropies (bits) of the final pure state over E', F, G, H, R:
     h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
@@ -70,15 +67,14 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     # purification over A (rows) and reference R (columns)
     psi = v_eig * np.sqrt(np.clip(w_eig, 0.0, None))
     ber = np.einsum("eba,ar->ber", n_ab.kraus, psi)
-    h_b = _marginal_entropy(ber, ber.shape, [0])
+    h_b = _marginal_entropy(ber, [0])
+    # axes E', F, G, H, R
     psi = np.einsum("fxb,hge,ber->xfghr", d_b_to_eprime.kraus, d_e_to_eprime.kraus, ber)
-    dims = psi.shape  # E', F, G, H, R
-
-    h_ep = _marginal_entropy(psi, dims, [0])
-    h_epf = _marginal_entropy(psi, dims, [0, 1])
-    h_g = _marginal_entropy(psi, dims, [2])
-    h_gh = _marginal_entropy(psi, dims, [2, 3])
-    h_epfr = _marginal_entropy(psi, dims, [0, 1, 4])
+    h_ep = _marginal_entropy(psi, [0])
+    h_epf = _marginal_entropy(psi, [0, 1])
+    h_g = _marginal_entropy(psi, [2])
+    h_gh = _marginal_entropy(psi, [2, 3])
+    h_epfr = _marginal_entropy(psi, [0, 1, 4])
     return {
         "h_f_given_eprime": h_epf - h_ep,
         "h_h_given_g": h_gh - h_g,

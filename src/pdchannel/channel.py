@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qmat
 from .config import TOL, max_dim
-from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
+from .errors import DimMismatch, NotTracePreserving, SizeLimit
 
 
 class KrausChannel:
@@ -61,13 +61,12 @@ class KrausChannel:
 def validate(ch: KrausChannel) -> dict:
     """Report trace preservation and Choi positivity as
     {tp_residual, cp_ok, choi_min_eig, flagged}; never raises on TP failure."""
-    tp = ch.tp_residual()
     w, _ = qmat.eigh(to_choi(ch))
     return {
-        "tp_residual": tp,
+        "tp_residual": ch.tp_residual(),
         "cp_ok": True,  # Kraus form is CP by construction
         "choi_min_eig": float(w[-1]),
-        "flagged": tp > TOL.residual_tol,
+        "flagged": ch.flagged,
     }
 
 
@@ -81,9 +80,8 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
 
 
 def _require_tp(ch: KrausChannel) -> None:
-    tp = ch.tp_residual()
-    if tp > TOL.residual_tol:
-        raise NotTracePreserving(f"tp_residual {tp:.3e} > {TOL.residual_tol}")
+    if ch.flagged:
+        raise NotTracePreserving(f"tp_residual {ch.tp_residual():.3e} > {TOL.residual_tol}")
 
 
 def stinespring(ch: KrausChannel) -> np.ndarray:
@@ -175,32 +173,6 @@ def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 
 def identity_channel(d: int) -> KrausChannel:
     return KrausChannel([np.eye(d)], name=f"identity_{d}")
-
-
-def flagged_direct_sum(x: float, inner: KrausChannel) -> KrausChannel:
-    """Flag-qubit direct sum: rho -> x |0><0| (x) pi Tr(rho) + (1-x) |1><1| (x) inner(rho).
-
-    The x-branch is a trace-and-replace channel onto the maximally mixed
-    state pi on the inner output block (the construction leaves the
-    replacement state free; maximally mixed keeps the map CPTP with the
-    intended 2 (x) d_out layout).
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must be in [0, 1], got {x}")
-    d_in, d_block = inner.dim_in, inner.dim_out
-    # the flag is the slow output factor: flag 0 on the top block rows
-    blocks = []
-    if x > 0:
-        # one operator sqrt(x / d_block) |m><k| per (m, k), m slow
-        units = np.sqrt(x / d_block) * np.eye(d_block * d_in).reshape(-1, d_block, d_in)
-        blocks.append(np.concatenate([units, np.zeros_like(units)], axis=1))
-    if x < 1:
-        ops = np.sqrt(1.0 - x) * inner.kraus
-        blocks.append(np.concatenate([np.zeros_like(ops), ops], axis=1))
-    return KrausChannel(
-        np.concatenate(blocks),
-        name=f"flagged_direct_sum(x={x},{inner.name})",
-    )
 
 
 # ---------------------------------------------------------------------------

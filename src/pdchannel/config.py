@@ -1,8 +1,5 @@
-"""Centralized numerical tolerances and size limits.
-
-The algebra behind the toolkit is exact; floating point demands explicit
-thresholds, so every tolerance lives here and nowhere else.
-"""
+"""The certificate tolerances, which every report echoes in ``env``, and
+the size limit; solver constants live beside their algorithms."""
 
 from __future__ import annotations
 

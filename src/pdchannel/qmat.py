@@ -117,11 +117,9 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff."""
-    m = as_matrix(m)
-    if not m.size or not np.any(m):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(m, rcond=TOL.pinv_cutoff)
+    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff;
+    a zero or empty matrix gives the zero matrix of the transposed shape."""
+    return np.linalg.pinv(as_matrix(m), rcond=TOL.pinv_cutoff)
 
 
 def numerical_rank(spectrum) -> int:

@@ -122,27 +122,37 @@ def m_ae_channel(repair: bool = False) -> chmod.KrausChannel:
     return _repair(ch) if repair else ch
 
 
-def composite_complementary(x: float, repair: bool = False) -> chmod.KrausChannel:
-    """4->8 flag construction: x |0><0| (x) rho + (1-x) |1><1| (x) m_ae(rho)."""
+def _flag_sum(x: float, first, second, spread: int = 1) -> list:
+    """Kraus operators of rho -> x |0><0| (x) A(rho) + (1-x) |1><1| (x) B(rho),
+    flag slow, from the stacks ``first`` of A, each operator weighted by
+    sqrt(x / spread), and ``second`` of B; a branch of weight 0 is left out."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be in [0, 1], got {x}")
-    inner = m_ae_channel(repair=repair)
-    ops = [np.sqrt(x) * np.kron(_ket(0, 2), np.eye(4, dtype=np.complex128))]
-    ops += [np.sqrt(1.0 - x) * np.kron(_ket(1, 2), k) for k in inner.kraus]
+    ops = []
+    if x > 0:
+        ops += [np.sqrt(x / spread) * np.kron(_ket(0, 2), k) for k in first]
+    if x < 1:
+        ops += [np.sqrt(1.0 - x) * np.kron(_ket(1, 2), k) for k in second]
+    return ops
+
+
+def composite_complementary(x: float, repair: bool = False) -> chmod.KrausChannel:
+    """4->8 flag construction: x |0><0| (x) rho + (1-x) |1><1| (x) m_ae(rho)."""
+    ops = _flag_sum(x, [np.eye(4, dtype=np.complex128)], m_ae_channel(repair=repair).kraus)
     name = f"composite_complementary(x={x})" + (" [repaired]" if repair else "")
-    return chmod.KrausChannel([o for o in ops if np.linalg.norm(o) > 0] or ops, name)
+    return chmod.KrausChannel(ops, name)
 
 
 def nab_ae_channel(x: float) -> chmod.KrausChannel:
-    """4->12 flag direct sum around the isometric 4->6 embedding.
+    """4->12 flag direct sum around the isometric 4->6 embedding; the
+    x-branch replaces the input with the maximally mixed 6-dim state.
 
     x >= 1/2 is the anti-degradable regime; x < 1/2 builds the same map as
     the variant whose complementary is read against the degraded
     environment.
     """
-    ch = chmod.flagged_direct_sum(x, chmod.KrausChannel([np.eye(6, 4)]))
-    ch.name = f"nab_ae(x={x})"
-    return ch
+    units = np.eye(24, dtype=np.complex128).reshape(24, 6, 4)
+    return chmod.KrausChannel(_flag_sum(x, units, [np.eye(6, 4)], spread=6), f"nab_ae(x={x})")
 
 
 def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = False) -> chmod.KrausChannel:

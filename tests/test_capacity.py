@@ -50,6 +50,11 @@ def test_pd_isometries_validation():
     half = ch.KrausChannel([0.5 * np.eye(2)])
     with pytest.raises(NotTracePreserving):
         cap.coherent_information_pd(half, ch.identity_channel(1), ch.identity_channel(2), np.eye(2) / 2)
+    # a state of trace 3 gives a reduced spectrum of [0.6, 2.4], outside
+    # the entropy clamping window
+    d = zoo.d_e_to_eprime(repair=True)
+    with pytest.raises(NotDensityMatrix):
+        cap.coherent_information_pd(n_ab, d, d, 3 * np.diag([0.4, 0.3, 0.2, 0.1]))
 
 
 def test_isometry_chain_identity_degradings_match_standard():

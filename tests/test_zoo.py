@@ -35,23 +35,51 @@ def test_m_ae_verbatim_flagged_repaired_ok():
     assert "[repaired]" in repaired.name
 
 
-def test_composite_complementary_block_structure():
-    c = zoo.composite_complementary(0.75, repair=True)
-    assert (c.dim_in, c.dim_out) == (4, 8)
-    assert not c.flagged
-    rho = np.eye(4, dtype=complex) / 4
-    out = ch.apply(c, rho).reshape(2, 4, 2, 4)
-    assert np.trace(out[0, :, 0, :]).real == pytest.approx(0.75, abs=1e-10)
-    # verbatim inner block leaves the construction flagged
-    assert zoo.composite_complementary(0.75).flagged
+_RHO4 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
 
 
-def test_nab_ae_channel():
-    c = zoo.nab_ae_channel(0.75)
+@pytest.mark.parametrize("x", [0.0, 0.75, 1.0])
+def test_composite_complementary_block_structure(x):
+    for repair in (False, True):
+        c = zoo.composite_complementary(x, repair=repair)
+        inner = zoo.m_ae_channel(repair=repair)
+        assert (c.dim_in, c.dim_out) == (4, 8)
+        # the identity on flag 0 and m_ae on flag 1, a branch of weight 0 left out
+        assert len(c.kraus) == (x > 0) + len(inner.kraus) * (x < 1)
+        assert np.all(np.linalg.norm(c.kraus, axis=(1, 2)) > 0)
+        # a verbatim inner block leaves the construction flagged
+        assert c.flagged == (not repair and x < 1)
+        if not c.flagged:
+            assert c.tp_residual() <= 1e-10
+        blocks = ch.apply(c, _RHO4).reshape(2, 4, 2, 4)
+        assert np.allclose(blocks[0, :, 0, :], x * _RHO4, atol=1e-12)
+        assert np.allclose(blocks[0, :, 1, :], 0.0)
+        assert np.trace(blocks[1, :, 1, :]).real == pytest.approx(
+            (1 - x) * np.trace(ch.apply(inner, _RHO4)).real, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("x", [0.0, 0.75, 1.0])
+def test_nab_ae_channel(x):
+    c = zoo.nab_ae_channel(x)
     assert (c.dim_in, c.dim_out) == (4, 12)
-    assert c.tp_residual() <= 1e-12
+    # 24 operators |m><k| on flag 0 and the 4->6 embedding on flag 1
+    assert len(c.kraus) == 24 * (x > 0) + (x < 1)
+    assert np.all(np.linalg.norm(c.kraus, axis=(1, 2)) > 0)
+    assert not c.flagged and c.tp_residual() <= 1e-12
+    blocks = ch.apply(c, _RHO4).reshape(2, 6, 2, 6)
+    assert np.trace(blocks[0, :, 0, :]).real == pytest.approx(x, abs=1e-12)
+    assert np.trace(blocks[1, :, 1, :]).real == pytest.approx(1 - x, abs=1e-12)
+    # x-branch replaces the input with the maximally mixed block state
+    assert np.allclose(blocks[0, :, 0, :], x * np.eye(6) / 6)
+    assert np.allclose(blocks[0, :, 1, :], 0.0)
+
+
+@pytest.mark.parametrize("build", [zoo.nab_ae_channel, zoo.composite_complementary])
+@pytest.mark.parametrize("x", [1.5, -0.5, float("nan")])
+def test_flag_sums_reject_x_outside_the_unit_interval(build, x):
     with pytest.raises(DomainError):
-        zoo.nab_ae_channel(1.5)
+        build(x)
 
 
 def test_d_e_to_eprime_flag_and_repair():
