@@ -5,7 +5,7 @@ import pytest
 
 from pdchannel import channel as ch
 from pdchannel import qmat, zoo
-from pdchannel.errors import DimMismatch, NotTracePreserving, SizeLimit
+from pdchannel.errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 
 def _ad(gamma=0.3):
@@ -130,6 +130,25 @@ def test_tensor_action_and_cap(monkeypatch):
     monkeypatch.setenv("QPD_MAX_DIM", "3")
     with pytest.raises(SizeLimit):
         ch.tensor(a, b)
+
+
+def test_flagged_direct_sum_is_tp_and_block_structured():
+    # the flag direct sum around the isometric 4->6 embedding eye(6, 4)
+    c = zoo.nab_ae_channel(0.75)
+    assert c.dim_in == 4 and c.dim_out == 12
+    assert c.tp_residual() <= 1e-12
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    out = ch.apply(c, rho)
+    blocks = out.reshape(2, 6, 2, 6)
+    assert np.trace(blocks[0, :, 0, :]).real == pytest.approx(0.75, abs=1e-12)
+    assert np.trace(blocks[1, :, 1, :]).real == pytest.approx(0.25, abs=1e-12)
+    # x-branch replaces the input with the maximally mixed block state
+    assert np.allclose(blocks[0, :, 0, :], 0.75 * np.eye(6) / 6)
+    assert np.allclose(blocks[0, :, 1, :], 0.0)
+    # the embedding branch carries the input unchanged into flag 1
+    assert np.allclose(blocks[1, :, 1, :], 0.25 * np.eye(6, 4) @ rho @ np.eye(4, 6))
+    with pytest.raises(DomainError):
+        zoo.nab_ae_channel(1.5)
 
 
 def test_json_roundtrip(tmp_path):

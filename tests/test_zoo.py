@@ -59,8 +59,16 @@ def test_composite_complementary_block_structure(x):
         )
 
 
+def test_nab_ae_channel():
+    c = zoo.nab_ae_channel(0.75)
+    assert (c.dim_in, c.dim_out) == (4, 12)
+    assert c.tp_residual() <= 1e-12
+    with pytest.raises(DomainError):
+        zoo.nab_ae_channel(1.5)
+
+
 @pytest.mark.parametrize("x", [0.0, 0.75, 1.0])
-def test_nab_ae_channel(x):
+def test_nab_ae_channel_block_structure(x):
     c = zoo.nab_ae_channel(x)
     assert (c.dim_in, c.dim_out) == (4, 12)
     # 24 operators |m><k| on flag 0 and the 4->6 embedding on flag 1
