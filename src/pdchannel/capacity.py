@@ -1,6 +1,7 @@
 """Coherent information, the entropy identities along the isometry chain
 of a channel and its two degrading maps (read off their Kraus stacks), and
-multi-start maximization over input states.
+multi-start maximization over input states, which stops early once a
+Frank-Wolfe gap proves the optimum of a certified degradable channel.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from math import isfinite, isqrt, prod
 import numpy as np
 
 from . import channel as chmod
+from . import degradability as deg
 from . import entanglement as ent
 from . import optimize, qmat
+from .config import TOL
 from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
@@ -49,6 +52,9 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     degrading that acts on neither E nor B as placed :class:`DimMismatch`,
     and a ``rho`` whose reduced states fall outside the entropy clamping
     window (not a density matrix, say of trace 3) :class:`NotDensityMatrix`.
+    So does a ``rho`` whose own spectrum leaves that window: it is held to
+    the window before it is purified, so a negative eigenvalue is an error,
+    not clipped to 0.
 
     Returns entropies (bits) of the final pure state over E', F, G, H, R:
     h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
@@ -65,7 +71,7 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
         raise DimMismatch("state side does not match the chain input")
     w_eig, v_eig = qmat.eigh(rho)
     # purification over A (rows) and reference R (columns)
-    psi = v_eig * np.sqrt(np.clip(w_eig, 0.0, None))
+    psi = v_eig * np.sqrt(ent.clamped(w_eig))
     ber = np.einsum("eba,ar->ber", n_ab.kraus, psi)
     h_b = _marginal_entropy(ber, [0])
     # axes E', F, G, H, R
@@ -126,7 +132,7 @@ def _state_to_params(rho: np.ndarray) -> np.ndarray:
     return _factor_to_params(v * np.sqrt(np.maximum(w, 0.0) + 1e-12))
 
 
-def _objective(ch: chmod.KrausChannel):
+def _objective(ch: chmod.KrausChannel, degradable: bool = False):
     """-I_coh = H(N_c(rho)) - H(N(rho)) over the 2 d^2 parameters of the
     input side d, with its exact gradient. The objective takes one
     parameter vector, or an (R, 2 d^2) stack of them and then returns R
@@ -139,6 +145,14 @@ def _objective(ch: chmod.KrausChannel):
     rho = A A^dag / t it is B = 2 (G - Tr(G rho) I) A / t in A, read off as
     (Re B_ij, Im B_ij) for every entry. Value and G are accumulated from
     zero, N first.
+
+    With ``degradable`` (``ch`` has a certified degrading map, so I_coh is
+    concave in rho; Yard, Hayden & Devetak, IEEE TIT 54, 2008) the
+    objective also returns each row's Frank-Wolfe gap
+    lambda_max(-G) - Tr(-G rho) = Tr(G rho) - lambda_min(G), by one batched
+    ``eigvalsh`` of the G stack: max I_coh <= I_coh(rho) + gap. A row whose
+    output spectra are not both strictly positive after the clamping window
+    gets NaN, since log2 is 0 on a kernel and G is no gradient there.
     """
     terms = [(1, ch), (-1, chmod.complementary(ch))]
 
@@ -147,18 +161,20 @@ def _objective(ch: chmod.KrausChannel):
         d = isqrt(stack.shape[-1] // 2)
         a = _params_to_factor(stack, d)
         rho, t = _factor_to_state(a)
-        value, g = 0.0, np.zeros(rho.shape, dtype=np.complex128)
+        value, g, full = 0.0, np.zeros(rho.shape, dtype=np.complex128), True
         for c, m in terms:
-            h, log = ent.entropy_and_log2(chmod.apply(m, rho))
+            h, log, w = ent.entropy_and_log2(chmod.apply(m, rho), spectrum=True)
             value += c * h
             g += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
+            full = full & (w[:, 0] > 0)
         live = (t >= _TINY_TRACE)[:, None, None]
         tr_g_rho = np.trace(g @ rho, axis1=-2, axis2=-1).real[:, None, None]
         b = 2 * (g @ a - tr_g_rho * a) / np.where(live, t[:, None, None], 1.0)
         grad = _factor_to_params(np.where(live, b, 0.0))
-        if np.ndim(x) == 1:
-            return -value[0], grad[0]
-        return -value, grad
+        out = [-value, grad]
+        if degradable:
+            out.append(np.where(full, tr_g_rho[:, 0, 0] - np.linalg.eigvalsh(g)[:, 0], np.nan))
+        return tuple(o[0] for o in out) if np.ndim(x) == 1 else tuple(out)
 
     return objective
 
@@ -190,6 +206,28 @@ def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
     return starts[:restarts]
 
 
+def _check_settings(d: int, restarts: int, tol: float, seed: int) -> None:
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    if d > MAX_OPT_DIM:
+        raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
+
+
+def _degrading_map(ch: chmod.KrausChannel):
+    """The degrading map of ``ch`` that the least-squares stage of the
+    degrading-map solve certifies (:func:`degradability.least_squares_map`),
+    or None: without a certified candidate, or when the solve's size limit
+    refuses the channel, nothing more is tried."""
+    try:
+        return deg.least_squares_map(ch, chmod.complementary(ch))[1]
+    except SizeLimit:
+        return None
+
+
 def maximize_coherent_information(
     ch: chmod.KrausChannel,
     restarts: int = 32,
@@ -201,42 +239,65 @@ def maximize_coherent_information(
     rho = A A^dag / Tr(A A^dag) of complex d x d factors A, with the
     analytic gradient. The restarts run in
     lockstep blocks of ``LOCKSTEP_BLOCK`` (:func:`optimize.minimize_many`),
-    and each ends as it would run alone. Deterministic given the seed,
+    and each ends as it would run alone, unless a certificate ends its
+    block. Deterministic given the seed,
     which seeds the standard library's ``random.Random`` for the random
     starts (see :func:`_starts`).
 
+    The channel is first checked for degradability by the least-squares
+    stage of the degrading-map solve alone (one ``pinv`` and one Choi
+    eigensolve). When that certifies a degrading map, I_coh is concave, and
+    a block ends at the first round in which some restart's point has a
+    Frank-Wolfe gap of at most ``tol`` (see :func:`_objective`): that point
+    is within the gap of the optimum, so that restart ends there, the
+    others keep their current iterates, and later blocks do not start.
+    ``restarts`` is then an upper limit. Otherwise every restart runs to
+    its own stop.
+
     Returns the best value over the restarts, ``value``, the state that
     reaches it, ``argmax_state``, in the :func:`qmat.as_pairs` layout,
-    ``restarts_used``, and per restart, in restart order, its value
-    (``per_restart_values``) and its L-BFGS iteration count, evaluation
-    count and stop message (``per_restart_status``). ``converged`` means
-    only that the top two restarts agree within 10 * max(tol, 1e-6), which
-    is all ``tol`` sets; it says nothing about any single L-BFGS run.
+    ``restarts_used``, the restarts that started, and per restart, in
+    restart order, its value (``per_restart_values``) and its L-BFGS
+    iteration count, evaluation count and stop message
+    (``per_restart_status``). ``certificate`` holds ``degradable``, whether
+    the degrading map was certified, and the ``gap`` and ``restart`` of the
+    point that ended the run, both None when none did; Q^(1) is then at
+    most ``value`` + ``gap``. ``converged`` means that a certificate ended
+    the run, or else only that the top two restarts agree within
+    10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
     ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is negative or not
     finite raise :class:`DomainError`; an extra seed state of the wrong
     side raises :class:`DimMismatch`, and one with eigenvalues outside the
     entropy clamping window :class:`NotDensityMatrix`."""
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if not (isfinite(tol) and tol >= 0):
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    _check_settings(ch.dim_in, restarts, tol, seed)
+    return _maximize(ch, restarts, tol, seed, extra_seed_states, _degrading_map(ch) is not None)
+
+
+def _maximize(ch, restarts, tol, seed, extra_seed_states, degradable: bool) -> dict:
+    """The body of :func:`maximize_coherent_information` on settings it has
+    checked; ``degradable`` says that a degrading map of ``ch`` is
+    certified."""
     d = ch.dim_in
-    if d > MAX_OPT_DIM:
-        raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
-    objective = _objective(ch)
+    objective = _objective(ch, degradable)
     starts = _starts(d, restarts, seed, extra_seed_states)
     values, status, best_x = [], [], None
+    certificate = {"degradable": degradable, "gap": None, "restart": None}
     for i in range(0, len(starts), LOCKSTEP_BLOCK):
-        for res in optimize.minimize_many(objective, starts[i : i + LOCKSTEP_BLOCK]):
+        results = optimize.minimize_many(
+            objective, starts[i : i + LOCKSTEP_BLOCK], tol if degradable else None, first=i)
+        for res in results:
+            if res.gap is not None:
+                certificate.update(gap=res.gap, restart=len(values))
             values.append(-float(res.fun))
             status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
             if best_x is None or values[-1] > max(values[:-1]):
                 best_x = res.x
+        if certificate["gap"] is not None:
+            break
     ordered = sorted(values, reverse=True)
-    converged = len(ordered) >= 2 and (ordered[0] - ordered[1]) <= max(tol, 1e-6) * 10
+    converged = certificate["gap"] is not None or (
+        len(ordered) >= 2 and (ordered[0] - ordered[1]) <= max(tol, 1e-6) * 10)
     return {
         "value": max(values),
         "argmax_state": qmat.as_pairs(_params_to_state(best_x, d)),
@@ -244,6 +305,7 @@ def maximize_coherent_information(
         "converged": converged,
         "per_restart_values": values,
         "per_restart_status": status,
+        "certificate": certificate,
     }
 
 
@@ -256,24 +318,37 @@ def check_two_copy_size(ch: chmod.KrausChannel) -> None:
 
 def additivity_probe(
     ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42,
-    single: dict | None = None,
+    single: dict | None = None, tol: float = 1e-6,
 ) -> dict:
     """Compare the two-copy optimum against twice the single-copy optimum;
     ``single``, when given, is the report of
-    :func:`maximize_coherent_information` with the same restarts and seed,
-    and is not computed again. The product of the single-copy optimal
-    state with itself seeds the two-copy restarts."""
+    :func:`maximize_coherent_information` with the same restarts, seed and
+    tol, and is not computed again. The product of the single-copy optimal
+    state with itself seeds the two-copy restarts.
+
+    The two copies need no degrading-map solve of their own: when the
+    least-squares stage certifies a degrading map D of ``ch``, D (x) D
+    degrades N (x) N, which :func:`degradability.verify_pd_identity` checks
+    against the complementary channel of N (x) N within TOL.residual_tol.
+    The two-copy maximization then stops as :func:`maximize_coherent_information`
+    does on a certified channel; otherwise it runs every restart."""
     if n != 2:
         raise SizeLimit("only n = 2 is supported")
     check_two_copy_size(ch)
+    _check_settings(ch.dim_in, restarts, tol, seed)
+    degrading = _degrading_map(ch)
     if single is None:
-        single = maximize_coherent_information(ch, restarts=restarts, seed=seed)
+        single = _maximize(ch, restarts, tol, seed, None, degrading is not None)
     joint_ch = chmod.tensor(ch, ch)
+    joint_degradable = False
+    if degrading is not None:
+        env = chmod.complementary(joint_ch)
+        pair = chmod.tensor(degrading, degrading)
+        residual = deg.verify_pd_identity(joint_ch, pair, env, chmod.identity_channel(env.dim_out))
+        joint_degradable = residual <= TOL.residual_tol
     # [re, im] pairs back to the complex state; exact in floating point
     rho = np.asarray(single["argmax_state"]) @ [1, 1j]
-    joint = maximize_coherent_information(
-        joint_ch, restarts=restarts, seed=seed, extra_seed_states=[np.kron(rho, rho)]
-    )
+    joint = _maximize(joint_ch, restarts, tol, seed, [np.kron(rho, rho)], joint_degradable)
     gap = joint["value"] - 2 * single["value"]
     return {"single": single["value"], "joint": joint["value"], "gap": gap}
 

@@ -132,7 +132,7 @@ def cmd_capacity(args) -> int:
     if args.tensor is not None:
         # the single-copy optimum above is the one the probe would compute
         out["additivity"] = capmod.additivity_probe(
-            ch, restarts=args.restarts, seed=args.seed, single=result
+            ch, restarts=args.restarts, seed=args.seed, single=result, tol=args.tol
         )
     _emit(out, args)
     return EXIT_OK

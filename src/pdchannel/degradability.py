@@ -201,41 +201,12 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
     return x, REFINE_ROUNDS
 
 
-def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
-    """Find a CPTP map D with to = D o from, or prove that none exists.
-
-    Returns ``(report, map)``: the report ``classify`` prints for the solve,
-    and the certified Kraus map, None unless ``status`` is ``certified``.
-    The report holds ``success``, ``residual``, ``cp_min_eig``,
-    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
-    and ``map_tp_residual``, the certificates of the returned map itself,
-    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
-    A solve that ran the refinement adds ``refine_rounds``, the Choi
-    eigensolves it spent.
-
-    The trace-preserving least-squares solutions of T T_from = T_to form an
-    affine set A, and ``affine`` is its Frobenius projection: with Pi the
-    projector onto range(T_from), T_off = T (I - Pi) and
-    r = vec(I_mid)^dag (I - Pi),
-    P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
-    The candidate P_A(0) is the least-squares map on the range, with the
-    off-range input components (trace the range never sees) sent to the
-    maximally mixed state. If it fails its certificates, one Farkas witness
-    (:func:`_farkas_witness`) is built from it. With its residual above
-    TOL.residual_tol: Y = -R for R = T_to - T_ls T_from, T_ls = T_to
-    pinv(T_from), and z = 0; R vanishes on the row space of T_from, so W' = 0
-    and the score is -||R||_F^2. Every such D keeps the trace, so
-    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
-    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
-    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise, with W minus the negative part
-    of its Hermitian Choi matrix in transfer form, W' = W - (P_A(W) - P_A(0))
-    is the component of W normal to A: Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
-    residual and trace hold, :func:`_cptp_refine` searches A for a CPTP member.
-    A side above ``max_dim()`` (d_in^2, d_mid^2, d_out^2 of the transfer
-    matrices, d_mid d_out of the Choi matrix) raises :class:`SizeLimit`
-    before anything is built.
-    """
+def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
+    """The least-squares stage of :func:`solve_degrading_map`: the report
+    and map of :func:`least_squares_map`, then what the rest of the solve
+    builds on, the transfer matrices T_from and T_to, pinv(T_from), the
+    projector Pi = T_from pinv(T_from), the projection ``affine`` onto A and
+    the candidate P_A(0)."""
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
@@ -257,8 +228,64 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
 
     t_d = affine(np.zeros_like(t_ls))
     report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
+    return report, d, t_from, t_to, f_pinv, pi, affine, t_d
+
+
+def least_squares_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
+    """The first stage of :func:`solve_degrading_map`, and its only cost when
+    it certifies: one ``pinv`` of T_from and one Choi eigensolve of the
+    least-squares candidate P_A(0), with no refinement and no witness, and
+    when it certifies, one more that reads the Kraus map off that Choi matrix.
+
+    Returns ``(report, map)`` as the solve does when this stage certifies;
+    otherwise the map is None and the report's ``status`` is ``not_found``,
+    with no ``stop``: the solve would go on to a witness or a refinement.
+    Raises :class:`DimMismatch` and :class:`SizeLimit` as the solve does."""
+    return _least_squares(from_ch, to_ch)[:2]
+
+
+def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
+    """Find a CPTP map D with to = D o from, or prove that none exists.
+
+    Returns ``(report, map)``: the report ``classify`` prints for the solve,
+    and the certified Kraus map, None unless ``status`` is ``certified``.
+    The report holds ``success``, ``residual``, ``cp_min_eig``,
+    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
+    and ``map_tp_residual``, the certificates of the returned map itself,
+    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
+    A solve that ran the refinement adds ``refine_rounds``, the Choi
+    eigensolves it spent.
+
+    The trace-preserving least-squares solutions of T T_from = T_to form an
+    affine set A, and ``affine`` is its Frobenius projection: with Pi the
+    projector onto range(T_from), T_off = T (I - Pi) and
+    r = vec(I_mid)^dag (I - Pi),
+    P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
+    The solve starts with :func:`least_squares_map`, which certifies the
+    candidate P_A(0): the least-squares map on the range, with the
+    off-range input components (trace the range never sees) sent to the
+    maximally mixed state. If it fails its certificates, one Farkas witness
+    (:func:`_farkas_witness`) is built from it. With its residual above
+    TOL.residual_tol: Y = -R for R = T_to - T_ls T_from, T_ls = T_to
+    pinv(T_from), and z = 0; R vanishes on the row space of T_from, so W' = 0
+    and the score is -||R||_F^2. Every such D keeps the trace, so
+    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
+    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
+    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise, with W minus the negative part
+    of its Hermitian Choi matrix in transfer form, W' = W - (P_A(W) - P_A(0))
+    is the component of W normal to A: Y = W pinv(T_from)^dag and
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
+    residual and trace hold, :func:`_cptp_refine` searches A for a CPTP member.
+    A side above ``max_dim()`` (d_in^2, d_mid^2, d_out^2 of the transfer
+    matrices, d_mid d_out of the Choi matrix) raises :class:`SizeLimit`
+    before anything is built.
+    """
+    report, d, t_from, t_to, f_pinv, pi, affine, t_d = _least_squares(from_ch, to_ch)
     if d is not None:
         return report, d
+    d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
+    tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
+    t_ls = t_to @ f_pinv
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
     trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
     remainder = trace_mismatch or report["residual"] > TOL.residual_tol

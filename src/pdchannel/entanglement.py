@@ -22,7 +22,10 @@ from .errors import DimMismatch, NotDensityMatrix
 _CLAMP = 1e-9
 
 
-def _clamped(w: np.ndarray) -> np.ndarray:
+def clamped(w: np.ndarray) -> np.ndarray:
+    """A spectrum held to the clamping window: clipped to [0, 1]. An
+    eigenvalue more than ``_CLAMP`` outside it raises
+    :class:`NotDensityMatrix`."""
     if w.min() < -_CLAMP or w.max() > 1.0 + _CLAMP:
         raise NotDensityMatrix(
             f"eigenvalues [{w.min():.3e}, {w.max():.3e}] outside clamping window"
@@ -32,7 +35,7 @@ def _clamped(w: np.ndarray) -> np.ndarray:
 
 def _spectrum(rho) -> np.ndarray:
     rho = qmat.check_square(rho)
-    return _clamped(np.linalg.eigvalsh((rho + rho.conj().T) / 2))
+    return clamped(np.linalg.eigvalsh((rho + rho.conj().T) / 2))
 
 
 def _log2(w: np.ndarray) -> np.ndarray:
@@ -46,21 +49,24 @@ def entropy(rho) -> float:
     return float(-np.sum(w * _log2(w)))
 
 
-def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray]:
+def entropy_and_log2(rho, spectrum: bool = False) -> tuple:
     """Von Neumann entropy in bits and the matrix log2(rho), both from one
-    eigendecomposition under the clamping window of :func:`entropy`.
+    eigendecomposition under the clamping window of :func:`entropy`; with
+    ``spectrum``, the clamped eigenvalues, ascending, come third.
 
     ``rho`` is one state, or a stack of states along leading axes (see
     :func:`qmat.check_square_stack`); for a stack the entropies come as an
     array over those axes, the logarithms as a stack, and every spectrum
     is held to the window. The logarithm is taken on the support and set to
-    0 on the kernel, so it is always finite.
+    0 on the kernel, so it is always finite; there it is not the logarithm
+    of a nearby full-rank state, which only the spectrum tells.
     """
     rho = qmat.check_square_stack(rho)
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
-    w = _clamped(w)
+    w = clamped(w)
     log_w = _log2(w)
-    return -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    out = -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (*out, w) if spectrum else out
 
 
 def _resolve(rho, dims: Sequence[int]):

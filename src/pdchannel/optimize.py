@@ -8,7 +8,9 @@ The stop tests are those of L-BFGS-B: max |g_i| <= ``GTOL``, or a relative
 reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``FTOL``. A run also
 stops when the next trial step predicts a decrease below the rounding of f,
 and a line search that finds no acceptable step in ``MAX_LS`` evaluations
-ends the run at the last iterate.
+ends the run at the last iterate. An objective that also bounds each
+point's distance to the minimum ends a whole block at the first point whose
+bound is small enough (see :func:`minimize_many`).
 
 :func:`minimize_many` advances R runs together on one array state: the
 iterates, values and gradients as (R, n), (R,) and (R, n) arrays; the
@@ -48,13 +50,14 @@ _LINE_SEARCH = "stopped: no step along the search direction meets the strong Wol
 
 class OptimizeResult:
     """The end of one run: its last iterate ``x`` and value ``fun``, its
-    iteration and evaluation counts ``nit`` and ``nfev``, and its stop
-    ``message``."""
+    iteration and evaluation counts ``nit`` and ``nfev``, its stop
+    ``message``, and ``gap``, the bound on fun - min f that ended the block,
+    for the run whose point certified it, else None."""
 
-    __slots__ = ("x", "fun", "nit", "nfev", "message")
+    __slots__ = ("x", "fun", "nit", "nfev", "message", "gap")
 
-    def __init__(self, x, fun, nit, nfev, message):
-        self.x, self.fun, self.nit, self.nfev, self.message = x, fun, nit, nfev, message
+    def __init__(self, x, fun, nit, nfev, message, gap=None):
+        self.x, self.fun, self.nit, self.nfev, self.message, self.gap = x, fun, nit, nfev, message, gap
 
 
 def minimize(fun, x0) -> OptimizeResult:
@@ -70,13 +73,22 @@ def minimize(fun, x0) -> OptimizeResult:
     return minimize_many(one_row, [x0])[0]
 
 
-def minimize_many(fun, x0s) -> list:
+def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
     """Minimize from every start in ``x0s`` in lockstep, one result per
     start in start order. Each round makes one call ``fun(X)`` on the
     (R, n) stack of the points the R unfinished runs wait on, which returns
     (values, gradients) with one row per point. A run whose rows equal what
     ``fun`` gives on its points alone ends as :func:`minimize` ends from its
     start.
+
+    With ``gap_tol``, ``fun`` also returns a third row array: a certified
+    upper bound on f(x) - inf f for each point, NaN where it has none. The
+    block then ends in the first round in which some point's bound is at
+    most ``gap_tol``. The first such run in start order ends at that point,
+    with its bound as ``gap``; every other unfinished run keeps its current
+    iterate, and its message names the certifying run, numbering the starts
+    from ``first``. Without such a round the runs end as they do without
+    ``gap_tol``.
     """
     capped = f"stopped: {MAX_ITER} iterations reached"
     messages = [None, _GRADIENT, _REDUCTION, _ROUNDING, _LINE_SEARCH, capped]
@@ -99,8 +111,8 @@ def minimize_many(fun, x0s) -> list:
         stop[rows & (stop == 0)] = messages.index(message)
 
     while order.size:
-        values, grads = fun(xt)
-        ft, gt = np.asarray(values, dtype=np.float64), np.asarray(grads, dtype=np.float64)
+        evaluated = fun(xt)
+        ft, gt = (np.asarray(a, dtype=np.float64) for a in evaluated[:2])
         begun = nfev > 0
         nfev += 1
         trials += 1
@@ -127,6 +139,19 @@ def minimize_many(fun, x0s) -> list:
         new = ~begun | accept
         f_old = f
         x, f, g = np.where(new[:, None], xt, x), np.where(new, ft, f), np.where(new[:, None], gt, g)
+        if gap_tol is not None:
+            gaps = np.asarray(evaluated[2], dtype=np.float64)
+            hit = np.flatnonzero(gaps <= gap_tol)
+            if hit.size:
+                c, gap = hit[0], float(gaps[hit[0]])
+                x[c], f[c] = xt[c], ft[c]
+                others = f"stopped: restart {first + order[c]} has a certified gap {gap:.3e} <= {gap_tol:g}"
+                for i in range(order.size):
+                    mine = i == c
+                    message = f"converged: certified gap {gap:.3e} <= {gap_tol:g}" if mine else others
+                    results[order[i]] = OptimizeResult(
+                        x[i].copy(), float(f[i]), int(nit[i]), int(nfev[i]), message, gap if mine else None)
+                return results
 
         stop = np.zeros(order.size, dtype=int)  # an index into messages, 0 while running
         end(~new & (trials >= MAX_LS), _LINE_SEARCH)

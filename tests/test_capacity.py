@@ -55,6 +55,15 @@ def test_pd_isometries_validation():
     d = zoo.d_e_to_eprime(repair=True)
     with pytest.raises(NotDensityMatrix):
         cap.coherent_information_pd(n_ab, d, d, 3 * np.diag([0.4, 0.3, 0.2, 0.1]))
+    # a state with a negative eigenvalue beyond the window is rejected, as
+    # coherent_information rejects it, not clipped before purification
+    e = zoo.erasure(0.25, d=3)
+    legs = (ch.identity_channel(e.dim_env), ch.identity_channel(e.dim_out))
+    bad = np.diag([0.6, 0.5, -0.1])
+    with pytest.raises(NotDensityMatrix):
+        cap.coherent_information(e, bad)
+    with pytest.raises(NotDensityMatrix):
+        cap.coherent_information_pd(e, *legs, bad)
 
 
 def test_isometry_chain_identity_degradings_match_standard():
@@ -158,7 +167,11 @@ def test_maximizer_dephasing():
 
 
 def test_maximizer_reports_per_restart_status():
-    res = cap.maximize_coherent_information(zoo.amplitude_damping(0.2), restarts=6, seed=3)
+    # AD(0.7) is anti-degradable, so no certificate ends a block: every
+    # restart runs to its own stop; and I/d is not its optimum, so restart 0
+    # takes a step too
+    res = cap.maximize_coherent_information(zoo.amplitude_damping(0.7), restarts=6, seed=3)
+    assert not res["certificate"]["degradable"]
     status = res["per_restart_status"]
     assert len(status) == 6
     for entry in status:
@@ -171,21 +184,27 @@ def test_maximizer_matches_scipy_lbfgsb():
     sopt = pytest.importorskip("scipy.optimize")
     c = zoo.amplitude_damping(0.2)
     joint = ch.tensor(c, c)
-    ours = cap.maximize_coherent_information(joint, restarts=16, seed=42)
+    # every restart to its own stop: the lockstep driver without the
+    # certified stop that AD(0.2)x2 would get in the maximizer
     objective = cap._objective(joint)
+    starts = cap._starts(joint.dim_in, 16, 42, None)
+    ours = [-r.fun for r in optimize.minimize_many(objective, starts)]
     options = {"maxiter": 300, "ftol": 1e-12, "gtol": 1e-10}
     ref = [
         -sopt.minimize(objective, x0, jac=True, method="L-BFGS-B", options=options).fun
-        for x0 in cap._starts(joint.dim_in, 16, 42, None)
+        for x0 in starts
     ]
-    assert np.max(np.abs(np.subtract(ours["per_restart_values"], ref))) <= 1e-9
+    assert np.max(np.abs(np.subtract(ours, ref))) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_every_two_copy_dephasing_restart_reaches_the_optimum(seed):
-    c = zoo.dephasing(0.3)
-    res = cap.maximize_coherent_information(ch.tensor(c, c), restarts=32, seed=seed)
-    assert res["value"] - min(res["per_restart_values"]) <= 1e-6
+    # every restart to its own stop, without the certified stop that
+    # dephasing(0.3)x2 would get in the maximizer
+    c = ch.tensor(zoo.dephasing(0.3), zoo.dephasing(0.3))
+    starts = cap._starts(c.dim_in, 32, seed, None)
+    values = [-r.fun for r in optimize.minimize_many(cap._objective(c), starts)]
+    assert max(values) - min(values) <= 1e-6
 
 
 def _dephrasure(p, q):
@@ -225,8 +244,9 @@ def test_lockstep_runs_match_runs_alone(single):
 
 
 def test_maximizer_blocks_match_runs_alone():
-    # 70 restarts span three lockstep blocks
-    c = zoo.amplitude_damping(0.2)
+    # 70 restarts span three lockstep blocks; depolarizing(0.1) is not
+    # degradable, so no certificate ends a block
+    c = zoo.depolarizing(0.1)
     res = cap.maximize_coherent_information(c, restarts=70, seed=42)
     objective = cap._objective(c)
     alone = [optimize.minimize(objective, x0) for x0 in cap._starts(c.dim_in, 70, 42, None)]
@@ -249,7 +269,12 @@ def test_maximizer_eigendecomposes_once_per_term_per_round(monkeypatch):
     c = zoo.amplitude_damping(0.2)
     res = cap.maximize_coherent_information(ch.tensor(c, c), restarts=32, seed=42)
     rounds = max(entry["nfev"] for entry in res["per_restart_status"])
-    assert len(calls) <= 2 * rounds
+    batched = [shape for shape in calls if len(shape) == 3]
+    assert len(batched) <= 2 * rounds
+    # the certificate's own: one eigensolve reads the Kraus map off the
+    # certified Choi matrix of the least-squares candidate
+    assert res["certificate"]["gap"] is not None
+    assert calls[:1] == [(16, 16)] and len(calls) - len(batched) == 1
 
 
 def test_starts_repeat_per_seed_and_differ_across_seeds():
@@ -362,6 +387,106 @@ def test_capacity_tensor_maximizations_take_at_most_100_rounds():
         )
         rounds += [max(s["nfev"] for s in r["per_restart_status"]) for r in (single, joint)]
     assert sum(rounds) <= 100, rounds
+
+
+def _capacity_tensor_maximizations():
+    """The six maximizations of capacity --tensor 2 --restarts 32 --seed 42
+    on the bench's three channels, as (channel, report, starts), single
+    copy then two copies; the two-copy run is the probe's, whose
+    certificate is D (x) D."""
+    runs = []
+    for c in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3), zoo.dephasing(0.3)):
+        single = cap.maximize_coherent_information(c, restarts=32, seed=42)
+        rho = np.asarray(single["argmax_state"]) @ [1, 1j]
+        joint_ch, seeds = ch.tensor(c, c), [np.kron(rho, rho)]
+        joint = cap._maximize(joint_ch, 32, 1e-6, 42, seeds, True)
+        assert cap.additivity_probe(c, single=single)["joint"] == joint["value"]
+        runs += [(c, single, cap._starts(2, 32, 42, None)),
+                 (joint_ch, joint, cap._starts(4, 32, 42, seeds))]
+    return runs
+
+
+def test_certified_stop_keeps_the_capacity_tensor_values_in_20_rounds():
+    # the same optimum as every restart run to its own stop, in a fraction
+    # of the rounds
+    rounds = 0
+    for c, res, starts in _capacity_tensor_maximizations():
+        assert res["certificate"]["gap"] is not None, c.name
+        full = optimize.minimize_many(cap._objective(c), starts)
+        assert abs(res["value"] - max(-r.fun for r in full)) <= 1e-12, c.name
+        rounds += max(s["nfev"] for s in res["per_restart_status"])
+    assert rounds <= 20
+
+
+def _ad_capacity(gamma):
+    # max over the excited population t of h((1 - gamma) t) - h(gamma t),
+    # concave in t, by ternary search
+    def q(t):
+        return _h2((1 - gamma) * t) - _h2(gamma * t)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (m1, hi) if q(m1) < q(m2) else (lo, m2)
+    return q((lo + hi) / 2)
+
+
+def test_certified_gap_bounds_the_closed_form_capacity():
+    # Q = Q^(1) <= value + gap on degradable channels, one copy and two
+    closed = {
+        "amplitude_damping(gamma=0.2)": _ad_capacity(0.2),
+        "amplitude_damping(gamma=0.3)": _ad_capacity(0.3),
+        "dephasing(p=0.3)": 1.0 - _h2(0.3),
+    }
+    runs = [(q * (1 + (r[0].dim_in > 2)), r[1]) for r in _capacity_tensor_maximizations()
+            for name, q in closed.items() if r[0].name.startswith(name)]
+    for d in (2, 3):
+        res = cap.maximize_coherent_information(ch.identity_channel(d), restarts=32, seed=42)
+        runs.append((np.log2(d), res))
+    assert len(runs) == 8
+    for q, res in runs:
+        cert = res["certificate"]
+        assert cert["degradable"] and res["converged"]
+        assert 0 <= cert["gap"] <= 1e-6
+        assert res["value"] + cert["gap"] >= q
+        assert res["value"] <= q + 1e-12
+        status = res["per_restart_status"][cert["restart"]]
+        assert status["message"] == f"converged: certified gap {cert['gap']:.3e} <= 1e-06"
+        others = {s["message"] for i, s in enumerate(res["per_restart_status"]) if i != cert["restart"]}
+        assert others <= {f"stopped: restart {cert['restart']} has a certified gap {cert['gap']:.3e} <= 1e-06"}
+
+
+def test_rank_guard_keeps_pure_trial_points_from_certifying():
+    # restart 0 of AD(0.2) at seed 42 tries a pure state on its second round:
+    # I = 0 there and log2 is 0 on the output kernels, which would read a
+    # gap of 0 without the guard
+    res = cap.maximize_coherent_information(zoo.amplitude_damping(0.2), restarts=32, seed=42)
+    assert abs(res["value"] - 0.506215240927213) <= 1e-12
+
+
+def test_certified_stop_ends_later_blocks_unstarted():
+    c = zoo.amplitude_damping(0.2)
+    res = cap.maximize_coherent_information(c, restarts=70, seed=42)
+    assert res["restarts_used"] == cap.LOCKSTEP_BLOCK == len(res["per_restart_values"])
+    assert res["certificate"]["restart"] < cap.LOCKSTEP_BLOCK
+
+
+@pytest.mark.parametrize("single", [_dephrasure(0.10, 0.35), zoo.depolarizing(0.1)], ids=lambda c: c.name)
+def test_uncertified_channels_run_every_restart_as_before(single):
+    # neither channel is degradable: the single and two-copy maximizations
+    # give exactly what the lockstep driver gives without a stop
+    res = cap.maximize_coherent_information(single, restarts=32, seed=42)
+    assert res["certificate"] == {"degradable": False, "gap": None, "restart": None}
+    rho = np.asarray(res["argmax_state"]) @ [1, 1j]
+    c2, seeds = ch.tensor(single, single), [np.kron(rho, rho)]
+    joint = cap._maximize(c2, 32, 1e-6, 42, seeds, False)
+    assert cap.additivity_probe(single, single=res)["joint"] == joint["value"]
+    for c, got, extra in ((single, res, None), (c2, joint, seeds)):
+        full = optimize.minimize_many(cap._objective(c), cap._starts(c.dim_in, 32, 42, extra))
+        assert got["per_restart_values"] == [-float(r.fun) for r in full]
+        assert got["per_restart_status"] == [
+            {"nit": r.nit, "nfev": r.nfev, "message": r.message} for r in full
+        ]
 
 
 def test_ssa_known_states():
