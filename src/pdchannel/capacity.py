@@ -309,6 +309,21 @@ def _maximize(ch, restarts, tol, seed, extra_seed_states, degradable: bool) -> d
     }
 
 
+def _degrades(ch: chmod.KrausChannel, degrading: chmod.KrausChannel) -> bool:
+    """Whether ``degrading`` o ``ch`` matches the complementary channel of
+    ``ch`` within TOL.residual_tol (:func:`degradability.verify_pd_identity`
+    with the identity on the environment). The check builds matrices as
+    large as a degrading-map solve of ``ch`` would, so where that solve
+    exceeds the size limit the answer is False."""
+    env = chmod.complementary(ch)
+    try:
+        deg.check_solve_size(ch, env)
+    except SizeLimit:
+        return False
+    residual = deg.verify_pd_identity(ch, degrading, env, chmod.identity_channel(env.dim_out))
+    return residual <= TOL.residual_tol
+
+
 def check_two_copy_size(ch: chmod.KrausChannel) -> None:
     """Raise :class:`SizeLimit` when the two-copy input side dim_in^2, which
     :func:`additivity_probe` maximizes over, exceeds ``MAX_OPT_DIM``."""
@@ -340,12 +355,7 @@ def additivity_probe(
     if single is None:
         single = _maximize(ch, restarts, tol, seed, None, degrading is not None)
     joint_ch = chmod.tensor(ch, ch)
-    joint_degradable = False
-    if degrading is not None:
-        env = chmod.complementary(joint_ch)
-        pair = chmod.tensor(degrading, degrading)
-        residual = deg.verify_pd_identity(joint_ch, pair, env, chmod.identity_channel(env.dim_out))
-        joint_degradable = residual <= TOL.residual_tol
+    joint_degradable = degrading is not None and _degrades(joint_ch, chmod.tensor(degrading, degrading))
     # [re, im] pairs back to the complex state; exact in floating point
     rho = np.asarray(single["argmax_state"]) @ [1, 1j]
     joint = _maximize(joint_ch, restarts, tol, seed, [np.kron(rho, rho)], joint_degradable)

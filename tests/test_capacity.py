@@ -471,6 +471,20 @@ def test_certified_stop_ends_later_blocks_unstarted():
     assert res["certificate"]["restart"] < cap.LOCKSTEP_BLOCK
 
 
+def test_two_copy_certificate_keeps_to_the_solve_size_limit(monkeypatch):
+    # a side cap of 8 admits the single-copy solve of AD(0.2) (side 4) but
+    # not one of the two copies (side 16), so the two-copy run keeps every
+    # restart
+    c = zoo.amplitude_damping(0.2)
+    monkeypatch.setenv("QPD_MAX_DIM", "8")
+    single = cap.maximize_coherent_information(c, restarts=32, seed=42)
+    assert single["certificate"]["gap"] is not None
+    rho = np.asarray(single["argmax_state"]) @ [1, 1j]
+    full = cap._maximize(ch.tensor(c, c), 32, 1e-6, 42, [np.kron(rho, rho)], False)
+    assert cap.additivity_probe(c, single=single)["joint"] == full["value"]
+    assert full["restarts_used"] == 32 and full["certificate"]["gap"] is None
+
+
 @pytest.mark.parametrize("single", [_dephrasure(0.10, 0.35), zoo.depolarizing(0.1)], ids=lambda c: c.name)
 def test_uncertified_channels_run_every_restart_as_before(single):
     # neither channel is degradable: the single and two-copy maximizations
