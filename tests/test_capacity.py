@@ -438,8 +438,11 @@ def test_certified_gap_bounds_the_closed_form_capacity():
         "amplitude_damping(gamma=0.3)": _ad_capacity(0.3),
         "dephasing(p=0.3)": 1.0 - _h2(0.3),
     }
-    runs = [(q * (1 + (r[0].dim_in > 2)), r[1]) for r in _capacity_tensor_maximizations()
-            for name, q in closed.items() if r[0].name.startswith(name)]
+    runs = []
+    for c, res, _ in _capacity_tensor_maximizations():
+        # the two-copy channel's name starts with the single copy's
+        q = next(q for name, q in closed.items() if c.name.startswith(name))
+        runs.append((q if c.dim_in == 2 else 2 * q, res))
     for d in (2, 3):
         res = cap.maximize_coherent_information(ch.identity_channel(d), restarts=32, seed=42)
         runs.append((np.log2(d), res))
