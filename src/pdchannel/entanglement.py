@@ -58,8 +58,8 @@ def entropy_and_log2(rho, spectrum: bool = False) -> tuple:
     :func:`qmat.check_square_stack`); for a stack the entropies come as an
     array over those axes, the logarithms as a stack, and every spectrum
     is held to the window. The logarithm is taken on the support and set to
-    0 on the kernel, so it is always finite; there it is not the logarithm
-    of a nearby full-rank state, which only the spectrum tells.
+    0 on the kernel, so it is always finite; whether there is a kernel only
+    the spectrum shows.
     """
     rho = qmat.check_square_stack(rho)
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
