@@ -163,7 +163,7 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
         rho, t = _factor_to_state(a)
         value, g, full = 0.0, np.zeros(rho.shape, dtype=np.complex128), True
         for c, m in terms:
-            h, log, w = ent.entropy_and_log2(chmod.apply(m, rho), spectrum=True)
+            h, log, w = ent.entropy_and_log2(chmod.apply(m, rho))
             value += c * h
             g += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
             full = full & (w[:, 0] > 0)
@@ -338,8 +338,9 @@ def additivity_probe(
     """Compare the two-copy optimum against twice the single-copy optimum;
     ``single``, when given, is the report of
     :func:`maximize_coherent_information` with the same restarts, seed and
-    tol, and is not computed again. The product of the single-copy optimal
-    state with itself seeds the two-copy restarts.
+    tol, and is not computed again; when its certificate says the channel
+    is not degradable, no least-squares stage runs either. The product of
+    the single-copy optimal state with itself seeds the two-copy restarts.
 
     The two copies need no degrading-map solve of their own: when the
     least-squares stage certifies a degrading map D of ``ch``, D (x) D
@@ -351,9 +352,12 @@ def additivity_probe(
         raise SizeLimit("only n = 2 is supported")
     check_two_copy_size(ch)
     _check_settings(ch.dim_in, restarts, tol, seed)
-    degrading = _degrading_map(ch)
     if single is None:
+        degrading = _degrading_map(ch)
         single = _maximize(ch, restarts, tol, seed, None, degrading is not None)
+    else:
+        # the report says whether the least-squares stage certified a map
+        degrading = _degrading_map(ch) if single["certificate"]["degradable"] else None
     joint_ch = chmod.tensor(ch, ch)
     joint_degradable = degrading is not None and _degrades(joint_ch, chmod.tensor(degrading, degrading))
     # [re, im] pairs back to the complex state; exact in floating point

@@ -49,24 +49,23 @@ def entropy(rho) -> float:
     return float(-np.sum(w * _log2(w)))
 
 
-def entropy_and_log2(rho, spectrum: bool = False) -> tuple:
-    """Von Neumann entropy in bits and the matrix log2(rho), both from one
-    eigendecomposition under the clamping window of :func:`entropy`; with
-    ``spectrum``, the clamped eigenvalues, ascending, come third.
+def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """Von Neumann entropy in bits, the matrix log2(rho) and the clamped
+    eigenvalues, ascending, all from one eigendecomposition under the
+    clamping window of :func:`entropy`.
 
     ``rho`` is one state, or a stack of states along leading axes (see
     :func:`qmat.check_square_stack`); for a stack the entropies come as an
-    array over those axes, the logarithms as a stack, and every spectrum
-    is held to the window. The logarithm is taken on the support and set to
-    0 on the kernel, so it is always finite; whether there is a kernel only
-    the spectrum shows.
+    array over those axes, the logarithms and spectra as stacks, and every
+    spectrum is held to the window. The logarithm is taken on the support
+    and set to 0 on the kernel, so it is always finite; whether there is a
+    kernel only the spectrum shows.
     """
     rho = qmat.check_square_stack(rho)
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
     w = clamped(w)
     log_w = _log2(w)
-    out = -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (*out, w) if spectrum else out
+    return -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2), w
 
 
 def _resolve(rho, dims: Sequence[int]):

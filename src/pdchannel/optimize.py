@@ -84,9 +84,9 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
     With ``gap_tol``, ``fun`` also returns a third row array: a certified
     upper bound on f(x) - inf f for each point, NaN where it has none. The
     block then ends in the first round in which some point's bound is at
-    most ``gap_tol``. The first such run in start order ends at that point,
-    with its bound as ``gap``; every other unfinished run keeps its current
-    iterate, and its message names the certifying run, numbering the starts
+    most ``gap_tol``. The first such run in start order ends with that
+    bound as ``gap``, at that point or at its current iterate, whichever is
+    lower; every other unfinished run keeps its current iterate, and its message names the certifying run, numbering the starts
     from ``first``. Without such a round the runs end as they do without
     ``gap_tol``.
     """
@@ -144,7 +144,10 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
             hit = np.flatnonzero(gaps <= gap_tol)
             if hit.size:
                 c, gap = hit[0], float(gaps[hit[0]])
-                x[c], f[c] = xt[c], ft[c]
+                # a trial the line search rejected is kept only if no worse
+                # than the iterate; either way f[c] - min f <= gap
+                if ft[c] < f[c]:
+                    x[c], f[c] = xt[c], ft[c]
                 others = f"stopped: restart {first + order[c]} has a certified gap {gap:.3e} <= {gap_tol:g}"
                 for i in range(order.size):
                     mine = i == c

@@ -488,6 +488,22 @@ def test_two_copy_certificate_keeps_to_the_solve_size_limit(monkeypatch):
     assert full["restarts_used"] == 32 and full["certificate"]["gap"] is None
 
 
+def test_probe_runs_no_least_squares_stage_after_an_uncertified_single_copy(monkeypatch):
+    c = zoo.depolarizing(0.1)
+    single = cap.maximize_coherent_information(c, restarts=32, seed=42)
+    calls, original = [], cap.deg.least_squares_map
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cap.deg, "least_squares_map", counted)
+    assert cap.additivity_probe(c, single=single)["single"] == single["value"]
+    assert calls == []
+    cap.additivity_probe(c, restarts=1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("single", [_dephrasure(0.10, 0.35), zoo.depolarizing(0.1)], ids=lambda c: c.name)
 def test_uncertified_channels_run_every_restart_as_before(single):
     # neither channel is degradable: the single and two-copy maximizations

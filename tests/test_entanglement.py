@@ -36,10 +36,10 @@ def test_entropy_and_log2_of_a_stack_matches_each_state():
     rng = np.random.default_rng(5)
     # side 9 with rank 4: more than 8 eigenvalues, some of them zero
     stack = np.concatenate([_random_states(rng, 3, 9, 9), _random_states(rng, 3, 9, 4)])
-    h, log = ent.entropy_and_log2(stack.reshape(2, 3, 9, 9))
+    h, log, _ = ent.entropy_and_log2(stack.reshape(2, 3, 9, 9))
     assert h.shape == (2, 3) and log.shape == (2, 3, 9, 9)
     for rho, h_one, log_one in zip(stack, h.reshape(-1), log.reshape(-1, 9, 9)):
-        want_h, want_log = ent.entropy_and_log2(rho)
+        want_h, want_log, _ = ent.entropy_and_log2(rho)
         assert h_one == want_h and np.array_equal(log_one, want_log)
         assert want_h == pytest.approx(ent.entropy(rho), abs=1e-12)
     # one state outside the clamping window rejects the stack

@@ -118,3 +118,21 @@ def test_trial_step_below_rounding_ends_the_first_line_search():
     assert res.message == optimize._ROUNDING
     assert res.nit == 0 and np.array_equal(res.x, x0)
     assert res.nfev < 1 + optimize.MAX_LS
+
+
+def test_certified_gap_at_a_rejected_trial_keeps_the_lower_iterate():
+    # from 0.1 the unit-length first step of f = x^2 overshoots to -0.9, a
+    # trial the line search rejects; a gap reported there ends the block,
+    # and the run ends at its iterate, which is lower than the trial
+    points = []
+
+    def fun(xs):
+        points.append(xs.copy())
+        gaps = np.full(len(xs), np.nan if len(points) == 1 else 0.0)
+        return (xs**2).sum(axis=1), 2 * xs, gaps
+
+    (res,) = optimize.minimize_many(fun, [[0.1]], gap_tol=0.0)
+    assert len(points) == 2 and points[1][0, 0] == pytest.approx(-0.9)
+    assert np.array_equal(res.x, [0.1]) and res.fun == 0.1**2
+    assert res.gap == 0.0 and res.message == "converged: certified gap 0.000e+00 <= 0"
+    assert (res.nit, res.nfev) == (0, 2)
