@@ -249,8 +249,9 @@ def maximize_coherent_information(
     eigensolve). When that certifies a degrading map, I_coh is concave, and
     a block ends at the first round in which some restart's point has a
     Frank-Wolfe gap of at most ``tol`` (see :func:`_objective`): that point
-    is within the gap of the optimum, so that restart ends there, the
-    others keep their current iterates, and later blocks do not start.
+    is within the gap of the optimum, so that restart ends there, or at its
+    current iterate if that is higher, the others keep their current
+    iterates, and later blocks do not start.
     ``restarts`` is then an upper limit. Otherwise every restart runs to
     its own stop.
 
