@@ -26,6 +26,6 @@ for label, channel, want in cases:
 print("\ntwo-copy additivity probe (gap = joint - 2 * single):")
 for channel in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3),
                 zoo.dephasing(0.3)):
-    probe = cap.additivity_probe(channel, n=2, restarts=32, seed=42)
+    probe = cap.additivity_probe(channel, restarts=32, seed=42)["additivity"]
     print(f"  {channel.name:>28}: single={probe['single']:.6f} "
           f"joint={probe['joint']:.6f} gap={probe['gap']:+.2e}")

@@ -7,6 +7,7 @@ Frank-Wolfe gap proves the optimum of a certified degradable channel.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import isfinite, isqrt, prod
 
 import numpy as np
@@ -187,23 +188,20 @@ def _fixed_starts(d: int) -> list:
     return [_factor_to_params(np.diag(np.sqrt(p))) for p in diagonals]
 
 
-def _starts(d: int, restarts: int, seed: int, extra_seed_states) -> list:
-    """Parameters of the ``restarts`` starting states in restart order: the
-    fixed starts, the extra seed states, then random factors from ``seed``,
-    cut to ``restarts``. A random start is a complex Ginibre factor A, whose
+def _starts(d: int, restarts: int, seed: int, seed_states=()):
+    """Yield the parameters of the ``restarts`` starting states in restart
+    order: the fixed starts, the seed states, then random factors from
+    ``seed``, each drawn when it is asked for, so a run that stops early
+    draws no more. A random start is a complex Ginibre factor A, whose
     2 d^2 Gaussians (real parts, then imaginary parts, row-major) come from
     the standard library's Mersenne Twister ``random.Random(seed)``, so the
     maximizer loads neither numpy.random nor hashlib."""
     rng = random.Random(seed)
-    starts = _fixed_starts(d)
-    for rho in extra_seed_states or []:
-        rho = qmat.check_square(rho, (d,))
-        ent.entropy(rho)  # raises NotDensityMatrix outside the clamping window
-        starts.append(_state_to_params(rho))
-    while len(starts) < restarts:
+    fixed = _fixed_starts(d) + [_state_to_params(rho) for rho in seed_states]
+    yield from fixed[:restarts]
+    for _ in range(restarts - len(fixed)):
         real, imag = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)], (2, d, d))
-        starts.append(_factor_to_params(real + 1j * imag))
-    return starts[:restarts]
+        yield _factor_to_params(real + 1j * imag)
 
 
 def _check_settings(d: int, restarts: int, tol: float, seed: int) -> None:
@@ -229,11 +227,7 @@ def _degrading_map(ch: chmod.KrausChannel):
 
 
 def maximize_coherent_information(
-    ch: chmod.KrausChannel,
-    restarts: int = 32,
-    tol: float = 1e-6,
-    seed: int = 42,
-    extra_seed_states: list | None = None,
+    ch: chmod.KrausChannel, restarts: int = 32, tol: float = 1e-6, seed: int = 42,
 ) -> dict:
     """Multi-start L-BFGS ascent of I_coh over the density matrices
     rho = A A^dag / Tr(A A^dag) of complex d x d factors A, with the
@@ -268,39 +262,36 @@ def maximize_coherent_information(
     10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
     ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is negative or not
-    finite raise :class:`DomainError`; an extra seed state of the wrong
-    side raises :class:`DimMismatch`, and one with eigenvalues outside the
-    entropy clamping window :class:`NotDensityMatrix`."""
+    finite raise :class:`DomainError`."""
     _check_settings(ch.dim_in, restarts, tol, seed)
-    return _maximize(ch, restarts, tol, seed, extra_seed_states, _degrading_map(ch) is not None)
+    return _maximize(ch, restarts, tol, seed, (), _degrading_map(ch) is not None)
 
 
-def _maximize(ch, restarts, tol, seed, extra_seed_states, degradable: bool) -> dict:
+def _maximize(ch, restarts, tol, seed, seed_states, degradable: bool) -> dict:
     """The body of :func:`maximize_coherent_information` on settings it has
-    checked; ``degradable`` says that a degrading map of ``ch`` is
+    checked, with the density matrices ``seed_states`` as starts after the
+    fixed ones; ``degradable`` says that a degrading map of ``ch`` is
     certified."""
     d = ch.dim_in
     objective = _objective(ch, degradable)
-    starts = _starts(d, restarts, seed, extra_seed_states)
-    values, status, best_x = [], [], None
+    starts = _starts(d, restarts, seed, seed_states)
+    values, status = [], []
     certificate = {"degradable": degradable, "gap": None, "restart": None}
-    for i in range(0, len(starts), LOCKSTEP_BLOCK):
-        results = optimize.minimize_many(
-            objective, starts[i : i + LOCKSTEP_BLOCK], tol if degradable else None, first=i)
+    while certificate["gap"] is None and (block := list(islice(starts, LOCKSTEP_BLOCK))):
+        results = optimize.minimize_many(objective, block, tol if degradable else None, first=len(values))
         for res in results:
             if res.gap is not None:
                 certificate.update(gap=res.gap, restart=len(values))
             values.append(-float(res.fun))
             status.append({"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)})
-            if best_x is None or values[-1] > max(values[:-1]):
-                best_x = res.x
-        if certificate["gap"] is not None:
-            break
+            # strict >: the first of equal maxima wins, as in max()
+            if len(values) == 1 or values[-1] > best:
+                best, best_x = values[-1], res.x
     ordered = sorted(values, reverse=True)
     converged = certificate["gap"] is not None or (
         len(ordered) >= 2 and (ordered[0] - ordered[1]) <= max(tol, 1e-6) * 10)
     return {
-        "value": max(values),
+        "value": best,
         "argmax_state": qmat.as_pairs(_params_to_state(best_x, d)),
         "restarts_used": len(values),
         "converged": converged,
@@ -325,23 +316,17 @@ def _degrades(ch: chmod.KrausChannel, degrading: chmod.KrausChannel) -> bool:
     return residual <= TOL.residual_tol
 
 
-def check_two_copy_size(ch: chmod.KrausChannel) -> None:
-    """Raise :class:`SizeLimit` when the two-copy input side dim_in^2, which
-    :func:`additivity_probe` maximizes over, exceeds ``MAX_OPT_DIM``."""
-    if ch.dim_in**2 > MAX_OPT_DIM:
-        raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
-
-
 def additivity_probe(
-    ch: chmod.KrausChannel, n: int = 2, restarts: int = 32, seed: int = 42,
-    single: dict | None = None, tol: float = 1e-6,
+    ch: chmod.KrausChannel, restarts: int = 32, seed: int = 42, tol: float = 1e-6,
 ) -> dict:
-    """Compare the two-copy optimum against twice the single-copy optimum;
-    ``single``, when given, is the report of
-    :func:`maximize_coherent_information` with the same restarts, seed and
-    tol, and is not computed again; when its certificate says the channel
-    is not degradable, no least-squares stage runs either. The product of
-    the single-copy optimal state with itself seeds the two-copy restarts.
+    """The ``capacity --tensor 2`` report without ``env``: the report of
+    :func:`maximize_coherent_information` on ``ch`` with ``additivity``
+    added, which compares the two-copy optimum ``joint`` against twice the
+    single-copy optimum ``single``, ``gap`` = joint - 2 single. The product
+    of the single-copy optimal state with itself seeds the two-copy
+    restarts. A two-copy input side dim_in^2 above ``MAX_OPT_DIM`` raises
+    :class:`SizeLimit` before anything runs, and bad settings then raise as
+    :func:`maximize_coherent_information` raises.
 
     The two copies need no degrading-map solve of their own: when the
     least-squares stage certifies a degrading map D of ``ch``, D (x) D
@@ -349,23 +334,18 @@ def additivity_probe(
     against the complementary channel of N (x) N within TOL.residual_tol.
     The two-copy maximization then stops as :func:`maximize_coherent_information`
     does on a certified channel; otherwise it runs every restart."""
-    if n != 2:
-        raise SizeLimit("only n = 2 is supported")
-    check_two_copy_size(ch)
-    _check_settings(ch.dim_in, restarts, tol, seed)
-    if single is None:
-        degrading = _degrading_map(ch)
-        single = _maximize(ch, restarts, tol, seed, None, degrading is not None)
-    else:
-        # the report says whether the least-squares stage certified a map
-        degrading = _degrading_map(ch) if single["certificate"]["degradable"] else None
+    if ch.dim_in**2 > MAX_OPT_DIM:
+        raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
+    report = maximize_coherent_information(ch, restarts, tol, seed)
+    # the report says whether the least-squares stage certified a map
+    degrading = _degrading_map(ch) if report["certificate"]["degradable"] else None
     joint_ch = chmod.tensor(ch, ch)
     joint_degradable = degrading is not None and _degrades(joint_ch, chmod.tensor(degrading, degrading))
     # [re, im] pairs back to the complex state; exact in floating point
-    rho = np.asarray(single["argmax_state"]) @ [1, 1j]
-    joint = _maximize(joint_ch, restarts, tol, seed, [np.kron(rho, rho)], joint_degradable)
-    gap = joint["value"] - 2 * single["value"]
-    return {"single": single["value"], "joint": joint["value"], "gap": gap}
+    rho = np.asarray(report["argmax_state"]) @ [1, 1j]
+    joint = _maximize(joint_ch, restarts, tol, seed, [np.kron(rho, rho)], joint_degradable)["value"]
+    report["additivity"] = {"single": report["value"], "joint": joint, "gap": joint - 2 * report["value"]}
+    return report
 
 
 def ssa_check(rho, dims) -> float:

@@ -119,22 +119,14 @@ def cmd_classify(args) -> int:
 def cmd_capacity(args) -> int:
     from . import capacity as capmod, channel as chmod
     ch = _load(chmod.load_channel, args.file)
-    # a probe that cannot run is refused before the single-copy maximization
-    if args.tensor is not None:
-        if args.tensor != 2:
-            raise PdChannelError("--tensor only supports 2")
-        capmod.check_two_copy_size(ch)
-    result = capmod.maximize_coherent_information(
-        ch, restarts=args.restarts, seed=args.seed, tol=args.tol
-    )
-    env = {**_report_env(), "seed": args.seed, "restarts": args.restarts, "tol": args.tol}
-    out = {"env": env, **result}
-    if args.tensor is not None:
-        # the single-copy optimum above is the one the probe would compute
-        out["additivity"] = capmod.additivity_probe(
-            ch, restarts=args.restarts, seed=args.seed, single=result, tol=args.tol
-        )
-    _emit(out, args)
+    settings = {"restarts": args.restarts, "seed": args.seed, "tol": args.tol}
+    if args.tensor is None:
+        result = capmod.maximize_coherent_information(ch, **settings)
+    elif args.tensor == 2:
+        result = capmod.additivity_probe(ch, **settings)
+    else:
+        raise PdChannelError("--tensor only supports 2")
+    _emit({"env": {**_report_env(), **settings}, **result}, args)
     return EXIT_OK
 
 

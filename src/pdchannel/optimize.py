@@ -86,9 +86,9 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
     block then ends in the first round in which some point's bound is at
     most ``gap_tol``. The first such run in start order ends with that
     bound as ``gap``, at that point or at its current iterate, whichever is
-    lower; every other unfinished run keeps its current iterate, and its message names the certifying run, numbering the starts
-    from ``first``. Without such a round the runs end as they do without
-    ``gap_tol``.
+    lower; every other unfinished run keeps its current iterate, and its
+    message names the certifying run, numbering the starts from ``first``.
+    Without such a round the runs end as they do without ``gap_tol``.
     """
     capped = f"stopped: {MAX_ITER} iterations reached"
     messages = [None, _GRADIENT, _REDUCTION, _ROUNDING, _LINE_SEARCH, capped]

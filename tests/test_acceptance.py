@@ -75,7 +75,7 @@ def test_05_additivity_probe():
         zoo.amplitude_damping(0.3),
         zoo.dephasing(0.3),
     ):
-        probe = cap.additivity_probe(channel, n=2, restarts=32, seed=42)
+        probe = cap.additivity_probe(channel, restarts=32, seed=42)["additivity"]
         assert abs(probe["gap"]) <= 2e-3, channel.name
     assert time.monotonic() - start < 180.0
 

@@ -220,13 +220,17 @@ def test_capacity_report(tmp_path, capsys):
 
 
 def test_capacity_report_is_the_maximizer_dict(tmp_path, capsys):
-    # the CLI prints the maximizer's dict as it is, next to its env
+    # the CLI prints the maximizer's dict, or with --tensor 2 the probe's,
+    # as it is, next to its env
     c = zoo.amplitude_damping(0.2)
-    code, out, _ = _run(capsys, ["capacity", _save(tmp_path, c), "--restarts", "8"])
-    assert code == 0
-    report = json.loads(out)
-    report.pop("env")
-    assert report == capacity.maximize_coherent_information(c, restarts=8)
+    path = _save(tmp_path, c)
+    for tensor, analysis in (([], capacity.maximize_coherent_information),
+                             (["--tensor", "2"], capacity.additivity_probe)):
+        code, out, _ = _run(capsys, ["capacity", path, "--restarts", "8", *tensor])
+        assert code == 0
+        report = json.loads(out)
+        report.pop("env")
+        assert report == analysis(c, restarts=8)
 
 
 @pytest.mark.parametrize("command", ["inspect", "classify", "polar"])
