@@ -215,13 +215,13 @@ def _check_settings(d: int, restarts: int, tol: float, seed: int) -> None:
         raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
 
 
-def _degrading_map(ch: chmod.KrausChannel):
-    """The degrading map of ``ch`` that the least-squares stage of the
-    degrading-map solve certifies (:func:`degradability.least_squares_map`),
-    or None: without a certified candidate, or when the solve's size limit
-    refuses the channel, nothing more is tried."""
+def _degrading_residual(ch: chmod.KrausChannel):
+    """The ``map_residual`` of the degrading map of ``ch`` that
+    :func:`degradability.least_squares_map` certifies, or None without one
+    or when the solve's size limit refuses ``ch``; nothing more is tried."""
     try:
-        return deg.least_squares_map(ch, chmod.complementary(ch))[1]
+        # only a certified report has the key
+        return deg.least_squares_map(ch, chmod.complementary(ch))[0].get("map_residual")
     except SizeLimit:
         return None
 
@@ -255,28 +255,30 @@ def maximize_coherent_information(
     restart order, its value (``per_restart_values``) and its L-BFGS
     iteration count, evaluation count and stop message
     (``per_restart_status``). ``certificate`` holds ``degradable``, whether
-    the degrading map was certified, and the ``gap`` and ``restart`` of the
-    point that ended the run, both None when none did; Q^(1) is then at
-    most ``value`` + ``gap``. ``converged`` means that a certificate ended
+    the degrading map was certified, its ``map_residual`` as ``classify``
+    reports it, and the ``gap`` and ``restart`` of the point that ended the
+    run, all three None when there is none; Q^(1) is then at most
+    ``value`` + ``gap``. ``converged`` means that a certificate ended
     the run, or else only that the top two restarts agree within
     10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
     ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is negative or not
     finite raise :class:`DomainError`."""
     _check_settings(ch.dim_in, restarts, tol, seed)
-    return _maximize(ch, restarts, tol, seed, (), _degrading_map(ch) is not None)
+    return _maximize(ch, restarts, tol, seed, (), _degrading_residual(ch))
 
 
-def _maximize(ch, restarts, tol, seed, seed_states, degradable: bool) -> dict:
+def _maximize(ch, restarts, tol, seed, seed_states, map_residual) -> dict:
     """The body of :func:`maximize_coherent_information` on settings it has
     checked, with the density matrices ``seed_states`` as starts after the
-    fixed ones; ``degradable`` says that a degrading map of ``ch`` is
-    certified."""
+    fixed ones; ``map_residual`` is that of a certified degrading map of
+    ``ch``, or a bound on it, and None without one."""
     d = ch.dim_in
+    degradable = map_residual is not None
     objective = _objective(ch, degradable)
     starts = _starts(d, restarts, seed, seed_states)
     values, status = [], []
-    certificate = {"degradable": degradable, "gap": None, "restart": None}
+    certificate = {"degradable": degradable, "map_residual": map_residual, "gap": None, "restart": None}
     while certificate["gap"] is None and (block := list(islice(starts, LOCKSTEP_BLOCK))):
         results = optimize.minimize_many(objective, block, tol if degradable else None, first=len(values))
         for res in results:
@@ -301,19 +303,11 @@ def _maximize(ch, restarts, tol, seed, seed_states, degradable: bool) -> dict:
     }
 
 
-def _degrades(ch: chmod.KrausChannel, degrading: chmod.KrausChannel) -> bool:
-    """Whether ``degrading`` o ``ch`` matches the complementary channel of
-    ``ch`` within TOL.residual_tol (:func:`degradability.verify_pd_identity`
-    with the identity on the environment). The check builds matrices as
-    large as a degrading-map solve of ``ch`` would, so where that solve
-    exceeds the size limit the answer is False."""
-    env = chmod.complementary(ch)
-    try:
-        deg.check_solve_size(ch, env)
-    except SizeLimit:
-        return False
-    residual = deg.verify_pd_identity(ch, degrading, env, chmod.identity_channel(env.dim_out))
-    return residual <= TOL.residual_tol
+def _two_copy_residual(ch: chmod.KrausChannel, r: float) -> float:
+    """The bound on the residual of D (x) D against N (x) N, for a map D
+    with residual r against N = ``ch``; see :func:`additivity_probe`."""
+    m = float(np.max(np.abs(deg.transfer_matrix(chmod.complementary(ch)))))
+    return 4 * r * (2 * m + 2 * r)
 
 
 def additivity_probe(
@@ -328,22 +322,32 @@ def additivity_probe(
     :class:`SizeLimit` before anything runs, and bad settings then raise as
     :func:`maximize_coherent_information` raises.
 
-    The two copies need no degrading-map solve of their own: when the
-    least-squares stage certifies a degrading map D of ``ch``, D (x) D
-    degrades N (x) N, which :func:`degradability.verify_pd_identity` checks
-    against the complementary channel of N (x) N within TOL.residual_tol.
-    The two-copy maximization then stops as :func:`maximize_coherent_information`
-    does on a certified channel; otherwise it runs every restart."""
+    The two copies are certified from the single copy alone, with no
+    two-copy matrix built: when the least-squares stage certifies a
+    degrading map D of N = ``ch`` with ``map_residual`` r, D (x) D degrades
+    N (x) N within 4 r (2 m + 2 r), m the largest |entry| of the transfer
+    matrix of N_c. If that is within TOL.residual_tol, the two-copy run
+    stops as on a certified channel; otherwise it runs every restart. The
+    bound may refuse a certificate, never grant a false one. Proof, with
+    A = D o N, B = N_c: (1) every entry of T_A - T_B is at most 2 r in size,
+    as E_ii is a probe state and E_ij = 1/2 sum_phi phi rho_phi over the
+    four phase probes of (i, j); (2) so |T_A| <= m + 2 r entrywise; (3) on
+    a product unit, which every two-copy unit is,
+    (A (x) A - B (x) B)(E (x) F) = (A - B)(E) (x) A(F) + B(E) (x) (A - B)(F),
+    and the largest entry of a Kronecker product is the product of the
+    largest entries, so each entry is at most 2 r (2 m + 2 r); (4) a
+    two-copy probe is a product unit E_aa or
+    1/2 (E_aa + phi* E_ab + phi E_ba + E_bb), hence 4 r (2 m + 2 r)."""
     if ch.dim_in**2 > MAX_OPT_DIM:
         raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
     report = maximize_coherent_information(ch, restarts, tol, seed)
-    # the report says whether the least-squares stage certified a map
-    degrading = _degrading_map(ch) if report["certificate"]["degradable"] else None
-    joint_ch = chmod.tensor(ch, ch)
-    joint_degradable = degrading is not None and _degrades(joint_ch, chmod.tensor(degrading, degrading))
+    r = report["certificate"]["map_residual"]
+    bound = None if r is None else _two_copy_residual(ch, r)
+    if bound is not None and bound > TOL.residual_tol:
+        bound = None
     # [re, im] pairs back to the complex state; exact in floating point
     rho = np.asarray(report["argmax_state"]) @ [1, 1j]
-    joint = _maximize(joint_ch, restarts, tol, seed, [np.kron(rho, rho)], joint_degradable)["value"]
+    joint = _maximize(chmod.tensor(ch, ch), restarts, tol, seed, [np.kron(rho, rho)], bound)["value"]
     report["additivity"] = {"single": report["value"], "joint": joint, "gap": joint - 2 * report["value"]}
     return report
 

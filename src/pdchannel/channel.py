@@ -124,8 +124,9 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
 
 
 def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Extract a (K, dim_out, dim_in) Kraus stack from an (unnormalized or
-    normalized) Choi matrix.
+    """Extract a (K, dim_out, dim_in) Kraus stack from the unnormalized Choi
+    matrix. A normalized one, as :func:`to_choi` returns, gives the operators
+    scaled by 1/sqrt(dim_in); ``is_entanglement_breaking`` reads only ranks.
 
     Assumes input-slow/output-fast factor order. Eigenvalues below
     TOL.pinv_cutoff * lambda_max are dropped; small negative tails are clipped.

@@ -201,27 +201,18 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
     return x, REFINE_ROUNDS
 
 
-def check_solve_size(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> None:
-    """Raise :class:`DimMismatch` when ``from`` and ``to`` differ in input
-    side, and :class:`SizeLimit` when a degrading-map solve between them
-    needs a matrix side above ``max_dim()``: d_in^2, d_mid^2 and d_out^2 of
-    the transfer matrices, d_mid d_out of the Choi matrix."""
-    if from_ch.dim_in != to_ch.dim_in:
-        raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
-    d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
-    side, cap = max(d_in**2, d_mid**2, d_out**2, d_mid * d_out), max_dim()
-    if side > cap:
-        raise SizeLimit(f"degrading-map solve needs a matrix of side {side}, above the side cap {cap}")
-
-
 def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
     """The least-squares stage of :func:`solve_degrading_map`: the report
     and map of :func:`least_squares_map`, then what the rest of the solve
     builds on, the transfer matrices T_from and T_to, pinv(T_from), the
     projector Pi = T_from pinv(T_from), the projection ``affine`` onto A and
     the candidate P_A(0)."""
-    check_solve_size(from_ch, to_ch)
+    if from_ch.dim_in != to_ch.dim_in:
+        raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
+    side, cap = max(d_in**2, d_mid**2, d_out**2, d_mid * d_out), max_dim()
+    if side > cap:
+        raise SizeLimit(f"degrading-map solve needs a matrix of side {side}, above the side cap {cap}")
     t_from = transfer_matrix(from_ch)
     t_to = transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
@@ -285,8 +276,10 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     is the component of W normal to A: Y = W pinv(T_from)^dag and
     z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
     residual and trace hold, :func:`_cptp_refine` searches A for a CPTP member.
-    A side above ``max_dim()`` raises :class:`SizeLimit` before anything is
-    built (:func:`check_solve_size`).
+    Input sides that differ raise :class:`DimMismatch`, and a matrix side
+    above ``max_dim()`` :class:`SizeLimit`, before anything is built: d_in^2,
+    d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
+    matrix.
     """
     report, d, t_from, t_to, f_pinv, pi, affine, t_d = _least_squares(from_ch, to_ch)
     if d is not None:

@@ -9,8 +9,10 @@ Labels, with B->E a degrading map and E->B an anti-degrading map:
 - erasure, any d: degradable iff p <= 1/2, anti-degradable iff p >= 1/2
   (Bennett, DiVincenzo & Smolin, PRL 78, 3217, 1997);
 - dephasing: degradable for every p, anti-degradable only at p = 1/2;
-- depolarizing (1 - p) rho + p I/d: anti-degradable iff p >= d / (2(d + 1))
-  (Werner, PRA 58, 1827, 1998). Its B->E label is not asserted.
+- depolarizing (1 - p) rho + p I/d: degradable only at p = 0, where it is
+  the identity, and anti-degradable iff p >= d / (2(d + 1)) (Werner,
+  PRA 58, 1827, 1998). Every other B->E solve ends ``impossible``, with a
+  Farkas witness, for d = 2 and 3 alike.
 
 The band: within ``BAND`` of a threshold, but not at it, a solve may end
 ``not_found`` (the CPTP refinement reaches its cap, and no witness
@@ -50,13 +52,13 @@ def _depolarizing(d):
     return (
         lambda p: zoo.depolarizing(p, d),
         sorted(GRID + [1 / 3, 3 / 8]),
-        {"E->B": (lambda p: p >= threshold, threshold)},
+        {"B->E": (lambda p: p == 0, None), "E->B": (lambda p: p >= threshold, threshold)},
         [],
     )
 
 
 # family: (build, parameters, {direction: (label, threshold)}, [(parameter, Q)]);
-# a threshold of None means the label holds on the whole range
+# a threshold of None means no band: every solve ends as the label says
 FAMILIES = {
     "amplitude_damping": (
         zoo.amplitude_damping,

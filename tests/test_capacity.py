@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdchannel import capacity as cap
 from pdchannel import channel as ch
+from pdchannel import degradability as deg
 from pdchannel import optimize, zoo
+from pdchannel.config import TOL
 from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotTracePreserving, SizeLimit
 
 
@@ -83,8 +86,6 @@ def test_isometry_chain_degradable_channel_value():
     # degenerate PD structure on a degradable channel: the E->E' degrading
     # is the identity and the B->E' leg is the solved degrading map, so the
     # degraded environment carries the full environment entropy
-    from pdchannel import degradability as deg
-
     c = zoo.amplitude_damping(0.2)
     sol, d_b_to_e = deg.is_degradable(c)
     assert sol["success"]
@@ -352,14 +353,16 @@ def test_pure_seed_gets_a_full_rank_factor():
 def _capacity_tensor_maximizations():
     """The six maximizations of capacity --tensor 2 --restarts 32 --seed 42
     on the bench's three channels, as (channel, report, starts), single
-    copy then two copies; the two-copy run is the probe's, whose
-    certificate is D (x) D."""
+    copy then two copies; the two-copy run is the probe's, certified by the
+    bound on the residual of D (x) D."""
     runs = []
     for c in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3), zoo.dephasing(0.3)):
         single = cap.additivity_probe(c, restarts=32, seed=42)
         rho = np.asarray(single["argmax_state"]) @ [1, 1j]
         joint_ch, seeds = ch.tensor(c, c), [np.kron(rho, rho)]
-        joint = cap._maximize(joint_ch, 32, 1e-6, 42, seeds, True)
+        bound = cap._two_copy_residual(c, single["certificate"]["map_residual"])
+        assert bound <= TOL.residual_tol, c.name
+        joint = cap._maximize(joint_ch, 32, 1e-6, 42, seeds, bound)
         assert single["additivity"]["joint"] == joint["value"]
         runs += [(c, single, list(cap._starts(2, 32, 42))),
                  (joint_ch, joint, list(cap._starts(4, 32, 42, seeds)))]
@@ -462,23 +465,68 @@ def test_certified_stop_draws_no_starts_for_later_blocks(monkeypatch):
     assert 0 < len(draws) <= cap.LOCKSTEP_BLOCK * 2 * c.dim_in**2
 
 
-def test_two_copy_certificate_keeps_to_the_solve_size_limit(monkeypatch):
+def test_two_copy_certificate_holds_under_the_single_copy_size_limit(monkeypatch):
     # a side cap of 8 admits the single-copy solve of AD(0.2) (side 4) but
-    # not one of the two copies (side 16), so the two-copy run keeps every
-    # restart
+    # not one of the two copies (side 16); the two-copy certificate is read
+    # off the single copy's, with no two-copy matrix built, so the two-copy
+    # run still stops on it
     c = zoo.amplitude_damping(0.2)
     monkeypatch.setenv("QPD_MAX_DIM", "8")
     report = cap.additivity_probe(c, restarts=32, seed=42)
     assert report["certificate"]["gap"] is not None
     rho = np.asarray(report["argmax_state"]) @ [1, 1j]
-    full = cap._maximize(ch.tensor(c, c), 32, 1e-6, 42, [np.kron(rho, rho)], False)
-    assert report["additivity"]["joint"] == full["value"]
-    assert full["restarts_used"] == 32 and full["certificate"]["gap"] is None
+    bound = cap._two_copy_residual(c, report["certificate"]["map_residual"])
+    joint = cap._maximize(ch.tensor(c, c), 32, 1e-6, 42, [np.kron(rho, rho)], bound)
+    assert report["additivity"]["joint"] == joint["value"]
+    assert joint["restarts_used"] <= cap.LOCKSTEP_BLOCK and joint["certificate"]["gap"] is not None
+
+
+def _random_channel(rng, d_in, d_out, k):
+    """A CPTP map with k Kraus operators, cut from a random isometry."""
+    a = rng.standard_normal((k * d_out, d_in)) + 1j * rng.standard_normal((k * d_out, d_in))
+    return ch.KrausChannel(np.linalg.qr(a)[0].reshape(k, d_out, d_in))
+
+
+def test_two_copy_residual_bounds_the_exact_residual():
+    # a random map D from the output of a random N to its environment is no
+    # degrading map, so r is of order 1 and the bound far from rounding;
+    # the reference is the two-copy composition itself
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        d_in, d_out, k, k_d = rng.integers(2, 4, size=4)
+        n = _random_channel(rng, d_in, d_out, k)
+        d = _random_channel(rng, d_out, k, k_d)
+        r = deg.verify_pd_identity(n, d, ch.complementary(n), ch.identity_channel(k))
+        n2 = ch.tensor(n, n)
+        exact = deg.verify_pd_identity(n2, ch.tensor(d, d), ch.complementary(n2), ch.identity_channel(k * k))
+        assert exact <= cap._two_copy_residual(n, r)
+
+
+def test_certificate_reports_the_map_residual():
+    c = zoo.amplitude_damping(0.2)
+    res = cap.maximize_coherent_information(c, restarts=1)
+    want = deg.least_squares_map(c, ch.complementary(c))[0]["map_residual"]
+    assert res["certificate"]["map_residual"] == want
+    res = cap.maximize_coherent_information(zoo.depolarizing(0.1), restarts=1)
+    assert res["certificate"]["map_residual"] is None
+
+
+def test_probe_builds_no_two_copy_degrading_map():
+    # symmetric_pd is 4 -> 8 with 8 Kraus operators; composing the two-copy
+    # stacks of N and D (x) D to check D (x) D took about 500 MB
+    c = zoo.symmetric_pd_channel()[0]
+    tracemalloc.start()
+    try:
+        cap.additivity_probe(c, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_probe_runs_no_least_squares_stage_after_an_uncertified_single_copy(monkeypatch):
-    # the single-copy maximization runs the stage once; the probe runs it
-    # again, to build D (x) D, only when that certified a map
+    # the single-copy maximization runs the stage once, and the probe reads
+    # the two-copy certificate off its report, so it never runs it again
     calls, original = [], cap.deg.least_squares_map
 
     def counted(*args):
@@ -486,7 +534,7 @@ def test_probe_runs_no_least_squares_stage_after_an_uncertified_single_copy(monk
         return original(*args)
 
     monkeypatch.setattr(cap.deg, "least_squares_map", counted)
-    for c, stages in ((zoo.depolarizing(0.1), 1), (zoo.amplitude_damping(0.2), 2)):
+    for c, stages in ((zoo.depolarizing(0.1), 1), (zoo.amplitude_damping(0.2), 1)):
         calls.clear()
         report = cap.additivity_probe(c, restarts=1)
         assert report["additivity"]["single"] == report["value"]
@@ -498,10 +546,10 @@ def test_uncertified_channels_run_every_restart_as_before(single):
     # neither channel is degradable: the single and two-copy maximizations
     # give exactly what the lockstep driver gives without a stop
     res = cap.additivity_probe(single, restarts=32, seed=42)
-    assert res["certificate"] == {"degradable": False, "gap": None, "restart": None}
+    assert res["certificate"] == {"degradable": False, "map_residual": None, "gap": None, "restart": None}
     rho = np.asarray(res["argmax_state"]) @ [1, 1j]
     c2, seeds = ch.tensor(single, single), [np.kron(rho, rho)]
-    joint = cap._maximize(c2, 32, 1e-6, 42, seeds, False)
+    joint = cap._maximize(c2, 32, 1e-6, 42, seeds, None)
     assert res["additivity"]["joint"] == joint["value"]
     for c, got, extra in ((single, res, ()), (c2, joint, seeds)):
         full = optimize.minimize_many(cap._objective(c), list(cap._starts(c.dim_in, 32, 42, extra)))
