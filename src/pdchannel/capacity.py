@@ -21,8 +21,8 @@ from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
 # restarts advanced in lockstep by one optimize.minimize_many call; a
-# round's batched evaluation holds arrays of restarts x Kraus x d^2 entries,
-# so blocks keep its memory bounded whatever --restarts asks for
+# round's batched evaluation holds arrays of restarts x (d_out^2 + d_env^2)
+# entries, so blocks keep its memory bounded whatever --restarts asks for
 LOCKSTEP_BLOCK = 32
 
 
@@ -140,12 +140,19 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
     values and an (R, 2 d^2) gradient stack, with one eigendecomposition per
     channel for the whole stack; a row comes out the same either way.
 
-    The gradient in rho is G = sum_k c_k M_k^dag(log2 M_k(rho)) over
-    (c_k, M_k) = (1, N), (-1, N_c): the identity terms of d(-Tr s log2 s)
-    add up to a multiple of I, which the projection below removes. Through
-    rho = A A^dag / t it is B = 2 (G - Tr(G rho) I) A / t in A, read off as
-    (Re B_ij, Im B_ij) for every entry. Value and G are accumulated from
-    zero, N first.
+    Each channel M in (N, N_c) acts through its transfer matrix T, built
+    once here (:func:`degradability.transfer_matrix`), which holds
+    d^2 d_out^2 entries: with d <= ``MAX_OPT_DIM`` at most 8 times the
+    (``LOCKSTEP_BLOCK``, d_out, d_out) output stack of a round. For
+    Hermitian X the row-major X.ravel() is the column-major vec of conj(X),
+    so with S = conj(T), M(X).ravel() = S X.ravel() and
+    M^dag(X).ravel() = S^dag X.ravel(), one matrix-vector product per row:
+    one product shared by the stack changes a row's last bits with its height.
+    The gradient in rho is G = N^dag(log2 N(rho)) - N_c^dag(log2 N_c(rho)):
+    the identity terms of d(-Tr s log2 s) add up to a multiple of I, which
+    the projection below removes. Through rho = A A^dag / t it is
+    B = 2 (G - Tr(G rho) I) A / t in A, read off as (Re B_ij, Im B_ij) for
+    every entry. Value and G are accumulated from zero, N first.
 
     With ``degradable`` (``ch`` has a certified degrading map, so I_coh is
     concave in rho; Yard, Hayden & Devetak, IEEE TIT 54, 2008) the
@@ -155,7 +162,8 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
     output spectra are not both strictly positive after the clamping window
     gets NaN, since log2 is 0 on a kernel and G is no gradient there.
     """
-    terms = [(1, ch), (-1, chmod.complementary(ch))]
+    terms = [(c, deg.transfer_matrix(m).conj(), m.dim_out)
+             for c, m in ((1, ch), (-1, chmod.complementary(ch)))]
 
     def objective(x):
         stack = np.reshape(x, (-1, np.shape(x)[-1]))
@@ -163,10 +171,11 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
         a = _params_to_factor(stack, d)
         rho, t = _factor_to_state(a)
         value, g, full = 0.0, np.zeros(rho.shape, dtype=np.complex128), True
-        for c, m in terms:
-            h, log, w = ent.entropy_and_log2(chmod.apply(m, rho))
+        for c, s, d_out in terms:
+            h, log, w = ent.entropy_and_log2((s @ rho.reshape(len(rho), -1, 1)).reshape(-1, d_out, d_out))
             value += c * h
-            g += c * (m.kraus_adj @ log[:, None] @ m.kraus).sum(axis=1)
+            # S^dag y = conj(S^T conj(y)), with S^T a view
+            g += c * (s.T @ log.conj().reshape(len(rho), -1, 1)).conj().reshape(rho.shape)
             full = full & (w[:, 0] > 0)
         live = (t >= _TINY_TRACE)[:, None, None]
         tr_g_rho = np.trace(g @ rho, axis1=-2, axis2=-1).real[:, None, None]

@@ -4,8 +4,8 @@ A channel is carried as a :class:`KrausChannel`: one stacked
 ``(K, d_out, d_in)`` array of operators N_i with sum_i N_i^dag N_i = I.
 Every other representation is one array expression on that stack: the
 Stinespring isometry is a reshape, the complementary channel a transpose,
-and the Choi matrix and the action a batched product summed over the Kraus
-index. The environment basis is the Kraus index basis, so results are
+and the Choi matrix and the action one matrix product that sums over the
+Kraus index. The environment basis is the Kraus index basis, so results are
 reproducible.
 """
 
@@ -26,8 +26,7 @@ class KrausChannel:
     ``kraus`` is a complex128 array of shape (K, dim_out, dim_in) whose
     slice ``kraus[i]`` is the operator N_i; any sequence of equally shaped
     matrices is accepted and stacked. ``dim_env``, ``dim_out`` and
-    ``dim_in`` are read off that shape. ``kraus_adj`` is the stack of the
-    adjoints N_i^dag, formed once here.
+    ``dim_in`` are read off that shape.
     """
 
     def __init__(self, kraus, name: str = ""):
@@ -40,7 +39,6 @@ class KrausChannel:
         if not np.all(np.isfinite(ops)):
             raise DimMismatch("Kraus operators contain NaN or Inf entries")
         self.kraus = ops
-        self.kraus_adj = ops.conj().transpose(0, 2, 1)
         self.dim_env, self.dim_out, self.dim_in = ops.shape
         self.name = name
 
@@ -52,7 +50,7 @@ class KrausChannel:
 
     def completeness(self) -> np.ndarray:
         """sum_i N_i^dag N_i (should be the identity for a TP channel)."""
-        return (self.kraus_adj @ self.kraus).sum(axis=0)
+        return (self.kraus.conj().transpose(0, 2, 1) @ self.kraus).sum(axis=0)
 
     def tp_residual(self) -> float:
         return float(np.max(np.abs(self.completeness() - np.eye(self.dim_in))))
@@ -71,12 +69,14 @@ def validate(ch: KrausChannel) -> dict:
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
-    """N(rho) for one state, or for each state of a stack along leading axes
-    (see :func:`qmat.check_square_stack`)."""
-    rho = qmat.check_square_stack(rho)
-    if rho.shape[-1] != ch.dim_in:
-        raise DimMismatch(f"state side {rho.shape[-1]} != channel dim_in {ch.dim_in}")
-    return (ch.kraus @ rho[..., None, :, :] @ ch.kraus_adj).sum(axis=-3)
+    """N(rho) = sum_k (N_k rho) N_k^dag for one state, as one product over
+    the pairs (k, column), so no (K, d_out, d_out) stack is built."""
+    rho = qmat.check_square(rho)
+    if rho.shape[0] != ch.dim_in:
+        raise DimMismatch(f"state side {rho.shape[0]} != channel dim_in {ch.dim_in}")
+    left = (ch.kraus @ rho).transpose(1, 0, 2).reshape(ch.dim_out, -1)
+    right = ch.kraus.transpose(1, 0, 2).reshape(ch.dim_out, -1)
+    return left @ right.conj().T
 
 
 def _require_tp(ch: KrausChannel) -> None:

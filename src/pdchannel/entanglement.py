@@ -54,14 +54,15 @@ def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     eigenvalues, ascending, all from one eigendecomposition under the
     clamping window of :func:`entropy`.
 
-    ``rho`` is one state, or a stack of states along leading axes (see
-    :func:`qmat.check_square_stack`); for a stack the entropies come as an
+    ``rho`` is one state, checked by :func:`qmat.check_square`, or a stack
+    of states along leading axes, which the package's own batched loops
+    build, so it is taken as it is; for a stack the entropies come as an
     array over those axes, the logarithms and spectra as stacks, and every
     spectrum is held to the window. The logarithm is taken on the support
     and set to 0 on the kernel, so it is always finite; whether there is a
     kernel only the spectrum shows.
     """
-    rho = qmat.check_square_stack(rho)
+    rho = qmat.check_square(rho) if np.ndim(rho) <= 2 else np.asarray(rho)
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
     w = clamped(w)
     log_w = _log2(w)

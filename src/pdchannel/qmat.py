@@ -40,19 +40,6 @@ def check_square(m: np.ndarray, dims: Sequence[int] | None = None) -> np.ndarray
     return m
 
 
-def check_square_stack(m) -> np.ndarray:
-    """One matrix through :func:`check_square`, or a stack of square
-    matrices along leading axes. A stack comes from the package's own
-    batched loops, which build their matrices themselves, so only its shape
-    is checked."""
-    if np.ndim(m) <= 2:
-        return check_square(m)
-    m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
-        raise DimMismatch(f"expected a stack of square matrices, got {m.shape}")
-    return m
-
-
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 

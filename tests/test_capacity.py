@@ -144,6 +144,14 @@ def test_analytic_gradient_matches_central_differences():
         ch.tensor(zoo.amplitude_damping(0.3), zoo.amplitude_damping(0.3)),
         ch.tensor(zoo.dephasing(0.3), zoo.dephasing(0.3)),
         zoo.erasure(0.25),
+        # d_out != d_in, so a transposed vec would show: 3 -> 4 with 4 Kraus
+        # operators, and 4 -> 8 with 8
+        zoo.erasure(0.25, d=3),
+        zoo.symmetric_pd_channel()[0],
+        # complex Kraus operators, so N(conj(rho)) != conj(N(rho)) and a
+        # conjugated transfer matrix would show
+        ch.compose(ch.KrausChannel([np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)]),
+                   zoo.amplitude_damping(0.2)),
     )
     for c in channels:
         objective = cap._objective(c)
@@ -159,6 +167,21 @@ def test_analytic_gradient_matches_central_differences():
                 e[k] = step
                 central[k] = (objective(x + e)[0] - objective(x - e)[0]) / (2 * step)
             assert np.max(np.abs(grad - central)) <= 1e-8, c.name
+
+
+def test_objective_holds_no_stack_over_the_kraus_index():
+    # symmetric_pd(x)2 is 16 -> 64 with 64 Kraus operators; one 32-row
+    # evaluation held a (32, 64, 64, 64) product before summing over K
+    c = zoo.symmetric_pd_channel()[0]
+    objective = cap._objective(ch.tensor(c, c), True)
+    x = np.random.default_rng(3).standard_normal((cap.LOCKSTEP_BLOCK, 2 * 16**2))
+    tracemalloc.start()
+    try:
+        objective(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 def test_maximizer_dephasing():

@@ -33,17 +33,6 @@ def test_validate_and_apply():
     assert out[1, 1].real == pytest.approx(0.75 * 0.7, abs=1e-12)
     with pytest.raises(DimMismatch):
         ch.apply(c, np.eye(3) / 3)
-
-
-def test_apply_to_a_stack_matches_each_state():
-    c = ch.tensor(_ad(0.3), zoo.dephasing(0.2))
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    stack = a @ a.conj().swapaxes(-1, -2)
-    out = ch.apply(c, stack)
-    assert out.shape == (2, 3, 4, 4)
-    for rho, got in zip(stack.reshape(-1, 4, 4), out.reshape(-1, 4, 4)):
-        assert np.array_equal(got, ch.apply(c, rho))
     with pytest.raises(DimMismatch):
         ch.apply(c, np.zeros((2, 3, 3)))
     with pytest.raises(DimMismatch):
