@@ -30,14 +30,15 @@ _, m = deg.is_degradable(zoo.amplitude_damping(0.2))
 print(f"\nreturned degrading map: {m.dim_in} -> {m.dim_out}, "
       f"{len(m.kraus)} Kraus ops, tp residual {m.tp_residual():.2e}")
 print("a failed solve reports its certificates instead of raising; this one")
-print("is 'impossible', with a Farkas witness (Y, z) whose score proves that")
-print("no CPTP map exists:")
+print("is 'impossible': the first Douglas-Rachford displacement gives a Farkas")
+print("witness (Y, z), scaled to unit norm, whose score proves that no CPTP map")
+print("exists:")
 failed, _ = deg.is_degradable(zoo.amplitude_damping(0.9))
 witness = failed.pop("witness")
 print(" ", failed)
 print(f"  witness: {witness['kind']} score {witness['score']:.4f} < -margin {witness['margin']:g}")
-print("\nhorodecki(3.5) E->B: the least-squares candidate is not CP and its witness")
-print("scores above 0, proving nothing, so Douglas-Rachford refines it to a map:")
+print("\nhorodecki(3.5) E->B: the least-squares candidate is not CP, and no")
+print("displacement witness proves anything, so Douglas-Rachford refines it to a map:")
 sol, m = deg.is_antidegradable(zoo.horodecki_channel(3.5))
 print(f"  status {sol['status']}, {m.dim_in} -> {m.dim_out}, {len(m.kraus)} Kraus ops, "
       f"map residual {sol['map_residual']:.1e}, tp residual {sol['map_tp_residual']:.1e}")

@@ -2,15 +2,15 @@
 
 Whether a CPTP map D with to = D o from exists is a convex feasibility
 problem: D's transfer matrix must lie in one affine set A, the
-trace-preserving solutions of T T_from = T_to, and in the cone K of
-transfer matrices with a PSD Choi matrix. The member of A nearest 0 is
-certified as CPTP via a Choi eigensolve; when it fails, one Farkas
-certificate of the same problem is built, and without one Douglas-Rachford
-splitting between A and K searches for a map (Banjac, Goulart, Stellato &
-Boyd, JOTA 183, 2019). Its fixed-point map is accelerated by safeguarded
-type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011;
-Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020). Every solve ends in
-one of three statuses:
+trace-preserving solutions of T T_from = T_to, and in the cone K of transfer
+matrices with a PSD Choi matrix. The member of A nearest 0 is certified as
+CPTP via a Choi eigensolve; when it fails, Douglas-Rachford splitting
+between A and K searches for a map and scores its displacement, which
+separates A from K if they do not meet, as a Farkas certificate (Banjac,
+Goulart, Stellato & Boyd, JOTA 183, 2019; Liu, Ryu & Yin, Math. Program.
+177, 2019). Safeguarded type-II Anderson mixing accelerates it (Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
+30(4), 2020). Every solve ends in one of three statuses:
 
 - ``certified``: the candidate passes its CP/TP and residual certificates;
   the Kraus map handed back is re-checked and its own margins reported.
@@ -89,10 +89,10 @@ def _probe_residual(r: np.ndarray, d: int) -> float:
 FARKAS_MARGIN = 1e-9
 """Rounding margin on the Farkas score: a witness proves that no map exists
 only when its score is below -FARKAS_MARGIN. The score sums a few thousand
-products of entries of at most about 50 in size; against a long-double
-recomputation its rounding error is below 3e-14 on the zoo channels. Their
-witnesses score -0.25 or less, and the failed least-squares candidates of
-solves that do have a map score +0.026 or more."""
+products of entries of at most 1.5 in size on the zoo channels, since a
+displacement witness is scaled to unit norm; against a long-double
+recomputation of the unscaled scores its rounding error is below 3e-14.
+Every zoo witness scores -0.2496 or less."""
 
 # Choi eigensolves the Douglas-Rachford refinement may spend before it gives up
 REFINE_ROUNDS = 2000
@@ -146,7 +146,7 @@ def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
             "Y": qmat.as_pairs(y), "z": qmat.as_pairs(z)}
 
 
-def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
+def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
     """Douglas-Rachford splitting between the PSD-Choi cone K and the affine
     set A that ``affine`` projects onto, from its member ``t``, with
     safeguarded type-II Anderson acceleration. The splitting's map is
@@ -158,9 +158,11 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
     ||g(z_k) - sum_i gamma_i dg_i||^2 + ANDERSON_REG ||dg||_F^2 ||gamma||^2.
     A mixed point is accepted only if ||g||_F does not exceed the last
     accepted point's; otherwise the plain step F(z_k) follows, with the
-    history cleared. Returns the last x, CP by construction, and the
-    eigensolves spent, rejected points included: it stops once the
-    composition and TP residuals of x are at most REFINE_STOP, or after
+    history cleared. At round 1 and every 25th, ``normal_witness`` scores
+    -g, which tends to a vector separating A from K when they do not meet.
+    Returns the last x, CP by construction, the eigensolves spent, rejected
+    points included, and the witness or None. It stops at a witness, once x
+    has composition and TP residuals at most REFINE_STOP, or after
     REFINE_ROUNDS eigensolves; deterministic."""
     tr_out, tr_mid = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_out, d_mid))
     # dF_i and dg_i as real vectors, in rings of ANDERSON_MEMORY rows
@@ -178,8 +180,10 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
         x = transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
         tp_residual = np.max(np.abs(tr_out @ x - tr_mid))
         if tp_residual <= REFINE_STOP and _probe_residual(t_to - x @ t_from, d_in) <= REFINE_STOP:
-            return x, rounds
+            return x, rounds, None
         g = affine(2 * x - z) - x
+        if (rounds == 1 or rounds % 25 == 0) and (witness := normal_witness(-g)):
+            return x, rounds, witness
         norm = np.linalg.norm(g)
         if pairs and not norm <= norm_acc:
             z, pairs = f_acc, 0
@@ -198,14 +202,14 @@ def _cptp_refine(t, affine, t_from, t_to, d_in, d_mid, d_out):
         gram[np.diag_indices(m)] += ANDERSON_REG * np.trace(gram) + np.finfo(float).tiny
         gamma = np.linalg.solve(gram, d_g[:m] @ g.view(np.float64).ravel())
         z = f - (gamma @ d_f[:m]).view(np.complex128).reshape(f.shape)
-    return x, REFINE_ROUNDS
+    return x, REFINE_ROUNDS, None
 
 
 def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
     """The least-squares stage of :func:`solve_degrading_map`: the report
     and map of :func:`least_squares_map`, then what the rest of the solve
-    builds on, the transfer matrices T_from and T_to, pinv(T_from), the
-    projector Pi = T_from pinv(T_from), the projection ``affine`` onto A and
+    builds on: T_from, T_to, T_ls, the projection ``affine`` onto A,
+    ``normal_witness``, which scores a displacement's part normal to A, and
     the candidate P_A(0)."""
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
@@ -213,8 +217,7 @@ def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tu
     side, cap = max(d_in**2, d_mid**2, d_out**2, d_mid * d_out), max_dim()
     if side > cap:
         raise SizeLimit(f"degrading-map solve needs a matrix of side {side}, above the side cap {cap}")
-    t_from = transfer_matrix(from_ch)
-    t_to = transfer_matrix(to_ch)
+    t_from, t_to = transfer_matrix(from_ch), transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
     pi = t_from @ f_pinv
     t_ls = t_to @ f_pinv
@@ -226,9 +229,14 @@ def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tu
         t_off = t - t @ pi
         return t_ls + t_off + mixed * (r - tr_out @ t_off)
 
+    def normal_witness(w):
+        y, z = w @ f_pinv.conj().T, (tr_out @ (w - w @ pi)).conj().ravel() / d_out
+        scale = np.hypot(np.linalg.norm(y), np.linalg.norm(z))
+        return _farkas_witness(y / scale, z / scale, t_from, t_to, d_mid, d_out)
+
     t_d = affine(np.zeros_like(t_ls))
     report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
-    return report, d, t_from, t_to, f_pinv, pi, affine, t_d
+    return report, d, t_from, t_to, t_ls, affine, normal_witness, t_d
 
 
 def least_squares_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
@@ -264,57 +272,49 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     The solve starts with :func:`least_squares_map`, which certifies the
     candidate P_A(0): the least-squares map on the range, with the
     off-range input components (trace the range never sees) sent to the
-    maximally mixed state. If it fails its certificates, one Farkas witness
-    (:func:`_farkas_witness`) is built from it. With its residual above
-    TOL.residual_tol: Y = -R for R = T_to - T_ls T_from, T_ls = T_to
-    pinv(T_from), and z = 0; R vanishes on the row space of T_from, so W' = 0
-    and the score is -||R||_F^2. Every such D keeps the trace, so
+    maximally mixed state. If it fails with its residual or trace mismatch
+    above TOL.residual_tol, one Farkas witness (:func:`_farkas_witness`) comes
+    from the remainder R = T_to - T_ls T_from, T_ls = T_to pinv(T_from):
+    Y = -R and z = 0; R vanishes on the row space of T_from, so W' = 0 and
+    the score is -||R||_F^2. Every such D keeps the trace, so
     g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
     above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
-    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise, with W minus the negative part
-    of its Hermitian Choi matrix in transfer form, W' = W - (P_A(W) - P_A(0))
-    is the component of W normal to A: Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out. Without a witness, and when
-    residual and trace hold, :func:`_cptp_refine` searches A for a CPTP member.
+    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise :func:`_cptp_refine`
+    searches A from P_A(0) and scores its displacement W = -g at round 1
+    and every 25th by the component of W normal to A,
+    W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out, scaled to
+    ||Y||_F^2 + ||z||^2 = 1. At round 1 this W' is that of the negative
+    part of the candidate's Hermitian Choi matrix, in transfer form.
     Input sides that differ raise :class:`DimMismatch`, and a matrix side
     above ``max_dim()`` :class:`SizeLimit`, before anything is built: d_in^2,
     d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
     matrix.
     """
-    report, d, t_from, t_to, f_pinv, pi, affine, t_d = _least_squares(from_ch, to_ch)
+    report, d, t_from, t_to, t_ls, affine, normal_witness, t_d = _least_squares(from_ch, to_ch)
     if d is not None:
         return report, d
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
     tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
-    t_ls = t_to @ f_pinv
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
     trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
-    remainder = trace_mismatch or report["residual"] > TOL.residual_tol
-    if trace_mismatch:
-        y, z = t_ls @ t_from - t_to - np.outer(tr_out, g), t_from @ g.conj()
-    elif remainder:
+    if trace_mismatch or report["residual"] > TOL.residual_tol:
+        # no trace-preserving linear map takes from to to; the remainder gives W' = 0
         y, z = t_ls @ t_from - t_to, np.zeros(d_mid**2)
-    else:
-        j = choi_of_transfer(t_d, d_mid, d_out)
-        w, v = np.linalg.eigh((j + j.conj().T) / 2)
-        neg = transfer_of_choi(-(v * np.clip(w, None, 0.0)) @ v.conj().T, d_mid, d_out)
-        y = neg @ f_pinv.conj().T
-        z = (tr_out @ (neg - neg @ pi)).conj().ravel() / d_out
-    witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
-    if witness is not None:
-        report.update(status="impossible", witness=witness)
+        if trace_mismatch:
+            y, z = y - np.outer(tr_out, g), t_from @ g.conj()
+        witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
+        report.update({"status": "impossible", "witness": witness} if witness else {"stop": "least_squares_residual"})
         return report, None
-    if remainder:
-        report["stop"] = "least_squares_residual"
-        return report, None
-    t_ref, rounds = _cptp_refine(t_d, affine, t_from, t_to, d_in, d_mid, d_out)
-    refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-    if d is None:
-        # the report is the least-squares candidate's, not the last iterate's
-        refined = report
-        refined["stop"] = "refine_cap"
-    refined["refine_rounds"] = rounds
-    return refined, d
+    t_ref, rounds, witness = _cptp_refine(t_d, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out)
+    if witness is None:
+        refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
+        if d is not None:
+            return {**refined, "refine_rounds": rounds}, d
+    # the report is the least-squares candidate's, not the last iterate's
+    report.update({"status": "impossible", "witness": witness} if witness else {"stop": "refine_cap"})
+    report["refine_rounds"] = rounds
+    return report, None
 
 
 def is_degradable(ch: chmod.KrausChannel) -> tuple:

@@ -209,8 +209,8 @@ def test_11_rank_one_certificate():
 
 
 def test_12_nab_ae_anti_degradable_with_a_witness():
-    # B->E is ruled out by a Farkas witness, so no refinement runs for it;
-    # E->B refines to a certified map within 20 Choi eigensolves
+    # B->E is ruled out by a Farkas witness at the first Choi eigensolve of
+    # its refinement; E->B refines to a certified map within 20 of them
     start = time.monotonic()
     _, n_ab = zoo.build_entry("nab_ae")
     res = deg.classify_pd(n_ab)

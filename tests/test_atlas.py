@@ -14,11 +14,9 @@ Labels, with B->E a degrading map and E->B an anti-degrading map:
   PRA 58, 1827, 1998). Every other B->E solve ends ``impossible``, with a
   Farkas witness, for d = 2 and 3 alike.
 
-The band: within ``BAND`` of a threshold, but not at it, a solve may end
-``not_found`` (the CPTP refinement reaches its cap, and no witness
-decides). Today only qutrit erasure does, at 0.45 (E->B) and 0.55 (B->E).
-No solve ends ``not_found`` outside the band, and none ends in the status
-opposite to the closed form anywhere.
+Every solve ends in the status the closed form gives, ``certified`` or
+``impossible``, at points as close as 1e-4 to a threshold: none ends
+``not_found``.
 """
 
 import numpy as np
@@ -29,7 +27,8 @@ from pdchannel import degradability as deg
 from pdchannel import zoo
 
 GRID = [k / 20 for k in range(21)]
-BAND = 0.05
+# on both sides of the threshold 1/2 of amplitude damping and erasure
+NEAR_HALF = [0.49, 0.4999, 0.5001, 0.51]
 
 
 def _h(p):
@@ -51,26 +50,25 @@ def _depolarizing(d):
     threshold = d / (2 * (d + 1))
     return (
         lambda p: zoo.depolarizing(p, d),
-        sorted(GRID + [1 / 3, 3 / 8]),
-        {"B->E": (lambda p: p == 0, None), "E->B": (lambda p: p >= threshold, threshold)},
+        sorted(GRID + [1 / 3, 3 / 8] + ([0.33] if d == 2 else [])),
+        {"B->E": lambda p: p == 0, "E->B": lambda p: p >= threshold},
         [],
     )
 
 
-# family: (build, parameters, {direction: (label, threshold)}, [(parameter, Q)]);
-# a threshold of None means no band: every solve ends as the label says
+# family: (build, parameters, {direction: label}, [(parameter, Q)])
 FAMILIES = {
     "amplitude_damping": (
         zoo.amplitude_damping,
-        GRID,
-        {"B->E": (lambda g: g <= 0.5, 0.5), "E->B": (lambda g: g >= 0.5, 0.5)},
+        sorted(GRID + NEAR_HALF),
+        {"B->E": lambda g: g <= 0.5, "E->B": lambda g: g >= 0.5},
         [(0.2, _ad_capacity(0.2)), (0.7, 0.0)],
     ),
     **{
         f"erasure_d{d}": (
             lambda p, d=d: zoo.erasure(p, d),
-            GRID,
-            {"B->E": (lambda p: p <= 0.5, 0.5), "E->B": (lambda p: p >= 0.5, 0.5)},
+            sorted(GRID + NEAR_HALF),
+            {"B->E": lambda p: p <= 0.5, "E->B": lambda p: p >= 0.5},
             [(0.25, 0.5 * np.log2(d))] + ([(0.6, 0.0)] if d == 2 else []),
         )
         for d in (2, 3)
@@ -78,7 +76,7 @@ FAMILIES = {
     "dephasing": (
         zoo.dephasing,
         GRID[:11],
-        {"B->E": (lambda p: True, None), "E->B": (lambda p: p == 0.5, 0.5)},
+        {"B->E": lambda p: True, "E->B": lambda p: p == 0.5},
         [(0.1, 1 - _h(0.1)), (0.3, 1 - _h(0.3))],
     ),
     "depolarizing_d2": _depolarizing(2),
@@ -93,16 +91,10 @@ def test_baseline_matches_its_closed_form(family):
     build, params, labels, capacities = FAMILIES[family]
     for p in params:
         ch = build(p)
-        for direction, (label, threshold) in labels.items():
+        for direction, label in labels.items():
             want = "certified" if label(p) else "impossible"
             got = _SOLVES[direction](ch)[0]["status"]
-            where = f"{family}({p}) {direction}"
-            # the slack absorbs the rounding of k / 20
-            in_band = threshold is not None and 0 < abs(p - threshold) <= BAND + 1e-12
-            if got == "not_found":
-                assert in_band, f"{where}: not_found outside the band"
-            else:
-                assert got == want, f"{where}: {got}, closed form says {want}"
+            assert got == want, f"{family}({p}) {direction}: {got}, closed form says {want}"
     for p, q in capacities:
         got = cap.maximize_coherent_information(build(p))["value"]
         assert got == pytest.approx(q, abs=1e-6), f"{family}({p})"

@@ -86,7 +86,8 @@ def test_failed_solve_reports_not_raises():
     d, m = deg.is_degradable(zoo.amplitude_damping(0.9))
     assert not d["success"]
     assert m is None
-    assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status", "witness"}
+    assert set(d) == {"success", "residual", "cp_min_eig", "tp_residual", "status", "witness",
+                      "refine_rounds"}
     assert d["status"] == "impossible"
 
 
@@ -96,13 +97,13 @@ REFINE_BUDGET = 60
 
 
 def _count_refines(monkeypatch) -> list:
-    """The rounds of every CPTP refinement that runs."""
+    """(rounds, whether a witness ended it) of every CPTP refinement that runs."""
     ends = []
     refine = deg._cptp_refine
 
     def counted(*args):
         out = refine(*args)
-        ends.append(out[1])
+        ends.append((out[1], out[2] is not None))
         return out
 
     monkeypatch.setattr(deg, "_cptp_refine", counted)
@@ -110,27 +111,32 @@ def _count_refines(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "solve, refines",
+    "solve, witnesses, maps",
     [
-        (lambda: deg.classify_pd(zoo.amplitude_damping(0.2)), 0),
-        (lambda: deg.classify_pd(zoo.depolarizing(0.5)), 0),
+        (lambda: deg.classify_pd(zoo.amplitude_damping(0.2)), 1, 0),
+        (lambda: deg.classify_pd(zoo.depolarizing(0.5)), 1, 0),
         # erasure's B->E solve refines to a certified map; E->B is the futile one
-        (lambda: deg.is_antidegradable(zoo.erasure(0.25)), 0),
-        (lambda: deg.classify_pd(zoo.horodecki_channel(3.5)), 1),
-        (lambda: deg.is_degradable(zoo.erasure(0.25)), 1),
-        (lambda: deg.classify_pd(zoo.build_entry("composite_complementary", repair=True)[1]), 1),
+        (lambda: deg.is_antidegradable(zoo.erasure(0.25)), 1, 0),
+        (lambda: deg.classify_pd(zoo.horodecki_channel(3.5)), 1, 1),
+        (lambda: deg.is_degradable(zoo.erasure(0.25)), 0, 1),
+        (lambda: deg.classify_pd(zoo.build_entry("composite_complementary", repair=True)[1]), 1, 1),
     ],
     ids=["amplitude_damping", "depolarizing", "erasure-E->B", "horodecki", "erasure-B->E", "composite"],
 )
-def test_witness_skips_futile_refinement(monkeypatch, solve, refines):
+def test_witness_skips_futile_refinement(monkeypatch, solve, witnesses, maps):
     ends = _count_refines(monkeypatch)
     solve()
-    assert len(ends) == refines
-    if refines:
-        # horodecki E->B, erasure B->E and the composite B->E have maps, so
-        # no witness exists; the refinement certifies one well before the
-        # round cap
-        assert 0 < ends[0] <= REFINE_BUDGET
+    assert sorted(w for _, w in ends) == [False] * maps + [True] * witnesses
+    for rounds, witness in ends:
+        if witness:
+            # the displacement of the first eigensolve already proves that
+            # no map exists, so nothing more is spent
+            assert rounds == 1
+        else:
+            # horodecki E->B, erasure B->E and the composite B->E have maps,
+            # so no witness exists; the refinement certifies one well before
+            # the round cap
+            assert 0 < rounds <= REFINE_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -449,10 +455,15 @@ ZOO_STATUSES = {
 }
 
 
+# the certified refinements, and the failed least-squares candidates whose
+# first Douglas-Rachford displacement is a witness
 ZOO_REFINED = {
-    ("horodecki", ()): {"E->B"},
-    ("erasure", (("p", 0.25), ("d", 2))): {"B->E"},
-    ("composite_complementary", (("x", 0.75), ("repair", True))): {"B->E"},
+    ("horodecki", ()): {"B->E", "E->B"},
+    ("erasure", (("p", 0.25), ("d", 2))): {"B->E", "E->B"},
+    ("depolarizing", (("p", 0.5), ("d", 2))): {"B->E"},
+    ("amplitude_damping", (("gamma", 0.2),)): {"E->B"},
+    ("m_ae", (("repair", True),)): {"E->B"},
+    ("composite_complementary", (("x", 0.75), ("repair", True))): {"B->E", "E->B"},
 }
 
 ZOO_LABELS = {
@@ -493,6 +504,8 @@ def test_zoo_solve_statuses(zoo_reports):
         # only solves that ran the refinement report its eigensolves
         refined = {k for k in ("B->E", "E->B") if "refine_rounds" in sols[k]}
         assert refined == ZOO_REFINED.get(key, set()), key
+        # a refinement that ends in a witness ends at its first eigensolve
+        assert all(sols[k]["refine_rounds"] == 1 for k in refined if sols[k]["status"] == "impossible"), key
 
 
 def test_classify_report_is_the_library_dict(zoo_reports, tmp_path):
@@ -649,3 +662,109 @@ def test_no_witness_against_a_certified_map(zoo_reports):
     # the refined maps: horodecki E->B and the composite B->E
     assert {("horodecki", "E->B"), ("composite_complementary", "B->E")} <= certified
     assert len(certified) == 19
+
+
+def _random_family() -> dict:
+    """The random small channels, keyed by ((d_in, d_out, K), draw): 60
+    draws per shape, in this order, from one generator seeded 0."""
+    rng = np.random.default_rng(0)
+    shapes = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (2, 2, 4))
+    return {(shape, i): _random_channel(rng, *shape) for shape in shapes for i in range(60)}
+
+
+# the solves of the random family that once ran the refinement to its round
+# cap; each is infeasible, and a displacement witness proves it
+RANDOM_REFINE_WITNESSES = [
+    ((2, 3, 2), 20, "B->E"), ((2, 3, 2), 24, "B->E"), ((2, 3, 2), 35, "B->E"),
+    ((2, 3, 2), 54, "B->E"), ((2, 3, 2), 56, "B->E"), ((2, 2, 3), 20, "E->B"),
+    ((2, 2, 3), 56, "E->B"), ((2, 4, 2), 3, "B->E"), ((2, 4, 2), 7, "B->E"),
+    ((2, 4, 2), 13, "B->E"), ((2, 4, 2), 28, "B->E"), ((2, 4, 2), 48, "B->E"),
+]
+
+
+def _witness_norm(w) -> float:
+    return float(np.hypot(np.linalg.norm(_complex(w["Y"])), np.linalg.norm(_complex(w["z"]))))
+
+
+def test_random_refinements_end_in_a_witness(monkeypatch):
+    family = _random_family()
+    for shape, i, direction in RANDOM_REFINE_WITNESSES:
+        n_ab = family[shape, i]
+        from_ch, to_ch = _solve_pairs(n_ab)[direction]
+        d, _ = deg.solve_degrading_map(from_ch, to_ch)
+        where = (shape, i, direction)
+        assert d["status"] == "impossible" and 1 < d["refine_rounds"] < deg.REFINE_ROUNDS, where
+        w = d["witness"]
+        assert _witness_norm(w) == pytest.approx(1.0, abs=1e-12), where
+        score = _plain_farkas_score(w, _plain_transfer(from_ch.kraus), _plain_transfer(to_ch.kraus))
+        assert score < -w["margin"] and score == pytest.approx(w["score"], abs=1e-9), where
+    # (2, 2, 3) #39 E->B is the one left at the cap, and it is feasible: with
+    # a larger cap the refinement certifies a map
+    from_ch, to_ch = _solve_pairs(family[(2, 2, 3), 39])["E->B"]
+    d, _ = deg.solve_degrading_map(from_ch, to_ch)
+    assert d["status"] == "not_found" and d["stop"] == "refine_cap"
+    monkeypatch.setattr(deg, "REFINE_ROUNDS", 8000)
+    d, m = deg.solve_degrading_map(from_ch, to_ch)
+    assert d["status"] == "certified" and 2000 < d["refine_rounds"] < 8000
+    _plain_recheck(m.kraus, from_ch, to_ch, np.random.default_rng(39))
+
+
+def _depolarizing_flag_extension(p, lam):
+    """sum_i p_i sigma_i rho sigma_i (x) |psi_i><psi_i| for the Pauli weights
+    (1 - 3p/4, p/4, p/4, p/4) of qubit depolarizing(p), with four flags of
+    Gram matrix (1 - lam) I + lam J: a 2 -> 8 channel whose partial trace
+    over the flag is depolarizing(p)."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    weights = [1 - 3 * p / 4] + [p / 4] * 3
+    w, v = np.linalg.eigh((1 - lam) * np.eye(4) + lam * np.ones((4, 4)))
+    flags = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return ch.KrausChannel([np.sqrt(q) * np.kron(s, flags[:, [i]]) for i, (q, s) in enumerate(zip(weights, paulis))])
+
+
+def test_threshold_solves_are_decided():
+    # dephrasure(0.10, 0.35) is neither degradable nor anti-degradable, and
+    # the two flag extensions sit just past their degradability threshold
+    embed, z = np.eye(3, 2), np.diag([1.0, -1.0])
+    erase = np.zeros((2, 3, 2))
+    erase[0, 2, 0] = erase[1, 2, 1] = np.sqrt(0.35)
+    dephrasure = ch.KrausChannel([np.sqrt(0.65 * 0.9) * embed, np.sqrt(0.65 * 0.1) * embed @ z, *erase])
+    extensions = [_depolarizing_flag_extension(0.1, 0.98), _depolarizing_flag_extension(0.2, 0.95)]
+    for c in extensions:
+        assert c.tp_residual() <= 1e-12
+    cases = [(dephrasure, "B->E"), (dephrasure, "E->B")] + [(c, "B->E") for c in extensions]
+    for c, direction in cases:
+        from_ch, to_ch = _solve_pairs(c)[direction]
+        d, _ = deg.solve_degrading_map(from_ch, to_ch)
+        assert d["status"] == "impossible", (c.dim_out, direction, d["status"])
+        assert _witness_norm(d["witness"]) == pytest.approx(1.0, abs=1e-12)
+        score = _plain_farkas_score(d["witness"], _plain_transfer(from_ch.kraus), _plain_transfer(to_ch.kraus))
+        assert score < -deg.FARKAS_MARGIN
+
+
+def test_feasible_problems_are_never_proved_impossible(monkeypatch):
+    # to = D o from, with from a random 2 -> 4 channel and D a random 4 -> 2
+    # one, has a map; every displacement the refinement scores is a unit
+    # pair, none proves anything, and so the refinement runs as long as it
+    # would without the witness. Seed 5 converges too slowly for the cap.
+    scored, farkas = [], deg._farkas_witness
+
+    def recorded(y, z, *args):
+        scored.append(np.hypot(np.linalg.norm(y), np.linalg.norm(z)))
+        return farkas(y, z, *args)
+
+    monkeypatch.setattr(deg, "_farkas_witness", recorded)
+    # the rounds each seed takes without a witness in the loop
+    rounds = {0: 28, 1: 29, 2: 134, 3: 52, 4: 29, 5: None, 6: 31, 7: 43}
+    for seed, want in rounds.items():
+        rng = np.random.default_rng(seed)
+        from_ch = _random_channel(rng, 2, 4, 2)
+        to_ch = ch.compose(from_ch, _random_channel(rng, 4, 2, 2))
+        d, _ = deg.solve_degrading_map(from_ch, to_ch)
+        if want is None:
+            assert (d["status"], d["stop"], d["refine_rounds"]) == ("not_found", "refine_cap", deg.REFINE_ROUNDS)
+        else:
+            assert (d["status"], d["refine_rounds"]) == ("certified", want), seed
+    # one score at round 1 and every 25th: before the certified round, or
+    # up to the cap
+    assert len(scored) == sum(1 + (r - 1) // 25 if r else 1 + deg.REFINE_ROUNDS // 25 for r in rounds.values())
+    assert np.allclose(scored, 1.0, rtol=0, atol=1e-12)
