@@ -54,8 +54,8 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     and a ``rho`` whose reduced states fall outside the entropy clamping
     window (not a density matrix, say of trace 3) :class:`NotDensityMatrix`.
     So does a ``rho`` whose own spectrum leaves that window: it is held to
-    the window before it is purified, so a negative eigenvalue is an error,
-    not clipped to 0.
+    the window before it is purified, so a negative eigenvalue or a trace
+    other than 1 is an error, not clipped or renormalized.
 
     Returns entropies (bits) of the final pure state over E', F, G, H, R:
     h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
@@ -226,11 +226,11 @@ def _check_settings(d: int, restarts: int, tol: float, seed: int) -> None:
 
 def _degrading_residual(ch: chmod.KrausChannel):
     """The ``map_residual`` of the degrading map of ``ch`` that
-    :func:`degradability.least_squares_map` certifies, or None without one
-    or when the solve's size limit refuses ``ch``; nothing more is tried."""
+    :func:`degradability.is_degradable` certifies, or None without one or
+    when the solve's size limit refuses ``ch``."""
     try:
         # only a certified report has the key
-        return deg.least_squares_map(ch, chmod.complementary(ch))[0].get("map_residual")
+        return deg.is_degradable(ch)[0].get("map_residual")
     except SizeLimit:
         return None
 
@@ -247,11 +247,11 @@ def maximize_coherent_information(
     which seeds the standard library's ``random.Random`` for the random
     starts (see :func:`_starts`).
 
-    The channel is first checked for degradability by the least-squares
-    stage of the degrading-map solve alone (one ``pinv`` and one Choi
-    eigensolve). When that certifies a degrading map, I_coh is concave, and
-    a block ends at the first round in which some restart's point has a
-    Frank-Wolfe gap of at most ``tol`` (see :func:`_objective`): that point
+    The channel is first checked for degradability by the B->E solve that
+    ``classify`` runs (:func:`degradability.is_degradable`). When that
+    certifies a degrading map, I_coh is concave, and a block ends at the
+    first round in which some restart's point has a Frank-Wolfe gap of at
+    most ``tol`` (see :func:`_objective`): that point
     is within the gap of the optimum, so that restart ends there, or at its
     current iterate if that is higher, the others keep their current
     iterates, and later blocks do not start.
@@ -332,8 +332,8 @@ def additivity_probe(
     :func:`maximize_coherent_information` raises.
 
     The two copies are certified from the single copy alone, with no
-    two-copy matrix built: when the least-squares stage certifies a
-    degrading map D of N = ``ch`` with ``map_residual`` r, D (x) D degrades
+    two-copy matrix built: when the single copy's degrading-map solve
+    certifies a map D of N = ``ch`` with ``map_residual`` r, D (x) D degrades
     N (x) N within 4 r (2 m + 2 r), m the largest |entry| of the transfer
     matrix of N_c. If that is within TOL.residual_tol, the two-copy run
     stops as on a certified channel; otherwise it runs every restart. The

@@ -205,12 +205,46 @@ def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
     return x, REFINE_ROUNDS, None
 
 
-def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
-    """The least-squares stage of :func:`solve_degrading_map`: the report
-    and map of :func:`least_squares_map`, then what the rest of the solve
-    builds on: T_from, T_to, T_ls, the projection ``affine`` onto A,
-    ``normal_witness``, which scores a displacement's part normal to A, and
-    the candidate P_A(0)."""
+def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
+    """Find a CPTP map D with to = D o from, or prove that none exists.
+
+    Returns ``(report, map)``: the report ``classify`` prints for the solve,
+    and the certified Kraus map, None unless ``status`` is ``certified``.
+    The report holds ``success``, ``residual``, ``cp_min_eig``,
+    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
+    and ``map_tp_residual``, the certificates of the returned map itself,
+    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
+    A solve that ran the refinement adds ``refine_rounds``, the Choi
+    eigensolves it spent.
+
+    The trace-preserving least-squares solutions of T T_from = T_to form an
+    affine set A, and ``affine`` is its Frobenius projection: with Pi the
+    projector onto range(T_from), T_off = T (I - Pi) and
+    r = vec(I_mid)^dag (I - Pi),
+    P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
+    The solve first certifies the candidate P_A(0), at the cost of one
+    ``pinv`` of T_from and one Choi eigensolve (one more reads the Kraus
+    map off when it certifies): the least-squares map on the range, with
+    the off-range input components (trace the range never sees) sent to
+    the maximally mixed state. If it fails with its residual or trace
+    mismatch above TOL.residual_tol, one Farkas witness (:func:`_farkas_witness`) comes
+    from the remainder R = T_to - T_ls T_from, T_ls = T_to pinv(T_from):
+    Y = -R and z = 0; R vanishes on the row space of T_from, so W' = 0 and
+    the score is -||R||_F^2. Every such D keeps the trace, so
+    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
+    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
+    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise :func:`_cptp_refine`
+    searches A from P_A(0) and scores its displacement W = -g at round 1
+    and every 25th by the component of W normal to A,
+    W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out, scaled to
+    ||Y||_F^2 + ||z||^2 = 1. At round 1 this W' is that of the negative
+    part of the candidate's Hermitian Choi matrix, in transfer form.
+    Input sides that differ raise :class:`DimMismatch`, and a matrix side
+    above ``max_dim()`` :class:`SizeLimit`, before anything is built: d_in^2,
+    d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
+    matrix.
+    """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
@@ -236,66 +270,8 @@ def _least_squares(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tu
 
     t_d = affine(np.zeros_like(t_ls))
     report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
-    return report, d, t_from, t_to, t_ls, affine, normal_witness, t_d
-
-
-def least_squares_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
-    """The first stage of :func:`solve_degrading_map`, and its only cost when
-    it certifies: one ``pinv`` of T_from and one Choi eigensolve of the
-    least-squares candidate P_A(0), with no refinement and no witness, and
-    when it certifies, one more that reads the Kraus map off that Choi matrix.
-
-    Returns ``(report, map)`` as the solve does when this stage certifies;
-    otherwise the map is None and the report's ``status`` is ``not_found``,
-    with no ``stop``: the solve would go on to a witness or a refinement.
-    Raises :class:`DimMismatch` and :class:`SizeLimit` as the solve does."""
-    return _least_squares(from_ch, to_ch)[:2]
-
-
-def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
-    """Find a CPTP map D with to = D o from, or prove that none exists.
-
-    Returns ``(report, map)``: the report ``classify`` prints for the solve,
-    and the certified Kraus map, None unless ``status`` is ``certified``.
-    The report holds ``success``, ``residual``, ``cp_min_eig``,
-    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
-    and ``map_tp_residual``, the certificates of the returned map itself,
-    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
-    A solve that ran the refinement adds ``refine_rounds``, the Choi
-    eigensolves it spent.
-
-    The trace-preserving least-squares solutions of T T_from = T_to form an
-    affine set A, and ``affine`` is its Frobenius projection: with Pi the
-    projector onto range(T_from), T_off = T (I - Pi) and
-    r = vec(I_mid)^dag (I - Pi),
-    P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
-    The solve starts with :func:`least_squares_map`, which certifies the
-    candidate P_A(0): the least-squares map on the range, with the
-    off-range input components (trace the range never sees) sent to the
-    maximally mixed state. If it fails with its residual or trace mismatch
-    above TOL.residual_tol, one Farkas witness (:func:`_farkas_witness`) comes
-    from the remainder R = T_to - T_ls T_from, T_ls = T_to pinv(T_from):
-    Y = -R and z = 0; R vanishes on the row space of T_from, so W' = 0 and
-    the score is -||R||_F^2. Every such D keeps the trace, so
-    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
-    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
-    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise :func:`_cptp_refine`
-    searches A from P_A(0) and scores its displacement W = -g at round 1
-    and every 25th by the component of W normal to A,
-    W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out, scaled to
-    ||Y||_F^2 + ||z||^2 = 1. At round 1 this W' is that of the negative
-    part of the candidate's Hermitian Choi matrix, in transfer form.
-    Input sides that differ raise :class:`DimMismatch`, and a matrix side
-    above ``max_dim()`` :class:`SizeLimit`, before anything is built: d_in^2,
-    d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
-    matrix.
-    """
-    report, d, t_from, t_to, t_ls, affine, normal_witness, t_d = _least_squares(from_ch, to_ch)
     if d is not None:
         return report, d
-    d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
-    tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
     trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
     if trace_mismatch or report["residual"] > TOL.residual_tol:

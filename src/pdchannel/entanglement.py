@@ -23,13 +23,17 @@ _CLAMP = 1e-9
 
 
 def clamped(w: np.ndarray) -> np.ndarray:
-    """A spectrum held to the clamping window: clipped to [0, 1]. An
-    eigenvalue more than ``_CLAMP`` outside it raises
-    :class:`NotDensityMatrix`."""
+    """A spectrum, or a stack of spectra along the last axis, held to the
+    clamping window: clipped to [0, 1]. An eigenvalue more than ``_CLAMP``
+    outside it, or a spectrum of d values whose sum is more than
+    d * ``_CLAMP`` away from 1, raises :class:`NotDensityMatrix`."""
     if w.min() < -_CLAMP or w.max() > 1.0 + _CLAMP:
         raise NotDensityMatrix(
             f"eigenvalues [{w.min():.3e}, {w.max():.3e}] outside clamping window"
         )
+    trace_gap = np.max(np.abs(w.sum(axis=-1) - 1.0))
+    if trace_gap > w.shape[-1] * _CLAMP:
+        raise NotDensityMatrix(f"trace off 1 by {trace_gap:.3e}")
     return np.clip(w, 0.0, 1.0)
 
 

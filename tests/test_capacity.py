@@ -69,6 +69,13 @@ def test_pd_isometries_validation():
         cap.coherent_information(e, bad)
     with pytest.raises(NotDensityMatrix):
         cap.coherent_information_pd(e, *legs, bad)
+    # so is a state whose eigenvalues all lie in the window but whose
+    # trace is not 1
+    short = np.diag([0.3, 0.2, 0.0])
+    with pytest.raises(NotDensityMatrix):
+        cap.coherent_information(zoo.amplitude_damping(0.2), short[:2, :2])
+    with pytest.raises(NotDensityMatrix):
+        cap.coherent_information_pd(e, *legs, short)
 
 
 def test_isometry_chain_identity_degradings_match_standard():
@@ -373,23 +380,27 @@ def test_pure_seed_gets_a_full_rank_factor():
     assert np.linalg.svd(a, compute_uv=False).min() >= 1e-7
 
 
+def _probe_maximizations(c):
+    """The two maximizations of capacity --tensor 2 --restarts 32 --seed 42
+    on ``c``, as (channel, report, starts), single copy then two copies;
+    the two-copy run is the probe's, certified by the bound on the residual
+    of D (x) D."""
+    single = cap.additivity_probe(c, restarts=32, seed=42)
+    rho = np.asarray(single["argmax_state"]) @ [1, 1j]
+    joint_ch, seeds = ch.tensor(c, c), [np.kron(rho, rho)]
+    bound = cap._two_copy_residual(c, single["certificate"]["map_residual"])
+    assert bound <= TOL.residual_tol, c.name
+    joint = cap._maximize(joint_ch, 32, 1e-6, 42, seeds, bound)
+    assert single["additivity"]["joint"] == joint["value"]
+    return [(c, single, list(cap._starts(c.dim_in, 32, 42))),
+            (joint_ch, joint, list(cap._starts(joint_ch.dim_in, 32, 42, seeds)))]
+
+
 def _capacity_tensor_maximizations():
     """The six maximizations of capacity --tensor 2 --restarts 32 --seed 42
-    on the bench's three channels, as (channel, report, starts), single
-    copy then two copies; the two-copy run is the probe's, certified by the
-    bound on the residual of D (x) D."""
-    runs = []
-    for c in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3), zoo.dephasing(0.3)):
-        single = cap.additivity_probe(c, restarts=32, seed=42)
-        rho = np.asarray(single["argmax_state"]) @ [1, 1j]
-        joint_ch, seeds = ch.tensor(c, c), [np.kron(rho, rho)]
-        bound = cap._two_copy_residual(c, single["certificate"]["map_residual"])
-        assert bound <= TOL.residual_tol, c.name
-        joint = cap._maximize(joint_ch, 32, 1e-6, 42, seeds, bound)
-        assert single["additivity"]["joint"] == joint["value"]
-        runs += [(c, single, list(cap._starts(2, 32, 42))),
-                 (joint_ch, joint, list(cap._starts(4, 32, 42, seeds)))]
-    return runs
+    on the bench's three channels (see :func:`_probe_maximizations`)."""
+    return [run for c in (zoo.amplitude_damping(0.2), zoo.amplitude_damping(0.3), zoo.dephasing(0.3))
+            for run in _probe_maximizations(c)]
 
 
 def test_capacity_tensor_maximizations_take_at_most_100_rounds():
@@ -429,7 +440,8 @@ def _ad_capacity(gamma):
 
 
 def test_certified_gap_bounds_the_closed_form_capacity():
-    # Q = Q^(1) <= value + gap on degradable channels, one copy and two
+    # Q = Q^(1) <= value + gap on degradable channels, one copy and two;
+    # each run is (Q, report, how far value + gap may fall below Q)
     closed = {
         "amplitude_damping(gamma=0.2)": _ad_capacity(0.2),
         "amplitude_damping(gamma=0.3)": _ad_capacity(0.3),
@@ -439,16 +451,24 @@ def test_certified_gap_bounds_the_closed_form_capacity():
     for c, res, _ in _capacity_tensor_maximizations():
         # the two-copy channel's name starts with the single copy's
         q = next(q for name, q in closed.items() if c.name.startswith(name))
-        runs.append((q if c.dim_in == 2 else 2 * q, res))
+        runs.append((q if c.dim_in == 2 else 2 * q, res, 0.0))
     for d in (2, 3):
         res = cap.maximize_coherent_information(ch.identity_channel(d), restarts=32, seed=42)
-        runs.append((np.log2(d), res))
-    assert len(runs) == 8
-    for q, res in runs:
+        runs.append((np.log2(d), res, 0.0))
+        # erasure's degrading map is found by the refinement, not the
+        # least-squares stage; Q = (1 - 2p) log2 d. Its optimum is restart
+        # 0, I/d, whose gap reads 0.0, so value + gap misses Q by the
+        # rounding of value itself (2 eps at d = 2), which the certificate
+        # does not bound yet
+        q = (1 - 2 * 0.25) * np.log2(d)
+        (_, single, _), (_, joint, _) = _probe_maximizations(zoo.erasure(0.25, d=d))
+        runs += [(q, single, 4 * np.finfo(float).eps), (2 * q, joint, 4 * np.finfo(float).eps)]
+    assert len(runs) == 12
+    for q, res, rounding in runs:
         cert = res["certificate"]
         assert cert["degradable"] and res["converged"]
         assert 0 <= cert["gap"] <= 1e-6
-        assert res["value"] + cert["gap"] >= q
+        assert res["value"] + cert["gap"] >= q - rounding
         assert res["value"] <= q + 1e-12
         status = res["per_restart_status"][cert["restart"]]
         assert status["message"] == f"converged: certified gap {cert['gap']:.3e} <= 1e-06"
@@ -528,10 +548,34 @@ def test_two_copy_residual_bounds_the_exact_residual():
 def test_certificate_reports_the_map_residual():
     c = zoo.amplitude_damping(0.2)
     res = cap.maximize_coherent_information(c, restarts=1)
-    want = deg.least_squares_map(c, ch.complementary(c))[0]["map_residual"]
+    want = deg.is_degradable(c)[0]["map_residual"]
     assert res["certificate"]["map_residual"] == want
     res = cap.maximize_coherent_information(zoo.depolarizing(0.1), restarts=1)
     assert res["certificate"]["map_residual"] is None
+
+
+def _zoo_inputs_of_capacity():
+    """Every zoo entry that is trace-preserving with dim_in <= MAX_OPT_DIM,
+    at its defaults and, where it has one, with ``repair=True``."""
+    inputs = []
+    for entry_id in zoo.zoo_ids():
+        report, c = zoo.build_entry(entry_id)
+        inputs.append(c)
+        if "repair" in report["params"]:
+            inputs.append(zoo.build_entry(entry_id, repair=True)[1])
+    return [c for c in inputs if not c.flagged and c.dim_in <= cap.MAX_OPT_DIM]
+
+
+def test_certificate_is_the_classify_b_to_e_solve():
+    # capacity certifies a degrading map exactly when classify's B->E solve
+    # does, and reports that solve's map_residual
+    inputs = _zoo_inputs_of_capacity()
+    assert {c.name for c in inputs} >= {"erasure(p=0.25,d=2)", "composite_complementary(x=0.75) [repaired]"}
+    for c in inputs:
+        b_to_e = deg.classify_pd(c)["solutions"]["B->E"]
+        cert = cap.maximize_coherent_information(c, restarts=1)["certificate"]
+        assert cert["degradable"] == (b_to_e["status"] == "certified"), c.name
+        assert cert["map_residual"] == b_to_e.get("map_residual"), c.name
 
 
 def test_probe_builds_no_two_copy_degrading_map():
@@ -547,21 +591,21 @@ def test_probe_builds_no_two_copy_degrading_map():
     assert peak <= 64 * 2**20
 
 
-def test_probe_runs_no_least_squares_stage_after_an_uncertified_single_copy(monkeypatch):
-    # the single-copy maximization runs the stage once, and the probe reads
+def test_probe_runs_one_degrading_solve(monkeypatch):
+    # the single-copy maximization runs the solve once, and the probe reads
     # the two-copy certificate off its report, so it never runs it again
-    calls, original = [], cap.deg.least_squares_map
+    calls, original = [], cap.deg.solve_degrading_map
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cap.deg, "least_squares_map", counted)
-    for c, stages in ((zoo.depolarizing(0.1), 1), (zoo.amplitude_damping(0.2), 1)):
+    monkeypatch.setattr(cap.deg, "solve_degrading_map", counted)
+    for c, solves in ((zoo.depolarizing(0.1), 1), (zoo.amplitude_damping(0.2), 1)):
         calls.clear()
         report = cap.additivity_probe(c, restarts=1)
         assert report["additivity"]["single"] == report["value"]
-        assert len(calls) == stages, c.name
+        assert len(calls) == solves, c.name
 
 
 @pytest.mark.parametrize("single", [_dephrasure(0.10, 0.35), zoo.depolarizing(0.1)], ids=lambda c: c.name)
@@ -593,3 +637,6 @@ def test_ssa_known_states():
     assert cap.ssa_check(ghz, (2, 2, 2)) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(DimMismatch):
         cap.ssa_check(np.eye(4) / 4, (2, 2))
+    # every eigenvalue in the clamping window, but the trace is 1/2
+    with pytest.raises(NotDensityMatrix):
+        cap.ssa_check(np.eye(8) / 16, (2, 2, 2))

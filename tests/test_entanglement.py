@@ -24,6 +24,18 @@ def test_entropy_values():
 def test_entropy_rejects_non_states():
     with pytest.raises(NotDensityMatrix):
         ent.entropy(np.diag([1.5, -0.5]))
+    # every eigenvalue inside [0, 1], but the trace is 0.7
+    with pytest.raises(NotDensityMatrix):
+        ent.entropy(np.diag([0.5, 0.2]))
+
+
+def test_clamped_allows_rounding_of_the_trace():
+    # a trace within d * _CLAMP of 1 is rounding, and passes
+    d = 4
+    w = np.full(d, 1.0 / d) + 0.9 * ent._CLAMP
+    assert np.array_equal(ent.clamped(w), w)
+    with pytest.raises(NotDensityMatrix):
+        ent.clamped(np.full(d, 1.0 / d) + 1.1 * ent._CLAMP)
 
 
 def _random_states(rng, count, d, rank):
