@@ -16,7 +16,7 @@ from . import channel as chmod
 from . import degradability as deg
 from . import entanglement as ent
 from . import optimize, qmat
-from .config import TOL
+from .config import TOL, check_side
 from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
@@ -27,10 +27,7 @@ LOCKSTEP_BLOCK = 32
 
 
 def coherent_information(ch: chmod.KrausChannel, rho) -> float:
-    """I_coh = H(N(rho)) - H(N_env(rho)) in bits."""
-    rho = qmat.check_square(rho)
-    if rho.shape[0] != ch.dim_in:
-        raise DimMismatch(f"state side {rho.shape[0]} != dim_in {ch.dim_in}")
+    """I_coh = H(N(rho)) - H(N_env(rho)) in bits, for a rho that :func:`channel.apply` takes."""
     out = chmod.apply(ch, rho)
     env = chmod.apply(chmod.complementary(ch), rho)
     return ent.entropy(out) - ent.entropy(env)
@@ -141,9 +138,9 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
     channel for the whole stack; a row comes out the same either way.
 
     Each channel M in (N, N_c) acts through its transfer matrix T, built
-    once here (:func:`degradability.transfer_matrix`), which holds
-    d^2 d_out^2 entries: with d <= ``MAX_OPT_DIM`` at most 8 times the
-    (``LOCKSTEP_BLOCK``, d_out, d_out) output stack of a round. For
+    once here (:func:`degradability.transfer_matrix`), which holds as many
+    entries as M's Choi matrix: d^2 d_out^2 for N and d^2 d_env^2 for N_c,
+    1e8 on ``nab_ae`` (x) 2, which the side cap refuses. For
     Hermitian X the row-major X.ravel() is the column-major vec of conj(X),
     so with S = conj(T), M(X).ravel() = S X.ravel() and
     M^dag(X).ravel() = S^dag X.ravel(), one matrix-vector product per row:
@@ -213,15 +210,19 @@ def _starts(d: int, restarts: int, seed: int, seed_states=()):
         yield _factor_to_params(real + 1j * imag)
 
 
-def _check_settings(d: int, restarts: int, tol: float, seed: int) -> None:
+def _check_settings(ch: chmod.KrausChannel, copies: int, restarts: int, tol: float, seed: int) -> None:
+    """Refuse ``copies`` copies of ``ch`` with an input side d above ``MAX_OPT_DIM``
+    or a Choi side of N or N_c (d d_out, d d_env) above the side cap, then bad settings."""
+    d = ch.dim_in**copies
+    if d > MAX_OPT_DIM:
+        raise SizeLimit(f"input side {d} exceeds the optimizer's limit {MAX_OPT_DIM}")
+    check_side(f"the {copies}-copy objective", d * ch.dim_out**copies, d * ch.dim_env**copies)
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if type(seed) is not int or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
-    if d > MAX_OPT_DIM:
-        raise SizeLimit(f"optimizer supports dim_in <= {MAX_OPT_DIM}, got {d}")
 
 
 def _degrading_residual(ch: chmod.KrausChannel):
@@ -236,7 +237,7 @@ def _degrading_residual(ch: chmod.KrausChannel):
 
 
 def maximize_coherent_information(
-    ch: chmod.KrausChannel, restarts: int = 32, tol: float = 1e-6, seed: int = 42,
+    ch: chmod.KrausChannel, *, restarts: int = 32, tol: float = 1e-6, seed: int = 42,
 ) -> dict:
     """Multi-start L-BFGS ascent of I_coh over the density matrices
     rho = A A^dag / Tr(A A^dag) of complex d x d factors A, with the
@@ -271,9 +272,10 @@ def maximize_coherent_information(
     the run, or else only that the top two restarts agree within
     10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
-    ``restarts`` < 1, ``seed`` < 0, and ``tol`` that is negative or not
-    finite raise :class:`DomainError`."""
-    _check_settings(ch.dim_in, restarts, tol, seed)
+    A d above ``MAX_OPT_DIM`` or a Choi side of N or N_c above the side cap raises
+    :class:`SizeLimit` before the degrading-map solve; ``restarts`` < 1, a ``seed`` not an
+    int >= 0 (a bool included) and ``tol`` negative or not finite raise :class:`DomainError`."""
+    _check_settings(ch, 1, restarts, tol, seed)
     return _maximize(ch, restarts, tol, seed, (), _degrading_residual(ch))
 
 
@@ -320,16 +322,15 @@ def _two_copy_residual(ch: chmod.KrausChannel, r: float) -> float:
 
 
 def additivity_probe(
-    ch: chmod.KrausChannel, restarts: int = 32, seed: int = 42, tol: float = 1e-6,
+    ch: chmod.KrausChannel, *, restarts: int = 32, tol: float = 1e-6, seed: int = 42,
 ) -> dict:
     """The ``capacity --tensor 2`` report without ``env``: the report of
     :func:`maximize_coherent_information` on ``ch`` with ``additivity``
     added, which compares the two-copy optimum ``joint`` against twice the
     single-copy optimum ``single``, ``gap`` = joint - 2 single. The product
     of the single-copy optimal state with itself seeds the two-copy
-    restarts. A two-copy input side dim_in^2 above ``MAX_OPT_DIM`` raises
-    :class:`SizeLimit` before anything runs, and bad settings then raise as
-    :func:`maximize_coherent_information` raises.
+    restarts. The two copies' sides and the settings are checked as
+    :func:`maximize_coherent_information` checks one copy's, before anything runs.
 
     The two copies are certified from the single copy alone, with no
     two-copy matrix built: when the single copy's degrading-map solve
@@ -347,9 +348,8 @@ def additivity_probe(
     largest entries, so each entry is at most 2 r (2 m + 2 r); (4) a
     two-copy probe is a product unit E_aa or
     1/2 (E_aa + phi* E_ab + phi E_ba + E_bb), hence 4 r (2 m + 2 r)."""
-    if ch.dim_in**2 > MAX_OPT_DIM:
-        raise SizeLimit(f"dim_in^2 = {ch.dim_in ** 2} exceeds {MAX_OPT_DIM}")
-    report = maximize_coherent_information(ch, restarts, tol, seed)
+    _check_settings(ch, 2, restarts, tol, seed)
+    report = maximize_coherent_information(ch, restarts=restarts, tol=tol, seed=seed)
     r = report["certificate"]["map_residual"]
     bound = None if r is None else _two_copy_residual(ch, r)
     if bound is not None and bound > TOL.residual_tol:

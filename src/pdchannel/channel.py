@@ -16,8 +16,8 @@ import json
 import numpy as np
 
 from . import qmat
-from .config import TOL, max_dim
-from .errors import DimMismatch, NotTracePreserving, SizeLimit
+from .config import TOL, check_side
+from .errors import DimMismatch, NotTracePreserving
 
 
 class KrausChannel:
@@ -110,13 +110,11 @@ def to_choi(ch: KrausChannel) -> np.ndarray:
 
     Factor order is input (slow) then output (fast). Trace preservation is
     not checked: a flagged channel has a Choi matrix of another trace. A
-    side dim_in * dim_out above ``max_dim()`` raises :class:`SizeLimit`
-    before anything is built.
+    side dim_in * dim_out above the side cap raises :class:`SizeLimit`
+    before anything is built (:func:`config.check_side`).
     """
     d_a, d_b = ch.dim_in, ch.dim_out
-    cap = max_dim()
-    if d_a * d_b > cap:
-        raise SizeLimit(f"Choi side {d_a * d_b} exceeds side cap {cap}")
+    check_side("Choi matrix", d_a * d_b)
     # (I (x) N)|Psi><Psi| = (1/d_a) sum_k w_k w_k^dag with w_k[(a, b)] = N_k[b, a]:
     # one matmul sums over k, so no (K, d_a d_b, d_a d_b) stack is ever built
     w = ch.kraus.transpose(0, 2, 1).reshape(ch.dim_env, d_a * d_b)
@@ -160,9 +158,7 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    cap = max_dim()
-    if a.dim_out * b.dim_out > cap or a.dim_in * b.dim_in > cap:
-        raise SizeLimit(f"tensor product exceeds side cap {cap}")
+    check_side("tensor product", a.dim_out * b.dim_out, a.dim_in * b.dim_in)
     # [i, j, r, s, c, t] = A_i[r, c] B_j[s, t], i.e. kron(A_i, B_j)
     ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
     d_out, d_in = a.dim_out * b.dim_out, a.dim_in * b.dim_in

@@ -1,11 +1,11 @@
 """The certificate tolerances, which every report echoes in ``env``, and
-the size limit; solver constants live beside their algorithms."""
+the size limit and its check; solver constants live beside their algorithms."""
 
 from __future__ import annotations
 
 import os
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimit
 
 
 class Tolerances:
@@ -42,3 +42,11 @@ def max_dim() -> int:
     if value < 1:
         raise DomainError(f"QPD_MAX_DIM must be an integer >= 1, got {raw!r}")
     return value
+
+
+def check_side(what: str, *sides: int) -> None:
+    """Raise :class:`SizeLimit` if a matrix ``what`` would build, of the largest
+    of ``sides``, is above the side cap: the one check before every dense build."""
+    side, cap = max(sides), max_dim()
+    if side > cap:
+        raise SizeLimit(f"{what} needs a matrix of side {side}, above the side cap {cap}")

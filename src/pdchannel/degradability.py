@@ -30,8 +30,8 @@ import numpy as np
 from . import channel as chmod
 from . import entanglement as ent
 from . import qmat
-from .config import TOL, max_dim
-from .errors import DimMismatch, SizeLimit
+from .config import TOL, check_side
+from .errors import DimMismatch
 
 
 def transfer_matrix(ch: chmod.KrausChannel) -> np.ndarray:
@@ -241,16 +241,14 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     ||Y||_F^2 + ||z||^2 = 1. At round 1 this W' is that of the negative
     part of the candidate's Hermitian Choi matrix, in transfer form.
     Input sides that differ raise :class:`DimMismatch`, and a matrix side
-    above ``max_dim()`` :class:`SizeLimit`, before anything is built: d_in^2,
+    above the side cap :class:`SizeLimit`, before anything is built: d_in^2,
     d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
     matrix.
     """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
     d_in, d_mid, d_out = from_ch.dim_in, from_ch.dim_out, to_ch.dim_out
-    side, cap = max(d_in**2, d_mid**2, d_out**2, d_mid * d_out), max_dim()
-    if side > cap:
-        raise SizeLimit(f"degrading-map solve needs a matrix of side {side}, above the side cap {cap}")
+    check_side("degrading-map solve", d_in**2, d_mid**2, d_out**2, d_mid * d_out)
     t_from, t_to = transfer_matrix(from_ch), transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
     pi = t_from @ f_pinv

@@ -170,7 +170,7 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
         slope0[k] = _dot(g[k], d[k])
         # -g.d / 2 is the reduction a unit quasi-Newton step predicts; below
         # the rounding of f, no trial value could show a decrease
-        end(begin & (rho[:, -1] > 0) & (-0.5 * slope0 <= _EPS * np.maximum(np.abs(f), 1.0)), _ROUNDING)
+        end(begin & (-0.5 * slope0 <= _EPS * np.maximum(np.abs(f), 1.0)), _ROUNDING)
         end(begin & ~(slope0 < 0), _LINE_SEARCH)
         # the first step of a run is scaled to unit length
         step[k] = np.where(nit[k] == 0, 1.0 / np.sqrt(_dot(d[k], d[k])), 1.0)

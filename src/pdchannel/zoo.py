@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as chmod
 from . import qmat
-from .config import max_dim
+from .config import check_side
 from .errors import DomainError
 
 SQ2 = math.sqrt(2.0)
@@ -287,9 +287,7 @@ def _check_side(d: int, d_out: int) -> None:
     within the side cap; checked before any operator is built."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    cap = max_dim()
-    if d * d_out > cap:
-        raise DomainError(f"Choi side {d * d_out} of d = {d} exceeds side cap {cap}")
+    check_side(f"baseline of d = {d}", d * d_out)
 
 
 def erasure(p: float, d: int = 2) -> chmod.KrausChannel:

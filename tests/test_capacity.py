@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -349,6 +350,21 @@ def test_maximizer_rejects_bad_settings():
             cap.maximize_coherent_information(c, **kwargs)
 
 
+def test_settings_are_keyword_only_in_one_order():
+    # positional settings once ran additivity_probe(c, 32, 1e-6) with
+    # seed = 1e-6 and tol = 42
+    c = zoo.amplitude_damping(0.2)
+    for run in (cap.maximize_coherent_information, cap.additivity_probe):
+        params = list(inspect.signature(run).parameters.values())[1:]
+        assert [(p.name, p.kind) for p in params] == [
+            (name, inspect.Parameter.KEYWORD_ONLY) for name in ("restarts", "tol", "seed")]
+        with pytest.raises(TypeError):
+            run(c, 32, 1e-6)
+        for seed in (0.5, 1e-6, 42.0, True, False, -1, "42"):
+            with pytest.raises(DomainError, match="seed"):
+                run(c, restarts=1, seed=seed)
+
+
 def test_maximizer_rejects_large_inputs():
     with pytest.raises(SizeLimit):
         cap.maximize_coherent_information(ch.identity_channel(17))
@@ -509,12 +525,19 @@ def test_certified_stop_draws_no_starts_for_later_blocks(monkeypatch):
 
 
 def test_two_copy_certificate_holds_under_the_single_copy_size_limit(monkeypatch):
-    # a side cap of 8 admits the single-copy solve of AD(0.2) (side 4) but
-    # not one of the two copies (side 16); the two-copy certificate is read
-    # off the single copy's, with no two-copy matrix built, so the two-copy
-    # run still stops on it
+    # a degrading-map solve that refuses the two copies of AD(0.2) (input
+    # side 4) but not one copy (side 2): the two-copy certificate is read
+    # off the single copy's, with no two-copy solve, so the two-copy run
+    # still stops on it
     c = zoo.amplitude_damping(0.2)
-    monkeypatch.setenv("QPD_MAX_DIM", "8")
+    solve = deg.solve_degrading_map
+
+    def single_copy_solve(from_ch, to_ch):
+        if from_ch.dim_in == 4:
+            raise SizeLimit("two-copy solve")
+        return solve(from_ch, to_ch)
+
+    monkeypatch.setattr(deg, "solve_degrading_map", single_copy_solve)
     report = cap.additivity_probe(c, restarts=32, seed=42)
     assert report["certificate"]["gap"] is not None
     rho = np.asarray(report["argmax_state"]) @ [1, 1j]
@@ -522,6 +545,12 @@ def test_two_copy_certificate_holds_under_the_single_copy_size_limit(monkeypatch
     joint = cap._maximize(ch.tensor(c, c), 32, 1e-6, 42, [np.kron(rho, rho)], bound)
     assert report["additivity"]["joint"] == joint["value"]
     assert joint["restarts_used"] <= cap.LOCKSTEP_BLOCK and joint["certificate"]["gap"] is not None
+    # a side cap of 8 admits one copy's objective (Choi side 4) but not the
+    # two copies' (side 16), and the probe refuses before any maximization
+    monkeypatch.setenv("QPD_MAX_DIM", "8")
+    monkeypatch.setattr(cap, "maximize_coherent_information", lambda *a, **k: pytest.fail("maximized"))
+    with pytest.raises(SizeLimit, match="side 16, above the side cap 8"):
+        cap.additivity_probe(c, restarts=32, seed=42)
 
 
 def _random_channel(rng, d_in, d_out, k):
@@ -624,6 +653,18 @@ def test_uncertified_channels_run_every_restart_as_before(single):
         assert got["per_restart_status"] == [
             {"nit": r.nit, "nfev": r.nfev, "message": r.message} for r in full
         ]
+
+
+def test_product_seed_at_a_stationary_point_stops_at_once():
+    # the product seed of dephrasure(0.10, 0.35) (x) 2, restart 5 after I/4
+    # and the four basis states, predicts a decrease -g.d / 2 below the
+    # rounding of f at its first iterate, so it ends there after one
+    # evaluation instead of a line search that cannot show a decrease
+    c = _dephrasure(0.10, 0.35)
+    rho = np.asarray(cap.additivity_probe(c, restarts=32, seed=42)["argmax_state"]) @ [1, 1j]
+    joint = cap._maximize(ch.tensor(c, c), 32, 1e-6, 42, [np.kron(rho, rho)], None)
+    assert joint["per_restart_status"][5] == {
+        "nit": 0, "nfev": 1, "message": "converged: predicted reduction of f is below its rounding error"}
 
 
 def test_ssa_known_states():

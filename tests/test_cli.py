@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from pdchannel import channel as ch
 from pdchannel import capacity, cli, polar, zoo
+from pdchannel import degradability as deg
 
 
 def _save(tmp_path, c, name="chan.json"):
@@ -289,8 +290,9 @@ def test_json_reports_write_witness_arrays_one_row_a_line(tmp_path, capsys):
 
 def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
     # a probe that cannot run is refused before any maximization
-    calls = []
+    calls, built = [], []
     monkeypatch.setattr(capacity, "maximize_coherent_information", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(deg, "transfer_matrix", lambda *a: built.append(1))
     path = _save(tmp_path, zoo.dephasing(0.3))
     for value in ("3", "0"):
         code, _, err = _run(capsys, ["capacity", path, "--tensor", value])
@@ -299,7 +301,29 @@ def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
     path = _save(tmp_path, zoo.depolarizing(0.3, d=5), "d5.json")
     code, _, err = _run(capsys, ["capacity", path, "--tensor", "2"])
     assert code == 2 and "exceeds" in err
-    assert calls == []
+    # nab_ae (4 -> 12, 25 Kraus operators): two copies have an N_c of Choi
+    # side 16 * 625 = 10,000, above the default side cap of 4096
+    path = _save(tmp_path, zoo.build_entry("nab_ae")[1], "nab_ae.json")
+    code, out, err = _run(capsys, ["capacity", path, "--tensor", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "side 10000, above the side cap 4096" in err
+    assert calls == [] and built == []
+
+
+def test_capacity_respects_the_side_cap_of_the_complement(tmp_path, monkeypatch, capsys):
+    # depolarizing(0.3) has 4 Kraus operators: N has Choi side 2 * 2 = 4,
+    # N_c 2 * 4 = 8, so a cap of 6 refuses the objective before the
+    # degrading-map solve or any transfer matrix
+    built = []
+    monkeypatch.setattr(deg, "transfer_matrix", lambda *a: built.append(1))
+    monkeypatch.setattr(deg, "solve_degrading_map", lambda *a: built.append(1))
+    monkeypatch.setenv("QPD_MAX_DIM", "6")
+    path = _save(tmp_path, zoo.depolarizing(0.3))
+    code, out, err = _run(capsys, ["capacity", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "side 8, above the side cap 6" in err and built == []
 
 
 @pytest.mark.parametrize(
@@ -314,6 +338,9 @@ def test_zoo_export_bad_side_exits_2(monkeypatch, capsys, entry, d, max_dim):
     assert code == 2 and out == ""
     # one message line, no traceback
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    if max_dim is not None:
+        # refused by the side-cap check every dense build goes through
+        assert f"above the side cap {max_dim}" in err
 
 
 def test_polar_report_and_violation_exit(tmp_path, capsys):

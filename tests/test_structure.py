@@ -65,6 +65,31 @@ def test_guard_sees_alias_and_from_import_reads(tmp_path):
     ]
 
 
+def _max_dim_reads(path: Path) -> list:
+    """``module.function`` for each read of ``max_dim`` in ``path``, by name,
+    attribute or import, named by the innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        if "max_dim" in names + [getattr(node, "id", None), getattr(node, "attr", None)]:
+            found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_side_cap_is_read_in_one_place():
+    # every size refusal goes through config.check_side; the only other
+    # reader of the cap is the env echo of the CLI reports
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "config" for hit in _max_dim_reads(path)]
+    assert found == ["cli.<module>", "cli._report_env"]
+
+
 def test_degradability_leaves_the_optimizer_to_capacity():
     # a degrading-map solve is decided by convex certificates alone: it
     # needs neither the coherent-information machinery nor the optimizer
