@@ -217,12 +217,12 @@ def _check_settings(ch: chmod.KrausChannel, copies: int, restarts: int, tol: flo
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"input side {d} exceeds the optimizer's limit {MAX_OPT_DIM}")
     check_side(f"the {copies}-copy objective", d * ch.dim_out**copies, d * ch.dim_env**copies)
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if type(restarts) is not int or restarts < 1:
+        raise DomainError(f"restarts must be an integer >= 1, got {restarts!r}")
     if type(seed) is not int or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (isfinite(tol) and tol >= 0):
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    if type(tol) not in (int, float) or not (isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _degrading_residual(ch: chmod.KrausChannel):
@@ -273,8 +273,9 @@ def maximize_coherent_information(
     10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
     A d above ``MAX_OPT_DIM`` or a Choi side of N or N_c above the side cap raises
-    :class:`SizeLimit` before the degrading-map solve; ``restarts`` < 1, a ``seed`` not an
-    int >= 0 (a bool included) and ``tol`` negative or not finite raise :class:`DomainError`."""
+    :class:`SizeLimit` before the degrading-map solve; ``restarts`` not an int >= 1, ``seed``
+    not an int >= 0 and ``tol`` not a finite int or float >= 0, a bool included, raise
+    :class:`DomainError`."""
     _check_settings(ch, 1, restarts, tol, seed)
     return _maximize(ch, restarts, tol, seed, (), _degrading_residual(ch))
 

@@ -88,11 +88,10 @@ def _probe_residual(r: np.ndarray, d: int) -> float:
 
 FARKAS_MARGIN = 1e-9
 """Rounding margin on the Farkas score: a witness proves that no map exists
-only when its score is below -FARKAS_MARGIN. The score sums a few thousand
-products of entries of at most 1.5 in size on the zoo channels, since a
-displacement witness is scaled to unit norm; against a long-double
-recomputation of the unscaled scores its rounding error is below 3e-14.
-Every zoo witness scores -0.2496 or less."""
+only when its score is below -FARKAS_MARGIN. Every witness is scaled to unit
+norm, so on the zoo channels the score sums a few thousand products of
+entries of at most 1 in size; a long-double recomputation of its b differs
+by at most 2.3e-16. Every zoo witness scores -0.2496 or less."""
 
 # Choi eigensolves the Douglas-Rachford refinement may spend before it gives up
 REFINE_ROUNDS = 2000
@@ -126,15 +125,19 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> tuple:
 
 
 def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
-    """The witness of the dual pair (Y, z), or None when its score is not
-    below -FARKAS_MARGIN. With W' = Y T_from^dag + vec(I_out) z^dag, every D
-    with T_D T_from = T_to and Tr_out J_D = I_mid has
-    <W', T_D> = b = Re(<Y, T_to> + <z, vec(I_mid)>). Its Choi matrix J_D is
-    an entrywise permutation of T_D, so if J_D is PSD, with Tr J_D = d_mid,
-    then <W', T_D> >= -d_mid m with m = max(0, -lambda_min(Herm Choi(W'))).
-    Hence score = b + d_mid m < 0 proves that no CPTP D exists; nothing is
-    assumed of ``from`` and ``to``. Y and z are reported in the ``[re, im]``
-    row layout."""
+    """The witness of the dual pair (Y, z) scaled to ||Y||_F^2 + ||z||^2 = 1,
+    or None when the pair is zero or its score is not below -FARKAS_MARGIN.
+    With W' = Y T_from^dag + vec(I_out) z^dag, every D with T_D T_from = T_to
+    and Tr_out J_D = I_mid has <W', T_D> = b = Re(<Y, T_to> + <z, vec(I_mid)>).
+    Its Choi matrix J_D is an entrywise permutation of T_D, so if J_D is PSD,
+    with Tr J_D = d_mid, then <W', T_D> >= -d_mid m with
+    m = max(0, -lambda_min(Herm Choi(W'))). Hence score = b + d_mid m < 0
+    proves that no CPTP D exists; nothing is assumed of ``from`` and ``to``.
+    Y and z are reported in the ``[re, im]`` row layout."""
+    scale = np.hypot(np.linalg.norm(y), np.linalg.norm(z))
+    if not scale > 0:
+        return None
+    y, z = y / scale, z / scale
     w_prime = y @ t_from.conj().T + np.outer(qmat.vec(np.eye(d_out)), z.conj())
     j = choi_of_transfer(w_prime, d_mid, d_out)
     lam = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[0])
@@ -227,19 +230,19 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     map off when it certifies): the least-squares map on the range, with
     the off-range input components (trace the range never sees) sent to
     the maximally mixed state. If it fails with its residual or trace
-    mismatch above TOL.residual_tol, one Farkas witness (:func:`_farkas_witness`) comes
-    from the remainder R = T_to - T_ls T_from, T_ls = T_to pinv(T_from):
-    Y = -R and z = 0; R vanishes on the row space of T_from, so W' = 0 and
-    the score is -||R||_F^2. Every such D keeps the trace, so
-    g = vec(I_out)^dag T_to - vec(I_mid)^dag T_from = 0; with an entry of g
-    above TOL.residual_tol, Y = -R - vec(I_out) g and z = T_from g^dag keep
-    W' = 0 and score -||R||_F^2 - ||g||^2. Otherwise :func:`_cptp_refine`
-    searches A from P_A(0) and scores its displacement W = -g at round 1
+    mismatch above TOL.residual_tol, it scores (:func:`_farkas_witness`)
+    Y = -R - vec(I_out) g^T and z = T_from conj(g), with the remainder
+    R = T_to - T_ls T_from, T_ls = T_to pinv(T_from), and the trace
+    mismatch g^T = vec(I_out)^dag T_to - vec(I_mid)^dag T_from, which
+    vanishes for every CPTP D. R vanishes on the row space of T_from, so
+    W' = 0 for any g and the score is -(||R||_F^2 + ||g||^2) before scaling.
+    Without a proof :func:`_cptp_refine` searches A from P_A(0) and scores
+    its displacement W, the negated residual of its map, at round 1
     and every 25th by the component of W normal to A,
     W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out, scaled to
-    ||Y||_F^2 + ||z||^2 = 1. At round 1 this W' is that of the negative
-    part of the candidate's Hermitian Choi matrix, in transfer form.
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out. At round 1 this W' is that
+    of the negative part of the candidate's Hermitian Choi matrix, in
+    transfer form.
     Input sides that differ raise :class:`DimMismatch`, and a matrix side
     above the side cap :class:`SizeLimit`, before anything is built: d_in^2,
     d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
@@ -263,31 +266,27 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
 
     def normal_witness(w):
         y, z = w @ f_pinv.conj().T, (tr_out @ (w - w @ pi)).conj().ravel() / d_out
-        scale = np.hypot(np.linalg.norm(y), np.linalg.norm(z))
-        return _farkas_witness(y / scale, z / scale, t_from, t_to, d_mid, d_out)
+        return _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
 
     t_d = affine(np.zeros_like(t_ls))
     report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
     if d is not None:
         return report, d
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
-    trace_mismatch = np.max(np.abs(g)) > TOL.residual_tol
-    if trace_mismatch or report["residual"] > TOL.residual_tol:
-        # no trace-preserving linear map takes from to to; the remainder gives W' = 0
-        y, z = t_ls @ t_from - t_to, np.zeros(d_mid**2)
-        if trace_mismatch:
-            y, z = y - np.outer(tr_out, g), t_from @ g.conj()
-        witness = _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
-        report.update({"status": "impossible", "witness": witness} if witness else {"stop": "least_squares_residual"})
-        return report, None
-    t_ref, rounds, witness = _cptp_refine(t_d, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out)
+    witness = None
+    if max(np.max(np.abs(g)), report["residual"]) > TOL.residual_tol:
+        # no trace-preserving linear map takes from to to; for any g this pair has W' = 0
+        witness = _farkas_witness(t_ls @ t_from - t_to - np.outer(tr_out, g), t_from @ g.conj(),
+                                  t_from, t_to, d_mid, d_out)
     if witness is None:
-        refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
-        if d is not None:
-            return {**refined, "refine_rounds": rounds}, d
+        t_ref, rounds, witness = _cptp_refine(t_d, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out)
+        report["refine_rounds"] = rounds
+        if witness is None:
+            refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
+            if d is not None:
+                return {**refined, "refine_rounds": rounds}, d
     # the report is the least-squares candidate's, not the last iterate's
     report.update({"status": "impossible", "witness": witness} if witness else {"stop": "refine_cap"})
-    report["refine_rounds"] = rounds
     return report, None
 
 

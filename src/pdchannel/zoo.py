@@ -405,7 +405,8 @@ def parameter_types() -> dict:
 
 def build_entry(entry_id: str, **params) -> tuple:
     """Build entry ``entry_id`` with ``params`` over its defaults. Returns
-    ``(report, channel)``: the report ``zoo export`` prints, and the channel."""
+    ``(report, channel)``: the report ``zoo export`` prints, and the channel.
+    A value not of its default's type, bar an int for a float, raises :class:`DomainError`."""
     if entry_id not in _REGISTRY:
         raise DomainError(f"unknown zoo id: {entry_id}")
     builder, defaults, notes = _REGISTRY[entry_id]
@@ -413,7 +414,10 @@ def build_entry(entry_id: str, **params) -> tuple:
     for key, value in params.items():
         if key not in defaults:
             raise DomainError(f"unknown parameter {key!r} for {entry_id}")
-        merged[key] = type(defaults[key])(value)
+        kind = type(defaults[key])
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise DomainError(f"parameter {key!r} of {entry_id} must be {kind.__name__}, got {value!r}")
+        merged[key] = kind(value)
     ch = builder(**merged)
     validation = chmod.validate(ch)
     report = {

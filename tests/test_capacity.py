@@ -348,6 +348,12 @@ def test_maximizer_rejects_bad_settings():
                    {"tol": float("inf")}, {"tol": -1e-6}):
         with pytest.raises(DomainError):
             cap.maximize_coherent_information(c, **kwargs)
+    # the seed's type rule: restarts an int, tol an int or float, neither a bool
+    for name, values in (("restarts", (2.5, 2.0, True, False, "2", None)),
+                         ("tol", ("1e-6", None, True, False, 1e-6j))):
+        for value in values:
+            with pytest.raises(DomainError, match=name):
+                cap.maximize_coherent_information(c, **{name: value})
 
 
 def test_settings_are_keyword_only_in_one_order():

@@ -225,19 +225,37 @@ def _x_measure(weight=1.0):
     return ch.KrausChannel(ops)
 
 
-def test_solve_without_linear_solution_stops_at_least_squares():
+def test_solve_without_linear_solution_is_proved_at_least_squares():
     # complete Z dephasing erases the off-diagonal entries an X measurement
-    # reads, so no linear map exists; the witness Y = -R, with R the
-    # least-squares remainder, scores -||R||_F^2 = -1
+    # reads, so no linear map exists; the least-squares pair, with R the
+    # remainder, scores -||R||_F^2 = -1 before scaling and -||R||_F = -1
+    # after
     d, _ = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure())
     assert d["residual"] > 1e-8 and d["status"] == "impossible"
     assert d["witness"]["score"] == pytest.approx(-1.0, abs=1e-12)
-    assert np.all(np.array(d["witness"]["z"]) == 0)
-    # a weight of 1e-6 leaves a residual above 1e-8 but a score of -1e-12,
-    # inside the rounding margin: neither a map nor a proof
-    d, _ = deg.solve_degrading_map(zoo.dephasing(0.5), _x_measure(1e-6))
-    assert d["residual"] > 1e-8
-    assert d["status"] == "not_found" and d["stop"] == "least_squares_residual"
+    # a weight of 1e-6 leaves a residual above 1e-8 and an unscaled score of
+    # -1e-12, inside the rounding margin; scaled, the pair scores -1e-6 and
+    # proves it without a refinement
+    from_ch, to_ch = zoo.dephasing(0.5), _x_measure(1e-6)
+    d, _ = deg.solve_degrading_map(from_ch, to_ch)
+    assert d["residual"] > 1e-8 and d["status"] == "impossible" and "refine_rounds" not in d
+    t_from, t_to = _plain_transfer(from_ch.kraus), _plain_transfer(to_ch.kraus)
+    w = d["witness"]
+    score = _plain_farkas_score(w, t_from, t_to)
+    assert score < -deg.FARKAS_MARGIN and score == pytest.approx(w["score"], abs=1e-12)
+    # the one least-squares pair: Y = T_ls T_from - T_to - vec(I) g^T and
+    # z = T_from conj(g), with g the trace mismatch, scaled to unit norm.
+    # Entries that are 0 exactly round to 1e-17 in the package's transfer
+    # matrix, and the scaling by 1 / ||R||_F = 1e6 lifts them to 1e-11, so
+    # the pairs are compared at their unscaled size
+    i2 = np.eye(2).reshape(-1)
+    g = i2 @ t_to - i2 @ t_from
+    y = t_to @ np.linalg.pinv(t_from) @ t_from - t_to - np.outer(i2, g)
+    z = t_from @ g.conj()
+    scale = np.hypot(np.linalg.norm(y), np.linalg.norm(z))
+    assert scale == pytest.approx(1e-6, rel=1e-9)
+    assert np.max(np.abs(_complex(w["Y"]) * scale - y)) <= 1e-15
+    assert np.max(np.abs(_complex(w["z"]) * scale - z)) <= 1e-15
 
 
 def test_solve_checks_the_side_cap_before_building(monkeypatch):
@@ -263,15 +281,18 @@ def test_trace_mismatch_alone_is_proved_impossible(monkeypatch):
     # the identity composes to the flagged corollary-4 map on the linear
     # level, and its least-squares candidate is CP; only the trace differs:
     # every CPTP D has vec(I)^dag T_to = vec(I)^dag T_from, and the mismatch
-    # g of the two sides enters the remainder witness, which scores
-    # -||R||_F^2 - ||g||^2 with R = 0, without a refinement
+    # g of the two sides enters the least-squares pair (Y, z), which scores
+    # -||R||_F^2 - ||g||^2 with R = 0 before scaling to unit norm, without a
+    # refinement
     ends = _count_refines(monkeypatch)
     flagged = zoo.corollary4_degrading_map()
     d, _ = deg.solve_degrading_map(ch.identity_channel(3), flagged)
     assert d["residual"] <= 1e-8 and d["status"] == "impossible" and ends == []
     t_from, t_to = np.eye(9), _plain_transfer(flagged.kraus)
-    g = np.eye(3).reshape(-1) @ t_to - np.eye(3).reshape(-1) @ t_from
-    assert d["witness"]["score"] == pytest.approx(-np.vdot(g, g).real, abs=1e-12)
+    i3 = np.eye(3).reshape(-1)
+    g = i3 @ t_to - i3 @ t_from
+    norm = np.hypot(np.linalg.norm(np.outer(i3, g)), np.linalg.norm(t_from @ g.conj()))
+    assert d["witness"]["score"] == pytest.approx(-np.vdot(g, g).real / norm, abs=1e-12)
     assert _plain_farkas_score(d["witness"], t_from, t_to) == pytest.approx(
         d["witness"]["score"], abs=1e-9
     )
@@ -619,6 +640,30 @@ def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
     assert seen == 10
 
 
+def test_every_zoo_witness_is_a_unit_pair():
+    # classify on every zoo entry that is trace-preserving, verbatim or
+    # repaired: each witness is scaled to unit norm, so the one margin means
+    # the same for all of them, and proves its solve again in plain numpy
+    seen = []
+    for entry_id in zoo.zoo_ids():
+        repairable = "repair" in zoo.build_entry(entry_id)[0]["params"]
+        for params in ({}, {"repair": True}) if repairable else ({},):
+            report, n_ab = zoo.build_entry(entry_id, **params)
+            if report["status"] != "OK":
+                continue
+            solutions = deg.classify_pd(n_ab)["solutions"]
+            for direction in ("B->E", "E->B"):
+                if (w := solutions[direction].get("witness")) is None:
+                    continue
+                from_ch, to_ch = _solve_pairs(n_ab)[direction]
+                assert _witness_norm(w) == pytest.approx(1.0, abs=1e-12), (entry_id, direction)
+                score = _plain_farkas_score(w, _plain_transfer(from_ch.kraus), _plain_transfer(to_ch.kraus))
+                assert score < -w["margin"], (entry_id, direction, score)
+                seen.append((entry_id, direction))
+    # the nine classify-zoo inputs give ten witnesses, and nab_ae one more
+    assert len(seen) == 11 and ("nab_ae", "B->E") in seen
+
+
 def _solve_pairs(n_ab, d_e_to_eprime=None):
     n_ae = ch.complementary(n_ab)
     n_aep = n_ae if d_e_to_eprime is None else ch.compose(n_ae, d_e_to_eprime)
@@ -748,8 +793,14 @@ def test_feasible_problems_are_never_proved_impossible(monkeypatch):
     # would without the witness. Seed 5 converges too slowly for the cap.
     scored, farkas = [], deg._farkas_witness
 
+    def unmargined(y, z, *args):
+        # with no margin to beat, the pair _farkas_witness scores comes back
+        with monkeypatch.context() as m:
+            m.setattr(deg, "FARKAS_MARGIN", -np.inf)
+            return farkas(y, z, *args)
+
     def recorded(y, z, *args):
-        scored.append(np.hypot(np.linalg.norm(y), np.linalg.norm(z)))
+        scored.append((unmargined(y, z, *args), args))
         return farkas(y, z, *args)
 
     monkeypatch.setattr(deg, "_farkas_witness", recorded)
@@ -767,4 +818,13 @@ def test_feasible_problems_are_never_proved_impossible(monkeypatch):
     # one score at round 1 and every 25th: before the certified round, or
     # up to the cap
     assert len(scored) == sum(1 + (r - 1) // 25 if r else 1 + deg.REFINE_ROUNDS // 25 for r in rounds.values())
-    assert np.allclose(scored, 1.0, rtol=0, atol=1e-12)
+    assert np.allclose([_witness_norm(w) for w, _ in scored], 1.0, rtol=0, atol=1e-12)
+    # the score is blind to the size of the pair, and a zero pair scores nothing
+    w, args = scored[0]
+    y, z = _complex(w["Y"]), _complex(w["z"])
+    for c in (1e-6, 3, 1e6):
+        scaled = unmargined(c * y, c * z, *args)
+        assert np.max(np.abs(_complex(scaled["Y"]) - y)) <= 1e-15, c
+        assert np.max(np.abs(_complex(scaled["z"]) - z)) <= 1e-15, c
+        assert scaled["score"] == pytest.approx(w["score"], abs=1e-14), c
+    assert unmargined(0 * y, 0 * z, *args) is None

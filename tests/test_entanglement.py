@@ -59,8 +59,12 @@ def test_entropy_and_log2_of_a_stack_matches_each_state():
         ent.entropy_and_log2(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
 
 
-def test_ppt_check_bell_and_separable():
+def test_ppt_check_bell_and_separable(monkeypatch):
+    # rho^{T_B} is the transpose of rho^{T_A}: one eigensolve gives both minima
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
     rep = ent.ppt_check(_bell(), (2, 2))
+    assert len(calls) == 1
     assert not rep["is_ppt"]
     assert rep["min_eig_ta"] == pytest.approx(-0.5, abs=1e-12)
     assert rep["min_eig_tb"] == pytest.approx(-0.5, abs=1e-12)

@@ -90,6 +90,35 @@ def test_side_cap_is_read_in_one_place():
     assert found == ["cli.<module>", "cli._report_env"]
 
 
+def _emitted_stops(path: Path) -> set:
+    """The string literals ``path`` gives the key ``stop``, in a dict literal
+    or by item assignment."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        pairs = []
+        if isinstance(node, ast.Dict):
+            pairs = zip(node.keys, node.values)
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript):
+            pairs = [(node.targets[0].slice, node.value)]
+        for key, value in pairs:
+            if isinstance(key, ast.Constant) and key.value == "stop":
+                assert isinstance(value, ast.Constant), ast.dump(value)
+                found.add(value.value)
+    return found
+
+
+def test_stop_values_match_the_readme_table():
+    # the README's stop table has one row for each stop a solve can report
+    lines = (SRC.parent.parent / "README.md").read_text().splitlines()
+    head = lines.index("| stop | where the search ended |")
+    rows = []
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert "refine_cap" in rows and sorted(rows) == sorted(_emitted_stops(SRC / "degradability.py"))
+
+
 def test_degradability_leaves_the_optimizer_to_capacity():
     # a degrading-map solve is decided by convex certificates alone: it
     # needs neither the coherent-information machinery nor the optimizer

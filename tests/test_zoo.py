@@ -173,6 +173,17 @@ def test_registry_listing_and_build():
         zoo.build_entry("nope")
     with pytest.raises(DomainError):
         zoo.build_entry("horodecki", gamma=0.1)
+    # a value of the default's type, or an int for a float, and nothing else
+    report, _ = zoo.build_entry("horodecki", alpha=4)
+    assert report["params"]["alpha"] == 4.0 and type(report["params"]["alpha"]) is float
+    report, _ = zoo.build_entry("erasure", d=3)
+    assert report["params"]["d"] == 3 and report["dim_in"] == 3
+    for entry_id, params in (("m_ae", {"repair": "False"}), ("m_ae", {"repair": 0}),
+                             ("erasure", {"d": 2.7}), ("erasure", {"d": 2.0}), ("erasure", {"d": True}),
+                             ("horodecki", {"alpha": "abc"}), ("horodecki", {"alpha": "4"}),
+                             ("horodecki", {"alpha": True}), ("dephasing", {"p": None})):
+        with pytest.raises(DomainError, match=next(iter(params))):
+            zoo.build_entry(entry_id, **params)
 
 
 def test_list_entries_covers_registry():
