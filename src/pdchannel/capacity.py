@@ -50,9 +50,9 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     degrading that acts on neither E nor B as placed :class:`DimMismatch`,
     and a ``rho`` whose reduced states fall outside the entropy clamping
     window (not a density matrix, say of trace 3) :class:`NotDensityMatrix`.
-    So does a ``rho`` whose own spectrum leaves that window: it is held to
-    the window before it is purified, so a negative eigenvalue or a trace
-    other than 1 is an error, not clipped or renormalized.
+    So does a ``rho`` whose own spectrum leaves that window, so a negative
+    eigenvalue or a trace other than 1 is an error, not clipped or
+    renormalized; a non-Hermitian one raises :class:`NotHermitian`.
 
     Returns entropies (bits) of the final pure state over E', F, G, H, R:
     h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
@@ -64,7 +64,7 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
         raise DimMismatch("the E->E' degrading must act on the environment of N_AB")
     if d_b_to_eprime.dim_in != n_ab.dim_out:
         raise DimMismatch("the B->E' degrading must act on the output of N_AB")
-    rho = qmat.check_square(rho)
+    rho = qmat.check_hermitian(rho)
     if rho.shape[0] != n_ab.dim_in:
         raise DimMismatch("state side does not match the chain input")
     w_eig, v_eig = qmat.eigh(rho)
@@ -126,7 +126,7 @@ def _state_to_params(rho: np.ndarray) -> np.ndarray:
     matrix rho = V diag(w) V^dag. The 1e-12 keeps every column of A nonzero:
     the gradient of a zero column is zero, so a rank-deficient seed would
     never leave its face."""
-    w, v = np.linalg.eigh(rho)
+    w, v = qmat.eigh(rho)
     return _factor_to_params(v * np.sqrt(np.maximum(w, 0.0) + 1e-12))
 
 
@@ -180,7 +180,7 @@ def _objective(ch: chmod.KrausChannel, degradable: bool = False):
         grad = _factor_to_params(np.where(live, b, 0.0))
         out = [-value, grad]
         if degradable:
-            out.append(np.where(full, tr_g_rho[:, 0, 0] - np.linalg.eigvalsh(g)[:, 0], np.nan))
+            out.append(np.where(full, tr_g_rho[:, 0, 0] - qmat.eigvalsh(g)[:, 0], np.nan))
         return tuple(o[0] for o in out) if np.ndim(x) == 1 else tuple(out)
 
     return objective

@@ -63,7 +63,7 @@ def validate(ch: KrausChannel) -> dict:
     return {
         "tp_residual": ch.tp_residual(),
         "cp_ok": True,  # Kraus form is CP by construction
-        "choi_min_eig": float(w[-1]),
+        "choi_min_eig": float(w[0]),
         "flagged": ch.flagged,
     }
 
@@ -126,10 +126,11 @@ def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray
     matrix. A normalized one, as :func:`to_choi` returns, gives the operators
     scaled by 1/sqrt(dim_in); ``is_entanglement_breaking`` reads only ranks.
 
-    Assumes input-slow/output-fast factor order. Eigenvalues below
-    TOL.pinv_cutoff * lambda_max are dropped; small negative tails are clipped.
+    Assumes input-slow/output-fast factor order. The top
+    :func:`qmat.numerical_rank` eigenpairs of its Hermitian part, largest
+    first, give the operators; the rest, negative tails included, are dropped.
     """
-    w, v = qmat.eigh((matrix + matrix.conj().T) / 2)
+    w, v = (a[..., ::-1] for a in qmat.eigh(matrix))
     r = qmat.numerical_rank(w)
     if r == 0:
         return np.zeros((1, dim_out, dim_in), dtype=np.complex128)

@@ -97,7 +97,7 @@ def cmd_inspect(args) -> int:
         "dim_out": ch.dim_out,
         "kraus_count": len(ch.kraus),
         "tp_residual": ch.tp_residual(),
-        "choi_min_eig": float(w[-1]),
+        "choi_min_eig": float(w[0]),
         "choi_rank": rank,
         "flagged": ch.flagged,
         # the minimal environment never exceeds the input-output product

@@ -109,8 +109,8 @@ def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> tuple:
     Kraus map clipped from its Choi matrix, certified in turn; else None."""
     residual = _probe_residual(t_to - t_d @ t_from, d_in)
     choi = choi_of_transfer(t_d, d_mid, d_out)
+    cp_min_eig = float(qmat.eigvalsh(choi)[0])
     choi_h = (choi + choi.conj().T) / 2
-    cp_min_eig = float(np.linalg.eigvalsh(choi_h)[0])
     tr_out = qmat.partial_trace(choi_h, (d_mid, d_out), keep=[0])
     tp_residual = float(np.max(np.abs(tr_out - np.eye(d_mid))))
     success = residual <= TOL.residual_tol and cp_min_eig >= TOL.psd_tol and tp_residual <= TOL.residual_tol
@@ -140,7 +140,7 @@ def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
     y, z = y / scale, z / scale
     w_prime = y @ t_from.conj().T + np.outer(qmat.vec(np.eye(d_out)), z.conj())
     j = choi_of_transfer(w_prime, d_mid, d_out)
-    lam = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[0])
+    lam = float(qmat.eigvalsh(j)[0])
     b = np.vdot(y, t_to).real + np.vdot(z, qmat.vec(np.eye(d_mid))).real
     score = float(b + d_mid * max(0.0, -lam))
     if score >= -FARKAS_MARGIN:
@@ -179,7 +179,7 @@ def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
         # the Choi matrix is an entrywise permutation of T, so Frobenius
         # projections carry over between the two coordinates
         j = choi_of_transfer(z, d_mid, d_out)
-        w, v = np.linalg.eigh((j + j.conj().T) / 2)
+        w, v = qmat.eigh(j)
         x = transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
         tp_residual = np.max(np.abs(tr_out @ x - tr_mid))
         if tp_residual <= REFINE_STOP and _probe_residual(t_to - x @ t_from, d_in) <= REFINE_STOP:

@@ -37,19 +37,14 @@ def clamped(w: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _spectrum(rho) -> np.ndarray:
-    rho = qmat.check_square(rho)
-    return clamped(np.linalg.eigvalsh((rho + rho.conj().T) / 2))
-
-
 def _log2(w: np.ndarray) -> np.ndarray:
     """log2 of a clamped spectrum, 0 on its zeros (the 0 log 0 = 0 convention)."""
     return np.log2(w, out=np.zeros_like(w), where=w > 0)
 
 
 def entropy(rho) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    w = _spectrum(rho)
+    """Von Neumann entropy in bits, with 0 log 0 = 0; rho is checked Hermitian."""
+    w = clamped(qmat.eigvalsh(qmat.check_hermitian(rho)))
     return float(-np.sum(w * _log2(w)))
 
 
@@ -58,7 +53,7 @@ def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     eigenvalues, ascending, all from one eigendecomposition under the
     clamping window of :func:`entropy`.
 
-    ``rho`` is one state, checked by :func:`qmat.check_square`, or a stack
+    ``rho`` is one state, checked by :func:`qmat.check_hermitian`, or a stack
     of states along leading axes, which the package's own batched loops
     build, so it is taken as it is; for a stack the entropies come as an
     array over those axes, the logarithms and spectra as stacks, and every
@@ -66,8 +61,8 @@ def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     and set to 0 on the kernel, so it is always finite; whether there is a
     kernel only the spectrum shows.
     """
-    rho = qmat.check_square(rho) if np.ndim(rho) <= 2 else np.asarray(rho)
-    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    rho = qmat.check_hermitian(rho) if np.ndim(rho) <= 2 else np.asarray(rho)
+    w, v = qmat.eigh(rho)
     w = clamped(w)
     log_w = _log2(w)
     return -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2), w
@@ -78,13 +73,13 @@ def _resolve(rho, dims: Sequence[int]):
 
 
 def ppt_check(rho, dims: Sequence[int]) -> dict:
-    """The least eigenvalues of both partial transposes of a bipartite
-    state, ``min_eig_ta`` and ``min_eig_tb``, one eigensolve since rho^{T_B}
-    is the transpose of rho^{T_A}, and ``is_ppt``: both >= ``TOL.psd_tol``."""
-    mat, dims = _resolve(rho, dims)
+    """The least eigenvalues of both partial transposes of a bipartite state,
+    checked Hermitian: ``min_eig_ta`` and ``min_eig_tb``, one eigensolve as
+    rho^{T_B} is the transpose of rho^{T_A}, and ``is_ppt``: both >= ``TOL.psd_tol``."""
+    mat, dims = _resolve(qmat.check_hermitian(rho), dims)
     if len(dims) != 2:
         raise DimMismatch("ppt_check needs a bipartite dims annotation")
-    ta = float(np.linalg.eigvalsh(qmat.partial_transpose(mat, dims, 0)).min())
+    ta = float(qmat.eigvalsh(qmat.partial_transpose(mat, dims, 0))[0])
     return {"min_eig_ta": ta, "min_eig_tb": ta, "is_ppt": ta >= TOL.psd_tol}
 
 
@@ -137,8 +132,7 @@ def is_entanglement_breaking(ch: chmod.KrausChannel) -> dict:
     dims = (ch.dim_in, ch.dim_out)
     ppt = ppt_check(choi, dims)
     if not ppt["is_ppt"]:
-        least = min(ppt["min_eig_ta"], ppt["min_eig_tb"])
-        return dict(verdict="no", witness=f"Choi is NPT (min PT eigenvalue {least:.3e})")
+        return dict(verdict="no", witness=f"Choi is NPT (min PT eigenvalue {ppt['min_eig_ta']:.3e})")
     if _all_rank_one(chmod.kraus_from_choi(choi, ch.dim_in, ch.dim_out)):
         return dict(
             verdict="yes", witness="Choi eigendecomposition yields rank-one Kraus operators"

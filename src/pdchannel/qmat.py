@@ -84,23 +84,28 @@ def partial_transpose(m, dims: Sequence[int], which: int) -> np.ndarray:
     return t.reshape(d0 * d1, d0 * d1)
 
 
-def herm_residual(m) -> float:
-    m = as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def check_hermitian(m) -> np.ndarray:
+    """:func:`check_square`, then :class:`NotHermitian` when some entry of
+    |m - m^dagger| exceeds ``TOL.herm_tol``: the check of outside matrices."""
+    m = check_square(m)
+    residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if residual > TOL.herm_tol:
+        raise NotHermitian(f"Hermiticity residual {residual:.3e} > {TOL.herm_tol}")
+    return m
 
 
 def eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+    """``(w, v)`` of the Hermitian part (m + m^dagger) / 2 of a matrix, or of
+    a stack of them along leading axes, unchecked: eigenvalues ascending,
+    eigenvectors the columns of ``v``. The package's one eigensolver."""
+    m = np.asarray(m)
+    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
 
-    Returns ``(w, v)`` with columns of ``v`` the eigenvectors, so that
-    ``m @ v ~= v @ diag(w)``.
-    """
-    m = check_square(m)
-    if herm_residual(m) > TOL.herm_tol:
-        raise NotHermitian(f"Hermiticity residual {herm_residual(m):.3e} > {TOL.herm_tol}")
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return w[order].real, v[:, order]
+
+def eigvalsh(m) -> np.ndarray:
+    """The eigenvalues of :func:`eigh`, without the eigenvectors."""
+    m = np.asarray(m)
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2)
 
 
 def pinv(m) -> np.ndarray:
@@ -110,10 +115,10 @@ def pinv(m) -> np.ndarray:
 
 
 def numerical_rank(spectrum) -> int:
-    """Count the entries of a descending spectrum (eigenvalues or singular
-    values) above ``TOL.pinv_cutoff`` times its top entry; 0 when the top
-    entry is not positive."""
-    top = float(spectrum[0]) if len(spectrum) else 0.0
+    """Count the entries of a spectrum (eigenvalues or singular values, in
+    any order) above ``TOL.pinv_cutoff`` times its largest entry; 0 when
+    that entry is not positive."""
+    top = float(np.max(spectrum)) if len(spectrum) else 0.0
     if top <= 0:
         return 0
     return int(np.sum(spectrum > TOL.pinv_cutoff * top))

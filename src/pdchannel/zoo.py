@@ -41,7 +41,7 @@ def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
     input subspace with trace-collecting terms into |0><0| so the result
     is TP."""
     s = ch.completeness()
-    w, v = qmat.eigh(s)
+    w, v = (a[..., ::-1] for a in qmat.eigh(s))
     inv_sqrt = np.zeros_like(s)
     rank = qmat.numerical_rank(w)
     for lam, col in zip(w[:rank], v[:, :rank].T):

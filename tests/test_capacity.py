@@ -10,7 +10,7 @@ from pdchannel import channel as ch
 from pdchannel import degradability as deg
 from pdchannel import optimize, zoo
 from pdchannel.config import TOL
-from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotTracePreserving, SizeLimit
+from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotHermitian, NotTracePreserving, SizeLimit
 
 
 def _h2(p):
@@ -77,6 +77,18 @@ def test_pd_isometries_validation():
         cap.coherent_information(zoo.amplitude_damping(0.2), short[:2, :2])
     with pytest.raises(NotDensityMatrix):
         cap.coherent_information_pd(e, *legs, short)
+    # a non-Hermitian state raises, whichever triangle carries the entry;
+    # anti-Hermitian noise below TOL.herm_tol is rounding
+    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skew[0, 3] = 0.9
+    for m in (skew, skew.T):
+        with pytest.raises(NotHermitian):
+            cap.coherent_information_pd(n_ab, ident8, ident8, m)
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    noisy = cap.coherent_information_pd(n_ab, ident8, ident8, bell + 1e-11j * np.ones((4, 4)))
+    exact = cap.coherent_information_pd(n_ab, ident8, ident8, bell)
+    assert noisy == pytest.approx(exact, abs=1e-9)
 
 
 def test_isometry_chain_identity_degradings_match_standard():

@@ -83,6 +83,12 @@ def test_choi_normalization_and_rank():
     assert qmat.numerical_rank(qmat.eigh(choi)[0]) == 2
     assert qmat.numerical_rank(qmat.eigh(ch.to_choi(ch.identity_channel(3)))[0]) == 1
     assert qmat.numerical_rank(np.zeros(4)) == 0
+    # the largest entry sets the cutoff, so the order of the spectrum does not
+    # matter, and singular values give the rank of the same matrix
+    w = qmat.eigvalsh(choi)
+    shuffled = np.random.default_rng(0).permutation(w)
+    s = np.linalg.svd(choi, compute_uv=False)
+    assert {qmat.numerical_rank(x) for x in (w, w[::-1], shuffled, s)} == {2}
 
 
 def test_kraus_from_choi_roundtrip():

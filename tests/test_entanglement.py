@@ -4,12 +4,24 @@ import pytest
 from pdchannel import channel as ch
 from pdchannel import entanglement as ent
 from pdchannel import zoo
-from pdchannel.errors import NotDensityMatrix
+from pdchannel.errors import NotDensityMatrix, NotHermitian
 
 
 def _bell():
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return np.outer(psi, psi.conj())
+
+
+def _not_hermitian():
+    """diag(0.5, 0.5, 0, 0) with entry [0, 3] = 0.9: an eigensolver that reads
+    one triangle calls it NPT and its transpose PPT."""
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    m[0, 3] = 0.9
+    return m
+
+
+# anti-Hermitian noise with |m - m^dag| = 2e-11, below TOL.herm_tol: rounding
+NOISE = 1e-11j * np.ones((4, 4))
 
 
 def test_entropy_values():
@@ -27,6 +39,12 @@ def test_entropy_rejects_non_states():
     # every eigenvalue inside [0, 1], but the trace is 0.7
     with pytest.raises(NotDensityMatrix):
         ent.entropy(np.diag([0.5, 0.2]))
+    for m in (_not_hermitian(), _not_hermitian().T):
+        for f in (ent.entropy, ent.entropy_and_log2):
+            with pytest.raises(NotHermitian):
+                f(m)
+    assert ent.entropy(_bell() + NOISE) == pytest.approx(0.0, abs=1e-9)
+    assert ent.entropy_and_log2(_bell() + NOISE)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_clamped_allows_rounding_of_the_trace():
@@ -70,6 +88,11 @@ def test_ppt_check_bell_and_separable(monkeypatch):
     assert rep["min_eig_tb"] == pytest.approx(-0.5, abs=1e-12)
     sep = ent.ppt_check(np.eye(4) / 4, (2, 2))
     assert sep["is_ppt"]
+    noisy = ent.ppt_check(_bell() + NOISE, (2, 2))
+    assert noisy["min_eig_ta"] == pytest.approx(-0.5, abs=1e-10) and not noisy["is_ppt"]
+    for m in (_not_hermitian(), _not_hermitian().T):
+        with pytest.raises(NotHermitian):
+            ent.ppt_check(m, (2, 2))
 
 
 def test_realign_and_ccnr():
@@ -92,6 +115,12 @@ def test_bound_entanglement_report_flags_ppt_entangled():
     assert rep["flagged_bound_entangled"]
     clean = ent.bound_entanglement_report(np.eye(4) / 4, (2, 2))
     assert not clean["flagged_bound_entangled"]
+    noisy = ent.bound_entanglement_report(_bell() + NOISE, (2, 2))
+    assert not noisy["ppt"]["is_ppt"] and not noisy["flagged_bound_entangled"]
+    # read one triangle at a time, the transpose looks PPT with CCNR > 1
+    for m in (_not_hermitian(), _not_hermitian().T):
+        with pytest.raises(NotHermitian):
+            ent.bound_entanglement_report(m, (2, 2))
 
 
 def test_entanglement_breaking_verdicts():

@@ -69,13 +69,24 @@ def test_partial_transpose_involution():
     assert np.allclose(twice, m)
 
 
-def test_eigh_sorted_descending_and_rejects_nonhermitian():
+def test_eigh_ascending_on_the_hermitian_part():
     m = np.diag([1.0, 3.0, 2.0]).astype(complex)
     w, v = qmat.eigh(m)
-    assert np.allclose(w, [3.0, 2.0, 1.0])
+    assert np.allclose(w, [1.0, 2.0, 3.0])
     assert np.allclose(m @ v, v @ np.diag(w))
+    assert np.array_equal(qmat.eigvalsh(m), w)
+    # a non-Hermitian matrix gives the eigensystem of its Hermitian part,
+    # unchecked: only check_hermitian raises
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    w, v = qmat.eigh(n)
+    assert np.allclose(w, [-0.5, 0.5])
+    assert np.allclose(((n + n.T) / 2) @ v, v @ np.diag(w))
     with pytest.raises(NotHermitian):
-        qmat.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        qmat.check_hermitian(n)
+    # a stack is solved matrix by matrix
+    stack = np.stack([n, np.diag([2.0, 1.0])])
+    assert np.allclose(qmat.eigvalsh(stack), [[-0.5, 0.5], [1.0, 2.0]])
+    assert np.allclose(qmat.eigh(stack)[0], qmat.eigvalsh(stack))
 
 
 def test_pinv_and_nullspace():
@@ -98,7 +109,11 @@ def test_as_pairs_keeps_the_layout():
     assert np.array_equal(back[..., 0] + 1j * back[..., 1], m)
 
 
-def test_herm_residual():
-    assert qmat.herm_residual(np.eye(3)) == 0.0
+def test_check_hermitian():
+    assert np.array_equal(qmat.check_hermitian(np.eye(3)), np.eye(3))
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert qmat.herm_residual(m) == pytest.approx(1.0)
+    with pytest.raises(NotHermitian, match=r"residual 1\.000e\+00 > 1e-10"):
+        qmat.check_hermitian(m)
+    # a residual below TOL.herm_tol is rounding, and passes
+    assert np.array_equal(qmat.check_hermitian(1e-11 * m), 1e-11 * m)
+    assert qmat.check_hermitian(np.zeros((0, 0))).shape == (0, 0)

@@ -90,6 +90,26 @@ def test_side_cap_is_read_in_one_place():
     assert found == ["cli.<module>", "cli._report_env"]
 
 
+def _eigensolver_calls(path: Path) -> list:
+    """``module:line`` for each call of ``np.linalg.eigh`` or
+    ``np.linalg.eigvalsh`` in ``path``."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("eigh", "eigvalsh")
+        and ast.unparse(node.func.value) == "np.linalg"
+    ]
+
+
+def test_only_qmat_calls_the_eigensolvers():
+    # every eigensolve takes the Hermitian part through qmat.eigh or
+    # qmat.eigvalsh, which alone call numpy's solvers
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _eigensolver_calls(path)]
+    assert [hit.split(":")[0] for hit in found] == ["qmat", "qmat"]
+
+
 def _emitted_stops(path: Path) -> set:
     """The string literals ``path`` gives the key ``stop``, in a dict literal
     or by item assignment."""
