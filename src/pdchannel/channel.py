@@ -36,10 +36,12 @@ class KrausChannel:
             raise DimMismatch(f"Kraus operators do not stack: {exc}") from exc
         if ops.ndim != 3 or len(ops) == 0:
             raise DimMismatch("channel needs at least one Kraus operator")
-        if not np.all(np.isfinite(ops)):
-            raise DimMismatch("Kraus operators contain NaN or Inf entries")
         self.kraus = ops
         self.dim_env, self.dim_out, self.dim_in = ops.shape
+        # not finite when an entry is not, or is past about 1e154, where squares overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.completeness())):
+                raise DimMismatch("Kraus operators contain NaN or Inf entries, or sum_i N_i^dag N_i overflows")
         self.name = name
 
     @property

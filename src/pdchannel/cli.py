@@ -157,12 +157,14 @@ def cmd_polar(args) -> int:
 
 def cmd_zoo(args) -> int:
     from . import channel as chmod, zoo as zoomod
+    params = {k: getattr(args, k) for k in zoomod.parameter_types() if getattr(args, k) is not None}
     if args.action == "list":
+        if args.id is not None or params:
+            raise PdChannelError("zoo list takes no entry id or parameter flags")
         _emit({"env": _report_env(), "entries": zoomod.list_entries()}, args)
         return EXIT_OK
     if not args.id:
         raise PdChannelError("zoo export needs an entry id")
-    params = {k: getattr(args, k) for k in zoomod.parameter_types() if getattr(args, k) is not None}
     report, ch = zoomod.build_entry(args.id, **params)
     if args.out:
         # --out receives the channel file; the report goes to stdout

@@ -5,7 +5,8 @@ problem: D's transfer matrix must lie in one affine set A, the
 trace-preserving solutions of T T_from = T_to, and in the cone K of transfer
 matrices with a PSD Choi matrix. The member of A nearest 0 is certified as
 CPTP via a Choi eigensolve; when it fails, Douglas-Rachford splitting
-between A and K searches for a map and scores its displacement, which
+between A and K, which sees only the two projections, the residuals and the
+witness map, searches for a map and scores its displacement, which
 separates A from K if they do not meet, as a Farkas certificate (Banjac,
 Goulart, Stellato & Boyd, JOTA 183, 2019; Liu, Ryu & Yin, Math. Program.
 177, 2019). Safeguarded type-II Anderson mixing accelerates it (Walker & Ni,
@@ -104,22 +105,19 @@ ANDERSON_MEMORY = 5
 ANDERSON_REG = 1e-10
 
 
-def _certify(t_d, t_from, t_to, d_in, d_mid, d_out) -> tuple:
+def _certify(t_d, residuals, d_mid, d_out) -> tuple:
     """The report of the candidate T_d and, when its certificates pass, the
     Kraus map clipped from its Choi matrix, certified in turn; else None."""
-    residual = _probe_residual(t_to - t_d @ t_from, d_in)
+    residual, tp_residual = residuals(t_d)
     choi = choi_of_transfer(t_d, d_mid, d_out)
     cp_min_eig = float(qmat.eigvalsh(choi)[0])
-    choi_h = (choi + choi.conj().T) / 2
-    tr_out = qmat.partial_trace(choi_h, (d_mid, d_out), keep=[0])
-    tp_residual = float(np.max(np.abs(tr_out - np.eye(d_mid))))
     success = residual <= TOL.residual_tol and cp_min_eig >= TOL.psd_tol and tp_residual <= TOL.residual_tol
     report = {"success": success, "residual": residual, "cp_min_eig": cp_min_eig,
               "tp_residual": tp_residual, "status": "certified" if success else "not_found"}
     if not success:
         return report, None
     d = chmod.KrausChannel(chmod.kraus_from_choi(choi, d_mid, d_out), name="degrading")
-    report["map_residual"] = _probe_residual(t_to - transfer_matrix(d) @ t_from, d_in)
+    report["map_residual"] = residuals(transfer_matrix(d))[0]
     report["map_tp_residual"] = d.tp_residual()
     return report, d
 
@@ -149,25 +147,24 @@ def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
             "Y": qmat.as_pairs(y), "z": qmat.as_pairs(z)}
 
 
-def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
-    """Douglas-Rachford splitting between the PSD-Choi cone K and the affine
-    set A that ``affine`` projects onto, from its member ``t``, with
-    safeguarded type-II Anderson acceleration. The splitting's map is
-    F(z) = z + P_A(2x - z) - x with x = P_K(z), one Choi eigensolve each,
-    and its residual g(z) = F(z) - z. From the last accepted point z_k the
-    next point is F(z_k) - sum_i gamma_i dF_i, where dF_i and dg_i are the
-    differences of F and g between consecutive accepted points, the last
-    ANDERSON_MEMORY of them, and the real gamma minimise
+def _cptp_refine(t, affine, cone, residuals, normal_witness):
+    """Douglas-Rachford splitting between the cone K and the affine set A
+    onto which ``cone`` and ``affine`` project, from ``t`` in A, with
+    safeguarded type-II Anderson acceleration; with ``residuals`` and
+    ``normal_witness`` these closures are all it knows of the problem. Its
+    map is F(z) = z + P_A(2x - z) - x, x = P_K(z), its residual g = F(z) - z.
+    The next point from the last accepted z_k is F(z_k) - sum_i gamma_i dF_i,
+    with dF_i and dg_i the differences of F and g between consecutive
+    accepted points, the last ANDERSON_MEMORY of them, and real gamma minimising
     ||g(z_k) - sum_i gamma_i dg_i||^2 + ANDERSON_REG ||dg||_F^2 ||gamma||^2.
     A mixed point is accepted only if ||g||_F does not exceed the last
     accepted point's; otherwise the plain step F(z_k) follows, with the
     history cleared. At round 1 and every 25th, ``normal_witness`` scores
     -g, which tends to a vector separating A from K when they do not meet.
-    Returns the last x, CP by construction, the eigensolves spent, rejected
-    points included, and the witness or None. It stops at a witness, once x
-    has composition and TP residuals at most REFINE_STOP, or after
-    REFINE_ROUNDS eigensolves; deterministic."""
-    tr_out, tr_mid = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_out, d_mid))
+    Returns the last x, the rounds (calls of ``cone``, rejected points
+    included) and the witness or None. It stops at a witness, once both
+    ``residuals`` of x are at most REFINE_STOP, or after REFINE_ROUNDS
+    rounds; deterministic."""
     # dF_i and dg_i as real vectors, in rings of ANDERSON_MEMORY rows
     d_f = np.empty((ANDERSON_MEMORY, 2 * t.size))
     d_g = np.empty_like(d_f)
@@ -176,13 +173,8 @@ def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
     pairs = 0
     z, f_acc, g_acc, norm_acc = t, None, None, np.inf
     for rounds in range(1, REFINE_ROUNDS + 1):
-        # the Choi matrix is an entrywise permutation of T, so Frobenius
-        # projections carry over between the two coordinates
-        j = choi_of_transfer(z, d_mid, d_out)
-        w, v = qmat.eigh(j)
-        x = transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
-        tp_residual = np.max(np.abs(tr_out @ x - tr_mid))
-        if tp_residual <= REFINE_STOP and _probe_residual(t_to - x @ t_from, d_in) <= REFINE_STOP:
+        x = cone(z)
+        if all(r <= REFINE_STOP for r in residuals(x, REFINE_STOP)):
             return x, rounds, None
         g = affine(2 * x - z) - x
         if (rounds == 1 or rounds % 25 == 0) and (witness := normal_witness(-g)):
@@ -211,42 +203,33 @@ def _cptp_refine(t, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out):
 def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) -> tuple:
     """Find a CPTP map D with to = D o from, or prove that none exists.
 
-    Returns ``(report, map)``: the report ``classify`` prints for the solve,
+    Returns ``(report, map)``: the report ``classify`` prints for the solve
     and the certified Kraus map, None unless ``status`` is ``certified``.
-    The report holds ``success``, ``residual``, ``cp_min_eig``,
-    ``tp_residual`` and ``status``; a certified solve adds ``map_residual``
-    and ``map_tp_residual``, the certificates of the returned map itself,
-    an impossible one its ``witness``, and a ``not_found`` one its ``stop``.
-    A solve that ran the refinement adds ``refine_rounds``, the Choi
-    eigensolves it spent.
+    The report holds ``success``, ``residual``, ``cp_min_eig``, ``tp_residual``
+    and ``status``; a certified solve adds ``map_residual`` and
+    ``map_tp_residual``, the certificates of the returned map itself, an
+    impossible one its ``witness``, a ``not_found`` one its ``stop``, and one
+    that ran the refinement its ``refine_rounds``.
 
-    The trace-preserving least-squares solutions of T T_from = T_to form an
-    affine set A, and ``affine`` is its Frobenius projection: with Pi the
-    projector onto range(T_from), T_off = T (I - Pi) and
-    r = vec(I_mid)^dag (I - Pi),
+    The problem is stated once, as the closures :func:`_cptp_refine` reads.
+    ``affine`` projects onto A: with Pi the projector onto range(T_from),
+    T_off = T (I - Pi) and r = vec(I_mid)^dag (I - Pi),
     P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
-    The solve first certifies the candidate P_A(0), at the cost of one
-    ``pinv`` of T_from and one Choi eigensolve (one more reads the Kraus
-    map off when it certifies): the least-squares map on the range, with
-    the off-range input components (trace the range never sees) sent to
-    the maximally mixed state. If it fails with its residual or trace
-    mismatch above TOL.residual_tol, it scores (:func:`_farkas_witness`)
-    Y = -R - vec(I_out) g^T and z = T_from conj(g), with the remainder
-    R = T_to - T_ls T_from, T_ls = T_to pinv(T_from), and the trace
-    mismatch g^T = vec(I_out)^dag T_to - vec(I_mid)^dag T_from, which
-    vanishes for every CPTP D. R vanishes on the row space of T_from, so
-    W' = 0 for any g and the score is -(||R||_F^2 + ||g||^2) before scaling.
-    Without a proof :func:`_cptp_refine` searches A from P_A(0) and scores
-    its displacement W, the negated residual of its map, at round 1
-    and every 25th by the component of W normal to A,
-    W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out. At round 1 this W' is that
-    of the negative part of the candidate's Hermitian Choi matrix, in
-    transfer form.
-    Input sides that differ raise :class:`DimMismatch`, and a matrix side
-    above the side cap :class:`SizeLimit`, before anything is built: d_in^2,
-    d_mid^2 and d_out^2 of the transfer matrices, d_mid d_out of the Choi
-    matrix.
+    ``cone`` clips the Choi eigenvalues at 0, the projection onto K since J
+    is an entrywise permutation of T. ``residuals`` gives the composition
+    residual on the probe states and the TP residual
+    max |vec(I_out)^T T - vec(I_mid)^T|, which the certificates read too;
+    the first is skipped, as inf, while the second is above ``stop``.
+    ``normal_witness`` scores a displacement W by its component normal to
+    A, W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out.
+    The solve certifies P_A(0), the least-squares map with the off-range
+    input components sent to the maximally mixed state. If its residual or
+    trace mismatch is above TOL.residual_tol, it scores the Farkas pair of
+    its remainder and mismatch (README, Conventions); without a proof the
+    refinement searches A from P_A(0). Input sides that differ raise
+    :class:`DimMismatch`, and a matrix side above the side cap
+    :class:`SizeLimit`, before anything is built.
     """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
@@ -258,18 +241,27 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     t_ls = t_to @ f_pinv
     tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
     r = tr_mid @ (np.eye(d_mid**2) - pi)
-    mixed = qmat.vec(np.eye(d_out) / d_out).reshape(-1, 1)
 
     def affine(t):
         t_off = t - t @ pi
-        return t_ls + t_off + mixed * (r - tr_out @ t_off)
+        return t_ls + t_off + tr_out.T / d_out * (r - tr_out @ t_off)
+
+    def cone(t):
+        w, v = qmat.eigh(choi_of_transfer(t, d_mid, d_out))
+        return transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
+
+    def residuals(t, stop=np.inf):
+        tp_residual = float(np.max(np.abs(tr_out @ t - tr_mid)))
+        if tp_residual > stop:
+            return np.inf, tp_residual
+        return _probe_residual(t_to - t @ t_from, d_in), tp_residual
 
     def normal_witness(w):
         y, z = w @ f_pinv.conj().T, (tr_out @ (w - w @ pi)).conj().ravel() / d_out
         return _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
 
     t_d = affine(np.zeros_like(t_ls))
-    report, d = _certify(t_d, t_from, t_to, d_in, d_mid, d_out)
+    report, d = _certify(t_d, residuals, d_mid, d_out)
     if d is not None:
         return report, d
     g = (tr_out @ t_to - tr_mid @ t_from).ravel()
@@ -279,10 +271,10 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         witness = _farkas_witness(t_ls @ t_from - t_to - np.outer(tr_out, g), t_from @ g.conj(),
                                   t_from, t_to, d_mid, d_out)
     if witness is None:
-        t_ref, rounds, witness = _cptp_refine(t_d, affine, normal_witness, t_from, t_to, d_in, d_mid, d_out)
+        t_ref, rounds, witness = _cptp_refine(t_d, affine, cone, residuals, normal_witness)
         report["refine_rounds"] = rounds
         if witness is None:
-            refined, d = _certify(t_ref, t_from, t_to, d_in, d_mid, d_out)
+            refined, d = _certify(t_ref, residuals, d_mid, d_out)
             if d is not None:
                 return {**refined, "refine_rounds": rounds}, d
     # the report is the least-squares candidate's, not the last iterate's

@@ -31,9 +31,13 @@ def _frac(value) -> Fraction:
     if isinstance(value, str) and "e" in value.lower():
         raise DomainError(f"ledger fraction {value!r} is not an integer, p/q or exponent-free decimal")
     try:
-        return Fraction(value)
+        frac = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"ledger fraction {value!r} is not a rational: {exc}") from exc
+    # a printed sum of four such fields stays under Python's 4,300-digit int -> str limit
+    if max(abs(frac.numerator), frac.denominator) >= 10**1000:
+        raise DomainError("ledger fraction has a numerator or denominator of more than 1,000 digits")
+    return frac
 
 
 class PolarLedger:

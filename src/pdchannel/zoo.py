@@ -181,8 +181,8 @@ def d_b_to_eprime(x: float) -> chmod.KrausChannel:
     blocks inside a 12-column operator), so the blocks are placed on the
     flag-0 columns; the entry is FLAGGED and kept for inspection only.
     """
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must be in (0, 1], got {x}")
+    if not (0.0 < x <= 1.0 and np.isfinite(2.0 / x)):
+        raise DomainError(f"x must be in (0, 1] with 2 / x, the scale of sum_i N_i^dag N_i, finite; got {x}")
     blocks = []
     for w1, w2 in ((1.0 / SQ2, 1.0 / SQ2), (1.0 - 1.0 / SQ2, 1.0 - 1.0 / SQ2)):
         b = np.zeros((2, 4), dtype=np.complex128)

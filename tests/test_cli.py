@@ -367,6 +367,12 @@ def test_polar_report_and_violation_exit(tmp_path, capsys):
     assert code == 3
     assert json.loads(out)["violations"]
 
+    # parts of 1,000 digits still print: each printed sum adds at most four
+    # fields, under Python's 4,300-digit int -> str limit
+    path.write_text(json.dumps(_long_ledger(999)))
+    code, out, _ = _run(capsys, ["polar", str(path)])
+    assert code == 3 and json.loads(out)["violations"][0].startswith("anti-degradable cover = ")
+
 
 def test_zoo_list_and_export(tmp_path, capsys):
     code, out, _ = _run(capsys, ["zoo", "list"])
@@ -384,6 +390,14 @@ def test_zoo_list_and_export(tmp_path, capsys):
 
     code, _, err = _run(capsys, ["zoo", "export"])
     assert code == 2 and "entry id" in err
+
+    # zoo list takes no entry and no parameter; the report flags still work
+    for argv in (["zoo", "list", "horodecki"], ["zoo", "list", "--alpha", "9", "--repair"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith("error: zoo list takes no entry id"), argv
+    code, out, _ = _run(capsys, ["zoo", "list", "--format", "text"])
+    assert code == 0 and out.startswith("entries: ")
 
 
 def test_zoo_export_accepts_exactly_the_registry_parameters(tmp_path, capsys):
@@ -468,8 +482,20 @@ _VALID_LEDGER = {
 }
 
 
+def _long_ledger(exponent):
+    """An ANTI_DEGRADABLE_PD ledger whose fractions are 1 / (10^exponent + k),
+    with a distinct k per field, so that sums of fields have long parts."""
+    names = ("g_amp", "g_phase", "p1", "p1_prime", "b")
+    fractions = {name: f"1/{10**exponent + k}" for k, name in zip((1, 3, 7, 9, 11), names)}
+    return {"regime": "ANTI_DEGRADABLE_PD", "fractions": {**fractions, "p2": "0", "p2_prime": "0"}}
+
+
 def _with(record, **changes):
     return {**json.loads(json.dumps(record)), **changes}
+
+
+# finite entries of 1e200, whose squares in sum_i N_i^dag N_i overflow
+_HUGE_CHANNEL = _with(_VALID_CHANNEL, kraus=(np.array(_VALID_CHANNEL["kraus"]) * 1e200).tolist())
 
 
 def _main_on_text(command, text):
@@ -512,10 +538,13 @@ _RAGGED = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
         ("inspect", json.dumps(_with(_VALID_CHANNEL, dim_in=True, dim_out=1, kraus=[[[[1.0, 0.0]]]]))),
         ("polar", json.dumps(_VALID_LEDGER).replace('"1/2"', "true")),
         ("inspect", json.dumps(_with(_VALID_CHANNEL, name=[1, {"a": None}]))),
+        ("inspect", json.dumps(_HUGE_CHANNEL)),
+        ("polar", json.dumps(_long_ledger(2999))),
     ],
     ids=["list", "kraus-int", "non-numeric", "ragged", "dim-1e400", "dim-5000-digits",
          "nested-100000", "ledger-list", "fraction-1/0", "fraction-exponent", "fraction-float",
-         "dim-float", "dim-string", "dim-true", "fraction-true", "name-list"],
+         "dim-float", "dim-string", "dim-true", "fraction-true", "name-list",
+         "kraus-1e200", "fraction-3000-digits"],
 )
 def test_malformed_input_files_exit_2(command, text):
     _assert_input_error(command, text)
@@ -523,15 +552,20 @@ def test_malformed_input_files_exit_2(command, text):
 
 def test_infinite_imaginary_part_exits_2_with_one_line(tmp_path):
     # an infinite part must be refused before the real and imaginary parts
-    # combine, where numpy would print a RuntimeWarning ahead of the error
+    # combine, where numpy would print a RuntimeWarning ahead of the error;
+    # entries of 1e200 are finite, but sum_i N_i^dag N_i overflows, and the
+    # channel is refused where it is built, before any command warns
     path = tmp_path / "inf.json"
     path.write_text('{"name": "inf", "dim_in": 1, "dim_out": 1, "kraus": [[[[0, 1e400]]]]}')
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(_HUGE_CHANNEL))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    res = subprocess.run([sys.executable, "-m", "pdchannel.cli", "inspect", str(path)],
-                         env=env, capture_output=True, text=True)
-    assert res.returncode == 2 and res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    for command, file in (("inspect", path), ("inspect", big), ("classify", big), ("capacity", big)):
+        res = subprocess.run([sys.executable, "-m", "pdchannel.cli", command, str(file)],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 2 and res.stdout == "", (command, file.name)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

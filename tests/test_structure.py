@@ -186,3 +186,16 @@ def test_cli_import_loads_no_dataclasses():
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_refinement_core_knows_no_channel():
+    # the Douglas-Rachford core reads its problem only through the closures
+    # the solve hands it; one TP-residual formula serves core and certificate
+    tree = ast.parse((SRC / "degradability.py").read_text())
+    core = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_cptp_refine")
+    named = {ast.unparse(n) for n in ast.walk(core) if isinstance(n, (ast.Name, ast.Attribute))}
+    channel_side = {"choi_of_transfer", "transfer_of_choi", "transfer_matrix", "_probe_residual", "qmat",
+                    "chmod", "np.linalg.eigh"}
+    assert named & channel_side == set()
+    calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert "qmat.partial_trace" not in calls
