@@ -136,10 +136,10 @@ def _farkas_witness(y, z, t_from, t_to, d_mid, d_out) -> dict | None:
     if not scale > 0:
         return None
     y, z = y / scale, z / scale
-    w_prime = y @ t_from.conj().T + np.outer(qmat.vec(np.eye(d_out)), z.conj())
+    w_prime = y @ t_from.conj().T + np.outer(np.eye(d_out), z.conj())
     j = choi_of_transfer(w_prime, d_mid, d_out)
     lam = float(qmat.eigvalsh(j)[0])
-    b = np.vdot(y, t_to).real + np.vdot(z, qmat.vec(np.eye(d_mid))).real
+    b = np.vdot(y, t_to).real + np.vdot(z, np.eye(d_mid)).real
     score = float(b + d_mid * max(0.0, -lam))
     if score >= -FARKAS_MARGIN:
         return None
@@ -212,7 +212,7 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     that ran the refinement its ``refine_rounds``.
 
     The problem is stated once, as the closures :func:`_cptp_refine` reads.
-    ``affine`` projects onto A: with Pi the projector onto range(T_from),
+    ``affine`` projects onto A: with Pi = T_from pinv(T_from), never formed,
     T_off = T (I - Pi) and r = vec(I_mid)^dag (I - Pi),
     P_A(T) = T_to pinv(T_from) + T_off + vec(I_out / d_out) (r - vec(I_out)^dag T_off).
     ``cone`` clips the Choi eigenvalues at 0, the projection onto K since J
@@ -222,14 +222,14 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     the first is skipped, as inf, while the second is above ``stop``.
     ``normal_witness`` scores a displacement W by its component normal to
     A, W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
-    z^dag = vec(I_out)^dag W (I - Pi) / d_out.
-    The solve certifies P_A(0), the least-squares map with the off-range
-    input components sent to the maximally mixed state. If its residual or
-    trace mismatch is above TOL.residual_tol, it scores the Farkas pair of
-    its remainder and mismatch (README, Conventions); without a proof the
-    refinement searches A from P_A(0). Input sides that differ raise
-    :class:`DimMismatch`, and a matrix side above the side cap
-    :class:`SizeLimit`, before anything is built.
+    z^dag = vec(I_out)^dag W (I - Pi) / d_out. The solve certifies
+    P_A(0) = T_to pinv(T_from) + vec(I_out / d_out) r, the least-squares
+    map with the off-range input components sent to the maximally mixed
+    state. If its residual or trace mismatch is above TOL.residual_tol, it
+    scores the Farkas pair of its remainder and mismatch (README,
+    Conventions); without a proof the refinement searches A from P_A(0).
+    Input sides that differ raise :class:`DimMismatch`, and a matrix side
+    above the side cap :class:`SizeLimit`, before anything is built.
     """
     if from_ch.dim_in != to_ch.dim_in:
         raise DimMismatch(f"input dims differ: {from_ch.dim_in} != {to_ch.dim_in}")
@@ -237,13 +237,12 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     check_side("degrading-map solve", d_in**2, d_mid**2, d_out**2, d_mid * d_out)
     t_from, t_to = transfer_matrix(from_ch), transfer_matrix(to_ch)
     f_pinv = qmat.pinv(t_from)
-    pi = t_from @ f_pinv
     t_ls = t_to @ f_pinv
-    tr_mid, tr_out = (qmat.vec(np.eye(d)).reshape(1, -1) for d in (d_mid, d_out))
-    r = tr_mid @ (np.eye(d_mid**2) - pi)
+    tr_mid, tr_out = (np.eye(d).reshape(1, -1) for d in (d_mid, d_out))
+    r = tr_mid - (tr_mid @ t_from) @ f_pinv
 
     def affine(t):
-        t_off = t - t @ pi
+        t_off = t - (t @ t_from) @ f_pinv
         return t_ls + t_off + tr_out.T / d_out * (r - tr_out @ t_off)
 
     def cone(t):
@@ -257,10 +256,10 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         return _probe_residual(t_to - t @ t_from, d_in), tp_residual
 
     def normal_witness(w):
-        y, z = w @ f_pinv.conj().T, (tr_out @ (w - w @ pi)).conj().ravel() / d_out
+        y, z = w @ f_pinv.conj().T, (tr_out @ (w - (w @ t_from) @ f_pinv)).conj().ravel() / d_out
         return _farkas_witness(y, z, t_from, t_to, d_mid, d_out)
 
-    t_d = affine(np.zeros_like(t_ls))
+    t_d = t_ls + tr_out.T / d_out * r
     report, d = _certify(t_d, residuals, d_mid, d_out)
     if d is not None:
         return report, d

@@ -95,17 +95,17 @@ def check_hermitian(m) -> np.ndarray:
 
 
 def eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """``(w, v)`` of the Hermitian part (m + m^dagger) / 2 of a matrix, or of
-    a stack of them along leading axes, unchecked: eigenvalues ascending,
-    eigenvectors the columns of ``v``. The package's one eigensolver."""
+    """``(w, v)`` of the Hermitian part m / 2 + m^dagger / 2, whose sum of halves
+    cannot overflow, of a matrix or a stack along leading axes, unchecked: eigenvalues
+    ascending, eigenvectors the columns of ``v``. The package's one eigensolver."""
     m = np.asarray(m)
-    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    return np.linalg.eigh(m / 2 + m.conj().swapaxes(-1, -2) / 2)
 
 
 def eigvalsh(m) -> np.ndarray:
-    """The eigenvalues of :func:`eigh`, without the eigenvectors."""
+    """The eigenvalues of :func:`eigh`'s Hermitian part, without the eigenvectors."""
     m = np.asarray(m)
-    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2)
+    return np.linalg.eigvalsh(m / 2 + m.conj().swapaxes(-1, -2) / 2)
 
 
 def pinv(m) -> np.ndarray:
@@ -122,11 +122,6 @@ def numerical_rank(spectrum) -> int:
     if top <= 0:
         return 0
     return int(np.sum(spectrum > TOL.pinv_cutoff * top))
-
-
-def vec(m) -> np.ndarray:
-    """Column-major vectorization."""
-    return as_matrix(m).flatten(order="F")
 
 
 def as_pairs(m) -> list:

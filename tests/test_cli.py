@@ -23,9 +23,17 @@ def _save(tmp_path, c, name="chan.json"):
     return str(path)
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _run(capsys, argv):
+    # a report must be strict JSON: NaN and Infinity, which json.loads takes
+    # by default, fail every command that prints them
     code = cli.main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        json.loads(captured.out, parse_constant=_refuse)
     return code, captured.out, captured.err
 
 
@@ -697,6 +705,14 @@ def test_commands_exit_with_their_output_complete(tmp_path, capsys):
     assert (res.returncode, res.stdout, res.stderr) == (code, out, err) == (0, out, "")
     assert json.loads(out)["id"] == "amplitude_damping"
     assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
+    # a Kraus entry of 1.3e154 squares to a finite Choi matrix whose
+    # Hermitian part would overflow if formed as (m + m^dagger) / 2
+    (tmp_path / "huge.json").write_text('{"name": "huge", "dim_in": 1, "dim_out": 1, "kraus": [[[[1.3e154, 0]]]]}')
+    res = _module_run(tmp_path, "inspect", "huge.json")
+    code, out, err = _run(capsys, ["inspect", str(tmp_path / "huge.json")])
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err) == (0, out, "")
+    report = json.loads(out)
+    assert (report["choi_min_eig"], report["choi_rank"]) == (1.3e154**2, 1)
     res = _module_run(tmp_path, "inspect", "missing.json")
     assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: no such file: missing.json\n")
     # in process, main returns the code and the process goes on

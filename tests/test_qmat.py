@@ -87,6 +87,13 @@ def test_eigh_ascending_on_the_hermitian_part():
     stack = np.stack([n, np.diag([2.0, 1.0])])
     assert np.allclose(qmat.eigvalsh(stack), [[-0.5, 0.5], [1.0, 2.0]])
     assert np.allclose(qmat.eigh(stack)[0], qmat.eigvalsh(stack))
+    # entries past half the largest float: the halves are summed, so m + m^dagger
+    # never forms, and nothing overflows or warns
+    huge = 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    w, v = qmat.eigh(huge)
+    assert np.allclose(w, [-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308], rtol=1e-12, atol=0)
+    assert np.allclose(huge / 1e308 @ v, v @ np.diag(w / 1e308))
+    assert np.array_equal(qmat.eigvalsh(huge), w)
 
 
 def test_pinv_and_nullspace():
@@ -94,11 +101,6 @@ def test_pinv_and_nullspace():
     p = qmat.pinv(m)
     assert np.allclose(m @ p @ m, m)
     assert np.allclose(qmat.pinv(np.zeros((2, 3))), np.zeros((3, 2)))
-
-
-def test_vec_is_column_major():
-    m = np.arange(6, dtype=complex).reshape(2, 3)
-    assert np.array_equal(qmat.vec(m), m.flatten(order="F"))
 
 
 def test_as_pairs_keeps_the_layout():
