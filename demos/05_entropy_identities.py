@@ -1,7 +1,6 @@
-"""Entropy identities along the isometry chain: push a purified input
-through the Stinespring isometries of the channel and both degrading maps,
-each read off its Kraus stack, then compare the conditional-entropy
-expressions of the coherent information.
+"""Entropy identities along the isometry chain of the channel and both
+degrading maps, each entropy that of one channel output, then compare the
+conditional-entropy expressions of the coherent information.
 
 Run: python3 demos/05_entropy_identities.py
 """

@@ -1,5 +1,5 @@
 """Coherent information, the entropy identities along the isometry chain
-of a channel and its two degrading maps (read off their Kraus stacks), and
+of a channel and its two degrading maps (from four channel outputs), and
 multi-start maximization over input states, which stops early once a
 Frank-Wolfe gap proves the optimum of a certified degradable channel.
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from math import isfinite, isqrt, prod
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -33,29 +33,25 @@ def coherent_information(ch: chmod.KrausChannel, rho) -> float:
     return ent.entropy(out) - ent.entropy(env)
 
 
-def _marginal_entropy(psi: np.ndarray, keep: list) -> float:
-    """Entropy of the reduced state of a pure state, one axis per factor,
-    over the factors on the axes ``keep``."""
-    rest = [i for i in range(psi.ndim) if i not in keep]
-    m = psi.transpose(keep + rest).reshape(prod(psi.shape[k] for k in keep), -1)
-    return ent.entropy(m @ m.conj().T)
-
-
 def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
-    """Push a purification of rho through the Stinespring isometries of the
-    three channels, each its Kraus stack with the Kraus index as
-    environment: N_AB sends A to B(x)E, D^{E->E'} sends E to G(x)H (G the
-    degraded environment) and D^{B->E'} sends B to E'(x)F. A channel that
-    is not trace preserving raises :class:`NotTracePreserving`, a
-    degrading that acts on neither E nor B as placed :class:`DimMismatch`,
-    and a ``rho`` whose reduced states fall outside the entropy clamping
-    window (not a density matrix, say of trace 3) :class:`NotDensityMatrix`.
-    So does a ``rho`` whose own spectrum leaves that window, so a negative
-    eigenvalue or a trace other than 1 is an error, not clipped or
-    renormalized; a non-Hermitian one raises :class:`NotHermitian`.
+    """Entropies (bits) along the isometry chain of the channel N_AB, A to
+    B(x)E, and its degrading maps D^{B->E'}, B to E'(x)F, and D^{E->E'},
+    E to G(x)H (G the degraded environment), each isometry with its Kraus
+    index as environment; with R purifying rho the chain ends pure on E'FGHR.
 
-    Returns entropies (bits) of the final pure state over E', F, G, H, R:
-    h_f_given_eprime, h_h_given_g, h_b_minus_h_eprime, h_rf_given_eprime.
+    Each entropy is that of one channel output (:func:`channel.apply`, then
+    :func:`entanglement.entropy`): H(B) of N_AB, H(E) of its complement
+    N_AE, H(E') of D^{B->E'} o N_AB and H(G) of D^{E->E'} o N_AE.
+    Isometries keep spectra, so H(E'F) = H(B) and H(GH) = H(E), and the two
+    parts of a pure state have equal entropies, so H(E'FR) = H(GH). Hence
+    h_f_given_eprime = h_b_minus_h_eprime = H(B) - H(E'),
+    h_h_given_g = H(E) - H(G) and h_rf_given_eprime = H(E) - H(E').
+
+    A channel that is not trace preserving raises :class:`NotTracePreserving`,
+    a degrading that acts on neither E nor B as placed :class:`DimMismatch`,
+    a non-Hermitian ``rho`` :class:`NotHermitian`, and a ``rho`` or output
+    whose spectrum leaves the entropy clamping window :class:`NotDensityMatrix`,
+    so a negative eigenvalue is not clipped, nor a trace of 3 renormalized.
     """
     for c in (n_ab, d_e_to_eprime, d_b_to_eprime):
         if c.flagged:
@@ -67,23 +63,18 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     rho = qmat.check_hermitian(rho)
     if rho.shape[0] != n_ab.dim_in:
         raise DimMismatch("state side does not match the chain input")
-    w_eig, v_eig = qmat.eigh(rho)
-    # purification over A (rows) and reference R (columns)
-    psi = v_eig * np.sqrt(ent.clamped(w_eig))
-    ber = np.einsum("eba,ar->ber", n_ab.kraus, psi)
-    h_b = _marginal_entropy(ber, [0])
-    # axes E', F, G, H, R
-    psi = np.einsum("fxb,hge,ber->xfghr", d_b_to_eprime.kraus, d_e_to_eprime.kraus, ber)
-    h_ep = _marginal_entropy(psi, [0])
-    h_epf = _marginal_entropy(psi, [0, 1])
-    h_g = _marginal_entropy(psi, [2])
-    h_gh = _marginal_entropy(psi, [2, 3])
-    h_epfr = _marginal_entropy(psi, [0, 1, 4])
+    # rho itself must pass the window, not only the outputs it gives
+    ent.clamped(qmat.eigvalsh(rho))
+    n_ae = chmod.complementary(n_ab)
+    h_b = ent.entropy(chmod.apply(n_ab, rho))
+    h_e = ent.entropy(chmod.apply(n_ae, rho))
+    h_ep = ent.entropy(chmod.apply(chmod.compose(n_ab, d_b_to_eprime), rho))
+    h_g = ent.entropy(chmod.apply(chmod.compose(n_ae, d_e_to_eprime), rho))
     return {
-        "h_f_given_eprime": h_epf - h_ep,
-        "h_h_given_g": h_gh - h_g,
+        "h_f_given_eprime": h_b - h_ep,
+        "h_h_given_g": h_e - h_g,
         "h_b_minus_h_eprime": h_b - h_ep,
-        "h_rf_given_eprime": h_epfr - h_ep,
+        "h_rf_given_eprime": h_e - h_ep,
     }
 
 

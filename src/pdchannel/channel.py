@@ -34,8 +34,8 @@ class KrausChannel:
             ops = np.ascontiguousarray(kraus, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise DimMismatch(f"Kraus operators do not stack: {exc}") from exc
-        if ops.ndim != 3 or len(ops) == 0:
-            raise DimMismatch("channel needs at least one Kraus operator")
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise DimMismatch(f"channel needs a (K, d_out, d_in) stack with no zero axis, got {ops.shape}")
         self.kraus = ops
         self.dim_env, self.dim_out, self.dim_in = ops.shape
         # not finite when an entry is not, or is past about 1e154, where squares overflow

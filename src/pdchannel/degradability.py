@@ -174,7 +174,7 @@ def _cptp_refine(t, affine, cone, residuals, normal_witness):
     z, f_acc, g_acc, norm_acc = t, None, None, np.inf
     for rounds in range(1, REFINE_ROUNDS + 1):
         x = cone(z)
-        if all(r <= REFINE_STOP for r in residuals(x, REFINE_STOP)):
+        if all(r <= REFINE_STOP for r in residuals(x)):
             return x, rounds, None
         g = affine(2 * x - z) - x
         if (rounds == 1 or rounds % 25 == 0) and (witness := normal_witness(-g)):
@@ -218,8 +218,7 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
     ``cone`` clips the Choi eigenvalues at 0, the projection onto K since J
     is an entrywise permutation of T. ``residuals`` gives the composition
     residual on the probe states and the TP residual
-    max |vec(I_out)^T T - vec(I_mid)^T|, which the certificates read too;
-    the first is skipped, as inf, while the second is above ``stop``.
+    max |vec(I_out)^T T - vec(I_mid)^T|, which the certificates read too.
     ``normal_witness`` scores a displacement W by its component normal to
     A, W' = W - (P_A(W) - P_A(0)): Y = W pinv(T_from)^dag and
     z^dag = vec(I_out)^dag W (I - Pi) / d_out. The solve certifies
@@ -249,11 +248,8 @@ def solve_degrading_map(from_ch: chmod.KrausChannel, to_ch: chmod.KrausChannel) 
         w, v = qmat.eigh(choi_of_transfer(t, d_mid, d_out))
         return transfer_of_choi((v * np.clip(w, 0.0, None)) @ v.conj().T, d_mid, d_out)
 
-    def residuals(t, stop=np.inf):
-        tp_residual = float(np.max(np.abs(tr_out @ t - tr_mid)))
-        if tp_residual > stop:
-            return np.inf, tp_residual
-        return _probe_residual(t_to - t @ t_from, d_in), tp_residual
+    def residuals(t):
+        return _probe_residual(t_to - t @ t_from, d_in), float(np.max(np.abs(tr_out @ t - tr_mid)))
 
     def normal_witness(w):
         y, z = w @ f_pinv.conj().T, (tr_out @ (w - (w @ t_from) @ f_pinv)).conj().ravel() / d_out

@@ -8,7 +8,8 @@ import pytest
 from pdchannel import capacity as cap
 from pdchannel import channel as ch
 from pdchannel import degradability as deg
-from pdchannel import optimize, zoo
+from pdchannel import entanglement as ent
+from pdchannel import optimize, qmat, zoo
 from pdchannel.config import TOL
 from pdchannel.errors import DimMismatch, DomainError, NotDensityMatrix, NotHermitian, NotTracePreserving, SizeLimit
 
@@ -117,6 +118,38 @@ def test_isometry_chain_degradable_channel_value():
     assert out["h_f_given_eprime"] == pytest.approx(
         out["h_b_minus_h_eprime"], abs=1e-12
     )
+
+
+def test_isometry_chain_matches_a_stinespring_reference_on_random_legs():
+    # the reference pushes a purification of rho through the Stinespring
+    # isometries of N_AB and of both legs into the pure state on E'FGHR and
+    # reads every entropy off a partial trace of it
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        d_a, d_b, d_e, d_ep, d_f, d_g, d_h = rng.integers(2, 4, size=7)
+        n_ab = _random_channel(rng, d_a, d_b, d_e)
+        d_e_to_eprime = _random_channel(rng, d_e, d_g, d_h)
+        d_b_to_eprime = _random_channel(rng, d_b, d_ep, d_f)
+        rank = rng.integers(1, d_a + 1)
+        a = rng.standard_normal((d_a, rank)) + 1j * rng.standard_normal((d_a, rank))
+        rho = a @ a.conj().T / np.vdot(a, a).real
+        w, v = np.linalg.eigh(rho)
+        ber = ch.stinespring(n_ab) @ (v * np.sqrt(np.clip(w, 0.0, None)))
+        psi = (np.kron(ch.stinespring(d_b_to_eprime), ch.stinespring(d_e_to_eprime)) @ ber).ravel()
+        dims = (d_ep, d_f, d_g, d_h, d_a)
+
+        def h(keep):
+            return ent.entropy(qmat.partial_trace(np.outer(psi, psi.conj()), dims, keep))
+
+        h_b = ent.entropy(qmat.partial_trace(np.outer(ber, ber.conj()), (d_b, d_e, d_a), [0]))
+        want = {
+            "h_f_given_eprime": h([0, 1]) - h([0]),
+            "h_h_given_g": h([2, 3]) - h([2]),
+            "h_b_minus_h_eprime": h_b - h([0]),
+            "h_rf_given_eprime": h([0, 1, 4]) - h([0]),
+        }
+        got = cap.coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho)
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_params_state_roundtrip():

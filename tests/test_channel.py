@@ -15,8 +15,9 @@ def _ad(gamma=0.3):
 def test_kraus_channel_shape_checks():
     with pytest.raises(DimMismatch):
         ch.KrausChannel([np.eye(2), np.eye(3)])
-    with pytest.raises(DimMismatch):
-        ch.KrausChannel([])
+    for empty in ([], np.zeros((1, 1, 0)), np.zeros((1, 0, 1))):
+        with pytest.raises(DimMismatch):
+            ch.KrausChannel(empty)
 
 
 def test_validate_and_apply():
