@@ -141,9 +141,12 @@ def kraus_from_choi(matrix: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray
 
 
 def _pruned(ops: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
-    """Drop numerically-zero operators from a (K, dim_out, dim_in) stack."""
+    """Drop numerically-zero operators from a (K, dim_out, dim_in) stack by
+    the relative rule of :func:`qmat.numerical_rank`: an operator stays when
+    its Frobenius norm is above ``TOL.pinv_cutoff`` times the largest."""
     ops = ops.reshape(-1, dim_out, dim_in)
-    ops = ops[np.linalg.norm(ops, axis=(1, 2)) >= 1e-12]
+    norms = np.linalg.norm(ops, axis=(1, 2))
+    ops = ops[norms > TOL.pinv_cutoff * norms.max()]
     return ops if len(ops) else np.zeros((1, dim_out, dim_in), dtype=np.complex128)
 
 

@@ -88,7 +88,9 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
     bound as ``gap``, at that point or at its current iterate, whichever is
     lower; every other unfinished run keeps its current iterate, and its
     message names the certifying run, numbering the starts from ``first``.
-    Without such a round the runs end as they do without ``gap_tol``.
+    Without such a round the runs end as they do without ``gap_tol``. Every
+    stop, these two included, is a row of one message table; a round's first
+    mark on a run stands, and every run ends through one result path.
     """
     capped = f"stopped: {MAX_ITER} iterations reached"
     messages = [None, _GRADIENT, _REDUCTION, _ROUNDING, _LINE_SEARCH, capped]
@@ -105,6 +107,7 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
     # decrease, hi the other end once a bracket exists, as (step, f, slope)
     lo, hi, bracketed = np.zeros((runs, 3)), np.zeros((runs, 3)), np.zeros(runs, dtype=bool)
     trials, nit, nfev = np.zeros(runs, dtype=int), np.zeros(runs, dtype=int), np.zeros(runs, dtype=int)
+    c = gap = None  # the run whose point certifies its gap, and that gap
 
     def end(rows, message):
         """End the runs among ``rows`` that this round has not ended yet."""
@@ -139,24 +142,19 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
         new = ~begun | accept
         f_old = f
         x, f, g = np.where(new[:, None], xt, x), np.where(new, ft, f), np.where(new[:, None], gt, g)
-        if gap_tol is not None:
-            gaps = np.asarray(evaluated[2], dtype=np.float64)
-            hit = np.flatnonzero(gaps <= gap_tol)
-            if hit.size:
-                c, gap = hit[0], float(gaps[hit[0]])
-                # a trial the line search rejected is kept only if no worse
-                # than the iterate; either way f[c] - min f <= gap
-                if ft[c] < f[c]:
-                    x[c], f[c] = xt[c], ft[c]
-                others = f"stopped: restart {first + order[c]} has a certified gap {gap:.3e} <= {gap_tol:g}"
-                for i in range(order.size):
-                    mine = i == c
-                    message = f"converged: certified gap {gap:.3e} <= {gap_tol:g}" if mine else others
-                    results[order[i]] = OptimizeResult(
-                        x[i].copy(), float(f[i]), int(nit[i]), int(nfev[i]), message, gap if mine else None)
-                return results
-
         stop = np.zeros(order.size, dtype=int)  # an index into messages, 0 while running
+        hit = [] if gap_tol is None else np.flatnonzero(np.asarray(evaluated[2], dtype=np.float64) <= gap_tol)
+        if len(hit):
+            # the first certified point ends every unfinished run, ahead of
+            # this round's other stops; a trial the line search rejected is
+            # kept only if no worse than the iterate; either way f[c] - min f <= gap
+            c, gap = hit[0], float(evaluated[2][hit[0]])
+            if ft[c] < f[c]:
+                x[c], f[c] = xt[c], ft[c]
+            messages += [f"converged: certified gap {gap:.3e} <= {gap_tol:g}",
+                         f"stopped: restart {first + order[c]} has a certified gap {gap:.3e} <= {gap_tol:g}"]
+            end(np.arange(order.size) == c, messages[-2])
+            end(stop == 0, messages[-1])
         end(~new & (trials >= MAX_LS), _LINE_SEARCH)
         end(new & (np.max(np.abs(g), axis=1) <= GTOL), _GRADIENT)
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f)), 1.0)
@@ -187,8 +185,8 @@ def minimize_many(fun, x0s, gap_tol=None, first=0) -> list:
         end(-step * slope0 <= _EPS * np.maximum(np.abs(f), 1.0), _ROUNDING)
 
         for i in np.flatnonzero(stop):
-            results[order[i]] = OptimizeResult(
-                x[i].copy(), float(f[i]), int(nit[i]), int(nfev[i]), messages[stop[i]])
+            results[order[i]] = OptimizeResult(x[i].copy(), float(f[i]), int(nit[i]), int(nfev[i]),
+                                               messages[stop[i]], gap if i == c else None)
         if stop.any():
             keep = stop == 0
             (order, x, f, g, s_mem, y_mem, rho, d, slope0, step, lo, hi, bracketed, trials, nit, nfev) = (

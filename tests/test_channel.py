@@ -128,6 +128,20 @@ def test_tensor_action_and_cap(monkeypatch):
         ch.tensor(a, b)
 
 
+def test_compose_and_tensor_prune_by_the_relative_rank_rule():
+    # an operator is dropped for being small beside the largest, as
+    # qmat.numerical_rank counts: a channel scaled by 1e-7 has the product
+    # 1e-14 I, not the zero map, while 1e-11 I beside I goes
+    tiny = ch.KrausChannel([[[1e-7]]])
+    for product in (ch.tensor(tiny, tiny), ch.compose(tiny, tiny)):
+        np.testing.assert_allclose(product.kraus, [[[1e-14]]], rtol=1e-12, atol=0)
+    mixed = ch.KrausChannel([np.eye(2), 1e-11 * np.eye(2)])
+    for product in (ch.tensor(mixed, ch.identity_channel(1)), ch.compose(mixed, ch.identity_channel(2))):
+        np.testing.assert_array_equal(product.kraus, [np.eye(2)])
+    zero = ch.KrausChannel(np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(ch.tensor(zero, zero).kraus, np.zeros((1, 4, 4)))
+
+
 def test_flagged_direct_sum_is_tp_and_block_structured():
     # the flag direct sum around the isometric 4->6 embedding eye(6, 4)
     c = zoo.nab_ae_channel(0.75)

@@ -136,3 +136,23 @@ def test_certified_gap_at_a_rejected_trial_keeps_the_lower_iterate():
     assert np.array_equal(res.x, [0.1]) and res.fun == 0.1**2
     assert res.gap == 0.0 and res.message == "converged: certified gap 0.000e+00 <= 0"
     assert (res.nit, res.nfev) == (0, 2)
+
+
+@pytest.mark.parametrize("first", [0, 5])
+def test_certified_gap_outranks_a_stop_met_in_the_same_round(first):
+    # run 1 starts at the minimizer of 0.5 |x|^2 and meets the gradient test
+    # in the round in which run 0 certifies its gap; the certified stop ends
+    # it all the same, and its message names run 0 counted from first
+    def fun(xs):
+        return 0.5 * (xs**2).sum(axis=1), xs, np.array([0.0, np.nan])
+
+    runs = optimize.minimize_many(fun, [[0.3, -0.2], [0.0, 0.0]], gap_tol=0.0, first=first)
+    assert [(r.message, r.gap) for r in runs] == [
+        ("converged: certified gap 0.000e+00 <= 0", 0.0),
+        (f"stopped: restart {first} has a certified gap 0.000e+00 <= 0", None),
+    ]
+    assert runs[0].x.tolist() == [0.3, -0.2] and runs[1].x.tolist() == [0.0, 0.0]
+    assert [(r.nit, r.nfev) for r in runs] == [(0, 1), (0, 1)]
+    # without a gap, run 1 ends at its gradient test in that first round
+    alone = optimize.minimize(lambda x: (0.5 * x @ x, x), np.zeros(2))
+    assert (alone.message, alone.nfev) == (optimize._GRADIENT, 1)

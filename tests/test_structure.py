@@ -110,6 +110,20 @@ def test_only_qmat_calls_the_eigensolvers():
     assert [hit.split(":")[0] for hit in found] == ["qmat", "qmat"]
 
 
+def test_lockstep_runs_end_through_one_exit():
+    # every stop of minimize_many, the certified gap included, is a row of
+    # its message table and builds its result at one site
+    def returns(node):
+        return {n for n in ast.walk(node) if isinstance(n, ast.Return)}
+
+    tree = ast.parse((SRC / "optimize.py").read_text())
+    many = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "minimize_many")
+    nested = [n for n in ast.walk(many) if isinstance(n, ast.FunctionDef) and n is not many]
+    assert len(returns(many).difference(*map(returns, nested))) == 1
+    built = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "OptimizeResult"]
+    assert len(built) == 1
+
+
 def _emitted_stops(path: Path) -> set:
     """The string literals ``path`` gives the key ``stop``, in a dict literal
     or by item assignment."""

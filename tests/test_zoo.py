@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,27 @@ def test_list_entries_covers_registry():
     for e in entries:
         assert e["status"] in ("OK", "FLAGGED")
         assert "validation" in e
+
+
+def test_readme_status_ledger_matches_zoo_list():
+    # one README row per entry zoo list prints, with its verbatim status and
+    # its map; a symbolic side is read at the entry's default d
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    head = lines.index("| zoo id | map | verbatim status | notes |")
+    rows = {}
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        entry_id, dims, status = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        rows[entry_id] = (dims, status)
+    entries = zoo.list_entries()
+    assert sorted(rows) == [e["id"] for e in entries]
+    for e in entries:
+        dims, status = rows[e["id"]]
+        d = e["params"].get("d", 0)
+        sides = [str({"d": d, "d+1": d + 1}.get(side, side)) for side in dims.split(" -> ")]
+        assert sides == [str(e["dim_in"]), str(e["dim_out"])], e["id"]
+        assert status == e["status"], e["id"]
 
 
 def test_entry_dims_come_from_the_kraus_stack():
