@@ -11,7 +11,8 @@ from pdchannel import channel as ch
 from pdchannel import degradability as deg
 from pdchannel import zoo
 
-n_ab, n_ae = zoo.symmetric_pd_channel()
+n_ab = zoo.symmetric_pd_channel()
+n_ae = ch.complementary(n_ab)
 rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
 print("symmetric channel: output and environment marginals agree ->",
       np.allclose(ch.apply(n_ab, rho), ch.apply(n_ae, rho)))

@@ -12,7 +12,8 @@ from pdchannel import channel as ch
 from pdchannel import degradability as deg
 from pdchannel import zoo
 
-n_ab, n_ae = zoo.symmetric_pd_channel()
+n_ab = zoo.symmetric_pd_channel()
+n_ae = ch.complementary(n_ab)
 
 print("case 1: identity degradings on the self-complementary symmetric channel")
 ident = ch.identity_channel(8)

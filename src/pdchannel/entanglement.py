@@ -79,7 +79,7 @@ def ppt_check(rho, dims: Sequence[int]) -> dict:
     mat, dims = _resolve(qmat.check_hermitian(rho), dims)
     if len(dims) != 2:
         raise DimMismatch("ppt_check needs a bipartite dims annotation")
-    ta = float(qmat.eigvalsh(qmat.partial_transpose(mat, dims, 0))[0])
+    ta = float(qmat.eigvalsh(qmat.partial_transpose(mat, dims))[0])
     return {"min_eig_ta": ta, "min_eig_tb": ta, "is_ppt": ta >= TOL.psd_tol}
 
 

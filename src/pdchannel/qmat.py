@@ -20,10 +20,9 @@ from .errors import DimMismatch, NotHermitian, Unsupported
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
+    """Coerce input to a 2-D complex128 array, rejecting any other rank and
+    non-finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimMismatch(f"expected a 2-D array, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -67,21 +66,15 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m, dims: Sequence[int], which: int) -> np.ndarray:
-    """Partial transpose of a bipartite matrix on factor ``which`` (0 or 1)."""
+def partial_transpose(m, dims: Sequence[int]) -> np.ndarray:
+    """Partial transpose of a bipartite matrix on its first factor; the
+    transpose of the result is the partial transpose on the second."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
         raise Unsupported("partial_transpose supports exactly two tensor factors")
     m = check_square(m, dims)
     d0, d1 = dims
-    t = m.reshape(d0, d1, d0, d1)
-    if which == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif which == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise DimMismatch(f"which must be 0 or 1, got {which}")
-    return t.reshape(d0 * d1, d0 * d1)
+    return m.reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, d0 * d1)
 
 
 def check_hermitian(m) -> np.ndarray:

@@ -12,6 +12,7 @@ Repaired entries are labeled as such and kept apart from verbatim ones.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -57,7 +58,7 @@ def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def horodecki_channel(alpha: float) -> chmod.KrausChannel:
+def horodecki_channel(alpha: float = 3.5) -> chmod.KrausChannel:
     """Qutrit channel mixing the identity with the two cyclic-shift
     conjugation families, weights (2/7, alpha/7, (5-alpha)/7)."""
     if not 0.0 <= alpha <= 5.0:
@@ -136,14 +137,14 @@ def _flag_sum(x: float, first, second, spread: int = 1) -> list:
     return ops
 
 
-def composite_complementary(x: float, repair: bool = False) -> chmod.KrausChannel:
+def composite_complementary(x: float = 0.75, repair: bool = False) -> chmod.KrausChannel:
     """4->8 flag construction: x |0><0| (x) rho + (1-x) |1><1| (x) m_ae(rho)."""
     ops = _flag_sum(x, [np.eye(4, dtype=np.complex128)], m_ae_channel(repair=repair).kraus)
     name = f"composite_complementary(x={x})" + (" [repaired]" if repair else "")
     return chmod.KrausChannel(ops, name)
 
 
-def nab_ae_channel(x: float) -> chmod.KrausChannel:
+def nab_ae_channel(x: float = 0.75) -> chmod.KrausChannel:
     """4->12 flag direct sum around the isometric 4->6 embedding; the
     x-branch replaces the input with the maximally mixed 6-dim state.
 
@@ -174,7 +175,7 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     return _repair(ch) if repair else ch
 
 
-def d_b_to_eprime(x: float) -> chmod.KrausChannel:
+def d_b_to_eprime(x: float = 0.75) -> chmod.KrausChannel:
     """Best-effort verbatim 12->2 map from the printed operator family.
 
     The printed shapes do not reconcile (a 2x2 selector tensored with 2x4
@@ -223,15 +224,13 @@ def symmetric_isometry() -> np.ndarray:
     return v
 
 
-def symmetric_pd_channel() -> tuple:
-    """Channel pair (4->8, 4->8) whose outputs are the two marginals of a
-    symmetric-subspace isometry; swap symmetry makes them equal in action."""
-    v = symmetric_isometry()
-    t = v.reshape(8, 8, 4)
-    # the Kraus index is the traced factor: fast for B, slow for E
-    n_ab = chmod.KrausChannel(t.transpose(1, 0, 2), name="symmetric_pd_ab")
-    n_ae = chmod.KrausChannel(t, name="symmetric_pd_ae")
-    return n_ab, n_ae
+def symmetric_pd_channel() -> chmod.KrausChannel:
+    """The 4->8 channel N_AB onto one marginal of the symmetric-subspace
+    isometry; swap symmetry makes its complementary, N_AE, equal to it
+    operator by operator."""
+    t = symmetric_isometry().reshape(8, 8, 4)
+    # B is the slow factor; the Kraus index runs over the traced fast one
+    return chmod.KrausChannel(t.transpose(1, 0, 2), name="symmetric_pd_ab")
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +238,19 @@ def symmetric_pd_channel() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _check_n_vec(n_vec):
-    n_vec = tuple(int(n) for n in n_vec)
-    if len(n_vec) != 3 or n_vec[0] != 0:
-        raise DomainError("n_vec must be (0, n2, n3)")
-    if any(n not in (0, 1, 2, 3) for n in n_vec[1:]):
+def _phases(n2: int, n3: int) -> tuple:
+    """The printed exponent vector (0, n2, n3), with n2 and n3 in {0, 1, 2, 3}."""
+    n_vec = (0, int(n2), int(n3))
+    if any(n not in (0, 1, 2, 3) for n in n_vec):
         raise DomainError("n2, n3 must be in {0, 1, 2, 3}")
     return n_vec
 
 
-def corollary4_degrading_map(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
+def corollary4_degrading_map(n2: int = 0, n3: int = 0) -> chmod.KrausChannel:
     """Qutrit degrading map: three 1/sqrt(4)-weighted diagonal projectors
     plus two 1/sqrt(64)-weighted phase-vector projectors (built verbatim,
     completeness reported by the validator)."""
-    n_vec = _check_n_vec(n_vec)
+    n_vec = _phases(n2, n3)
     ops = [0.5 * (_ket(j, 3) @ _ket(j, 3).conj().T) for j in range(3)]
     gamma = np.array([1j ** n for n in n_vec], dtype=np.complex128).reshape(3, 1)
     kappa = np.array(
@@ -264,10 +262,10 @@ def corollary4_degrading_map(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
     return chmod.KrausChannel(ops, f"corollary4_degrading(n={n_vec})")
 
 
-def corollary4_rank_one_channel(n_vec=(0, 0, 0)) -> chmod.KrausChannel:
+def corollary4_rank_one_channel(n2: int = 0, n3: int = 0) -> chmod.KrausChannel:
     """Qutrit map from six rank-one operators: 1/sqrt(4) diagonal projectors
     and 1/sqrt(64) products of the printed phase-vector dyads."""
-    n_vec = _check_n_vec(n_vec)
+    n_vec = _phases(n2, n3)
     ops = [0.5 * (_ket(j, 3) @ _ket(j, 3).conj().T) for j in range(3)]
     for j, n in enumerate(n_vec):
         ups = (1j**n) * _ket(j, 3)
@@ -290,7 +288,7 @@ def _check_side(d: int, d_out: int) -> None:
     check_side(f"baseline of d = {d}", d * d_out)
 
 
-def erasure(p: float, d: int = 2) -> chmod.KrausChannel:
+def erasure(p: float = 0.25, d: int = 2) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
     _check_side(d, d + 1)
@@ -302,7 +300,7 @@ def erasure(p: float, d: int = 2) -> chmod.KrausChannel:
     return chmod.KrausChannel(ops, f"erasure(p={p},d={d})")
 
 
-def depolarizing(p: float, d: int = 2) -> chmod.KrausChannel:
+def depolarizing(p: float = 0.5, d: int = 2) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
     _check_side(d, d)
@@ -320,7 +318,7 @@ def depolarizing(p: float, d: int = 2) -> chmod.KrausChannel:
     return chmod.KrausChannel(ops, f"depolarizing(p={p},d={d})")
 
 
-def amplitude_damping(gamma: float) -> chmod.KrausChannel:
+def amplitude_damping(gamma: float = 0.2) -> chmod.KrausChannel:
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must be in [0, 1], got {gamma}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
@@ -328,7 +326,7 @@ def amplitude_damping(gamma: float) -> chmod.KrausChannel:
     return chmod.KrausChannel([k0, k1], f"amplitude_damping(gamma={gamma})")
 
 
-def dephasing(p: float) -> chmod.KrausChannel:
+def dephasing(p: float = 0.3) -> chmod.KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
     return chmod.KrausChannel([np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z], f"dephasing(p={p})")
@@ -340,55 +338,28 @@ def dephasing(p: float) -> chmod.KrausChannel:
 
 
 _REGISTRY = {
-    "horodecki": (
-        horodecki_channel,
-        {"alpha": 3.5},
-        "qutrit entanglement-binding mixture",
-    ),
-    "m_ae": (
-        m_ae_channel,
-        {"repair": False},
-        "printed six-operator 4->4 map; verbatim set fails completeness",
-    ),
-    "composite_complementary": (
-        composite_complementary,
-        {"x": 0.75, "repair": False},
-        "4->8 flag construction over m_ae",
-    ),
-    "nab_ae": (
-        nab_ae_channel,
-        {"x": 0.75},
-        "4->12 flag direct sum with isometric inner block",
-    ),
+    "horodecki": (horodecki_channel, "qutrit entanglement-binding mixture"),
+    "m_ae": (m_ae_channel, "printed six-operator 4->4 map; verbatim set fails completeness"),
+    "composite_complementary": (composite_complementary, "4->8 flag construction over m_ae"),
+    "nab_ae": (nab_ae_channel, "4->12 flag direct sum with isometric inner block"),
     "d_e_to_eprime": (
         d_e_to_eprime,
-        {"a1": 1.0 / SQ2, "a2": 1.0 / SQ2, "repair": False},
         "printed 8->2 degrading pair; covers only two input columns as printed",
     ),
-    "d_b_to_eprime": (
-        d_b_to_eprime,
-        {"x": 0.75},
-        "best-effort 12->2 family; printed shapes do not reconcile",
-    ),
-    "symmetric_pd": (
-        lambda: symmetric_pd_channel()[0],
-        {},
-        "4->8 marginal channel of the symmetric-subspace isometry",
-    ),
+    "d_b_to_eprime": (d_b_to_eprime, "best-effort 12->2 family; printed shapes do not reconcile"),
+    "symmetric_pd": (symmetric_pd_channel, "4->8 marginal channel of the symmetric-subspace isometry"),
     "corollary4_degrading": (
-        lambda n2, n3: corollary4_degrading_map((0, n2, n3)),
-        {"n2": 0, "n3": 0},
+        corollary4_degrading_map,
         "qutrit degrading map with printed 1/2 and 1/8 weights",
     ),
     "corollary4_rank_one": (
-        lambda n2, n3: corollary4_rank_one_channel((0, n2, n3)),
-        {"n2": 0, "n3": 0},
+        corollary4_rank_one_channel,
         "six rank-one operators; completeness reported, not assumed",
     ),
-    "erasure": (erasure, {"p": 0.25, "d": 2}, "baseline"),
-    "depolarizing": (depolarizing, {"p": 0.5, "d": 2}, "baseline"),
-    "amplitude_damping": (amplitude_damping, {"gamma": 0.2}, "baseline"),
-    "dephasing": (dephasing, {"p": 0.3}, "baseline"),
+    "erasure": (erasure, "baseline"),
+    "depolarizing": (depolarizing, "baseline"),
+    "amplitude_damping": (amplitude_damping, "baseline"),
+    "dephasing": (dephasing, "baseline"),
 }
 
 
@@ -396,25 +367,30 @@ def zoo_ids() -> list:
     return sorted(_REGISTRY)
 
 
+def _defaults(builder) -> dict:
+    """The builder's parameters, in signature order, each with its default."""
+    return {k: p.default for k, p in inspect.signature(builder).parameters.items()}
+
+
 def parameter_types() -> dict:
     """The type of each entry parameter's default, by parameter name in
     sorted order; a name shared by several entries has one type."""
-    types = {k: type(v) for _, defaults, _ in _REGISTRY.values() for k, v in defaults.items()}
+    types = {k: type(v) for builder, _ in _REGISTRY.values() for k, v in _defaults(builder).items()}
     return dict(sorted(types.items()))
 
 
 def build_entry(entry_id: str, **params) -> tuple:
-    """Build entry ``entry_id`` with ``params`` over its defaults. Returns
-    ``(report, channel)``: the report ``zoo export`` prints, and the channel.
+    """Build entry ``entry_id`` with ``params`` over its builder's defaults.
+    Returns ``(report, channel)``: the report ``zoo export`` prints, and the channel.
     A value not of its default's type, bar an int for a float, raises :class:`DomainError`."""
     if entry_id not in _REGISTRY:
         raise DomainError(f"unknown zoo id: {entry_id}")
-    builder, defaults, notes = _REGISTRY[entry_id]
-    merged = dict(defaults)
+    builder, notes = _REGISTRY[entry_id]
+    merged = _defaults(builder)
     for key, value in params.items():
-        if key not in defaults:
+        if key not in merged:
             raise DomainError(f"unknown parameter {key!r} for {entry_id}")
-        kind = type(defaults[key])
+        kind = type(merged[key])
         if type(value) is not kind and not (kind is float and type(value) is int):
             raise DomainError(f"parameter {key!r} of {entry_id} must be {kind.__name__}, got {value!r}")
         merged[key] = kind(value)

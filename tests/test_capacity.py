@@ -39,7 +39,7 @@ def test_coherent_information_dephasing():
 
 
 def test_pd_isometries_validation():
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     ident8, rho = ch.identity_channel(8), np.eye(4, dtype=complex) / 4
     cap.coherent_information_pd(n_ab, ident8, ident8, rho)
     with pytest.raises(DimMismatch):
@@ -93,7 +93,7 @@ def test_pd_isometries_validation():
 
 
 def test_isometry_chain_identity_degradings_match_standard():
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     ident8 = ch.identity_channel(8)
     for rho in (np.eye(4, dtype=complex) / 4, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)):
         out = cap.coherent_information_pd(n_ab, ident8, ident8, rho)
@@ -200,7 +200,7 @@ def test_analytic_gradient_matches_central_differences():
         # d_out != d_in, so a transposed vec would show: 3 -> 4 with 4 Kraus
         # operators, and 4 -> 8 with 8
         zoo.erasure(0.25, d=3),
-        zoo.symmetric_pd_channel()[0],
+        zoo.symmetric_pd_channel(),
         # complex Kraus operators, so N(conj(rho)) != conj(N(rho)) and a
         # conjugated transfer matrix would show
         ch.compose(ch.KrausChannel([np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)]),
@@ -225,7 +225,7 @@ def test_analytic_gradient_matches_central_differences():
 def test_objective_holds_no_stack_over_the_kraus_index():
     # symmetric_pd(x)2 is 16 -> 64 with 64 Kraus operators; one 32-row
     # evaluation held a (32, 64, 64, 64) product before summing over K
-    c = zoo.symmetric_pd_channel()[0]
+    c = zoo.symmetric_pd_channel()
     objective = cap._objective(ch.tensor(c, c), True)
     x = np.random.default_rng(3).standard_normal((cap.LOCKSTEP_BLOCK, 2 * 16**2))
     tracemalloc.start()
@@ -604,6 +604,24 @@ def test_two_copy_certificate_holds_under_the_single_copy_size_limit(monkeypatch
         cap.additivity_probe(c, restarts=32, seed=42)
 
 
+@pytest.mark.parametrize("over", [False, True], ids=["at_tol", "one_ulp_above"])
+def test_probe_refuses_a_two_copy_bound_above_the_residual_tolerance(monkeypatch, over):
+    # a bound at TOL.residual_tol reaches the two-copy run; one ulp above
+    # it, the two copies run with no certificate
+    bound = np.nextafter(TOL.residual_tol, 1) if over else TOL.residual_tol
+    monkeypatch.setattr(cap, "_two_copy_residual", lambda c, r: bound)
+    received, maximize = [], cap._maximize
+
+    def recorded(c, restarts, tol, seed, seed_states, map_residual):
+        if c.dim_in == 4:
+            received.append(map_residual)
+        return maximize(c, restarts, tol, seed, seed_states, map_residual)
+
+    monkeypatch.setattr(cap, "_maximize", recorded)
+    cap.additivity_probe(zoo.amplitude_damping(0.2), restarts=32, seed=42)
+    assert received == [None if over else TOL.residual_tol]
+
+
 def _random_channel(rng, d_in, d_out, k):
     """A CPTP map with k Kraus operators, cut from a random isometry."""
     a = rng.standard_normal((k * d_out, d_in)) + 1j * rng.standard_normal((k * d_out, d_in))
@@ -661,7 +679,7 @@ def test_certificate_is_the_classify_b_to_e_solve():
 def test_probe_builds_no_two_copy_degrading_map():
     # symmetric_pd is 4 -> 8 with 8 Kraus operators; composing the two-copy
     # stacks of N and D (x) D to check D (x) D took about 500 MB
-    c = zoo.symmetric_pd_channel()[0]
+    c = zoo.symmetric_pd_channel()
     tracemalloc.start()
     try:
         cap.additivity_probe(c, restarts=1)

@@ -210,7 +210,7 @@ def test_classify_degradable(tmp_path, capsys):
 
 
 def test_classify_with_degrading_map(tmp_path, capsys):
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     path = _save(tmp_path, n_ab)
     dpath = _save(tmp_path, zoo.d_e_to_eprime(repair=True), "deg.json")
     code, out, _ = _run(capsys, ["classify", path, "--degrading", dpath])
@@ -275,6 +275,22 @@ def test_classify_respects_the_side_cap(tmp_path, monkeypatch, capsys):
     # amplitude damping's sides are all 4
     code, out, _ = _run(capsys, ["classify", _save(tmp_path, zoo.amplitude_damping(0.2))])
     assert code == 0 and json.loads(out)["env"]["max_dim"] == 20
+
+
+def test_capacity_certificate_falls_back_under_the_solve_side_cap(tmp_path, monkeypatch, capsys):
+    # symmetric_pd (4 -> 8, 8 Kraus operators): a cap of 40 admits the
+    # objective's Choi sides (32) but not the B->E solve's (64), so capacity
+    # reports no certificate where classify refuses the file
+    path = _save(tmp_path, zoo.symmetric_pd_channel())
+    code, out, _ = _run(capsys, ["capacity", path, "--restarts", "1"])
+    assert code == 0 and json.loads(out)["certificate"]["degradable"] is True
+    monkeypatch.setenv("QPD_MAX_DIM", "40")
+    code, out, _ = _run(capsys, ["capacity", path, "--restarts", "1"])
+    assert code == 0
+    assert json.loads(out)["certificate"] == {"degradable": False, "map_residual": None, "gap": None, "restart": None}
+    code, out, err = _run(capsys, ["classify", path])
+    assert code == 2 and out == ""
+    assert "side 64, above the side cap 40" in err
 
 
 def test_inspect_respects_the_side_cap(tmp_path, monkeypatch, capsys):

@@ -377,7 +377,8 @@ def test_rotated_channels_keep_their_statuses():
 
 
 def test_verify_pd_identity_exact_and_mismatch():
-    n_ab, n_ae = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
+    n_ae = ch.complementary(n_ab)
     ident = ch.identity_channel(8)
     assert deg.verify_pd_identity(n_ab, ident, n_ae, ident) == 0.0
     # composites that differ: the residual is the largest action mismatch
@@ -405,7 +406,7 @@ def test_classify_plain_labels():
 
 
 def test_classify_symmetric_pd():
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     d = deg.classify_pd(n_ab)
     assert d["label"] == "SYMMETRIC_PD"
     assert d["solutions"]["B->E'"]["success"]
@@ -437,7 +438,7 @@ def test_classify_default_map_solves_each_problem_once(monkeypatch):
 
 def test_sigma_eprime_r_is_the_choi_state_of_n_aep():
     # N_AE' on one half of a maximally entangled input gives its Choi state
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     d = zoo.d_e_to_eprime(repair=True)
     n_aep = ch.compose(ch.complementary(n_ab), d)
     psi = np.eye(4, dtype=complex).reshape(-1) / 2.0
@@ -453,7 +454,7 @@ def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
     # the repaired 8->2 degrading keeps only one input weight, so the
     # reverse (degraded environment back to output) solve fails and the
     # one-directional PD label applies
-    n_ab, _ = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
     calls = _count_solves(monkeypatch)
     res = deg.classify_pd(n_ab, zoo.d_e_to_eprime(repair=True))
     assert len(calls) == 4
@@ -549,7 +550,7 @@ def test_classify_report_is_the_library_dict(zoo_reports, tmp_path):
     for key, (record, report) in zoo_reports.items():
         want = json.loads(json.dumps(deg.classify_pd(ch.channel_from_dict(record))))
         assert without_env(report) == want, key
-    n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
+    n_ab, d = zoo.symmetric_pd_channel(), zoo.d_e_to_eprime(repair=True)
     n_path, d_path, out = (tmp_path / name for name in ("n_ab.json", "d.json", "report.json"))
     ch.save_channel(n_ab, str(n_path))
     ch.save_channel(d, str(d_path))
@@ -704,7 +705,7 @@ def test_no_witness_against_a_certified_map(zoo_reports):
         (entry_id, ch.channel_from_dict(record), None, report)
         for (entry_id, _), (record, report) in zoo_reports.items()
     ]
-    n_ab, d = zoo.symmetric_pd_channel()[0], zoo.d_e_to_eprime(repair=True)
+    n_ab, d = zoo.symmetric_pd_channel(), zoo.d_e_to_eprime(repair=True)
     cases.append(("symmetric_pd --degrading", n_ab, d, deg.classify_pd(n_ab, d)))
     rng = np.random.default_rng(11)
     certified = set()

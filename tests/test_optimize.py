@@ -156,3 +156,23 @@ def test_certified_gap_outranks_a_stop_met_in_the_same_round(first):
     # without a gap, run 1 ends at its gradient test in that first round
     alone = optimize.minimize(lambda x: (0.5 * x @ x, x), np.zeros(2))
     assert (alone.message, alone.nfev) == (optimize._GRADIENT, 1)
+
+
+@pytest.mark.parametrize(
+    "x0, certified, x, fun",
+    [
+        # from 100 the first trial, 99, decreases f enough but fails the
+        # curvature test; it certifies and, lower than the iterate, is kept
+        (100.0, lambda xs: xs[:, 0] < 99.5, 99.0, 4900.5),
+        # from 0.001 the certified trial, -0.999, lies above the iterate
+        (0.001, lambda xs: xs[:, 0] < 0, 0.001, 5e-07),
+    ],
+)
+def test_a_certified_trial_ends_at_the_lower_of_trial_and_iterate(x0, certified, x, fun):
+    def f(xs):
+        return 0.5 * (xs**2).sum(axis=1), xs, np.where(certified(xs), 0.0, np.nan)
+
+    (res,) = optimize.minimize_many(f, [[x0]], gap_tol=0.0)
+    assert res.x.tolist() == [x] and res.fun == fun
+    assert (res.nit, res.nfev, res.gap) == (0, 2, 0.0)
+    assert res.message == "converged: certified gap 0.000e+00 <= 0"

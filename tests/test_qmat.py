@@ -5,9 +5,11 @@ from pdchannel import qmat
 from pdchannel.errors import DimMismatch, NotHermitian, Unsupported
 
 
-def test_as_matrix_promotes_vectors_and_rejects_nonfinite():
-    a = qmat.as_matrix([1.0, 2.0])
+def test_as_matrix_takes_only_finite_2d_arrays():
+    a = qmat.as_matrix([[1.0], [2.0]])
     assert a.shape == (2, 1) and a.dtype == np.complex128
+    with pytest.raises(DimMismatch, match="expected a 2-D array"):
+        qmat.as_matrix([1.0, 2.0])
     with pytest.raises(DimMismatch):
         qmat.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimMismatch):
@@ -52,21 +54,24 @@ def test_partial_trace_three_factors():
 def test_partial_transpose_bell_state():
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
-    for which in (0, 1):
-        w = np.linalg.eigvalsh(qmat.partial_transpose(rho, (2, 2), which))
+    ta = qmat.partial_transpose(rho, (2, 2))
+    # the transpose on the second factor is the transpose of ta
+    for pt in (ta, ta.T):
+        w = np.linalg.eigvalsh(pt)
         assert w.min() == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(Unsupported):
-        qmat.partial_transpose(np.eye(8), (2, 2, 2), 0)
-    with pytest.raises(DimMismatch):
-        qmat.partial_transpose(rho, (2, 2), 2)
+        qmat.partial_transpose(np.eye(8), (2, 2, 2))
 
 
 def test_partial_transpose_involution():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    once = qmat.partial_transpose(m, (2, 3), 1)
-    twice = qmat.partial_transpose(once, (2, 3), 1)
+    once = qmat.partial_transpose(m, (2, 3))
+    twice = qmat.partial_transpose(once, (2, 3))
     assert np.allclose(twice, m)
+    # the second-factor transpose, taken as the transpose of the first's
+    tb = m.reshape(2, 3, 2, 3).transpose(0, 3, 2, 1).reshape(6, 6)
+    assert np.array_equal(once.T, tb)
 
 
 def test_eigh_ascending_on_the_hermitian_part():

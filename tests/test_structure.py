@@ -3,6 +3,7 @@ module's private (single-underscore) names, and ``import pdchannel`` loads
 a submodule only when it is first read."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pdchannel
+from pdchannel import zoo
 from pdchannel.config import TOL
 
 SRC = Path(pdchannel.__file__).parent
@@ -213,3 +215,16 @@ def test_refinement_core_knows_no_channel():
     assert named & channel_side == set()
     calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     assert "qmat.partial_trace" not in calls
+
+
+def test_every_zoo_entry_is_its_builder():
+    # an entry's parameters and defaults are its builder's signature: a
+    # named function of pdchannel.zoo with a default for every parameter,
+    # which build_entry reports as the params of the entry at its defaults
+    for entry_id, entry in zoo._REGISTRY.items():
+        builder = entry[0]
+        assert inspect.isfunction(builder) and builder.__name__ != "<lambda>", entry_id
+        assert builder.__module__ == "pdchannel.zoo" and getattr(zoo, builder.__name__) is builder, entry_id
+        params = inspect.signature(builder).parameters.values()
+        assert all(p.default is not p.empty for p in params), entry_id
+        assert zoo.build_entry(entry_id)[0]["params"] == {p.name: p.default for p in params}, entry_id

@@ -120,31 +120,31 @@ def test_d_b_to_eprime_best_effort_is_flagged():
 def test_symmetric_isometry_and_marginals():
     v = zoo.symmetric_isometry()
     assert np.allclose(v.conj().T @ v, np.eye(4))
-    n_ab, n_ae = zoo.symmetric_pd_channel()
+    n_ab = zoo.symmetric_pd_channel()
+    n_ae = ch.complementary(n_ab)
     assert n_ab.tp_residual() <= 1e-12
     assert n_ae.tp_residual() <= 1e-12
-    # swap symmetry: the two marginal channels are identical operator by operator
-    for a, b in zip(n_ab.kraus, n_ae.kraus):
-        assert np.array_equal(a, b)
-    # and the environment marginal of n_ab is again n_ab in action
-    comp = ch.complementary(n_ab)
+    # swap symmetry: the complementary is n_ab again, operator by operator
+    assert np.array_equal(n_ab.kraus, n_ae.kraus)
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert np.allclose(ch.apply(comp, rho), ch.apply(n_ab, rho), atol=1e-12)
+    assert np.allclose(ch.apply(n_ae, rho), ch.apply(n_ab, rho), atol=1e-12)
 
 
 def test_corollary4_constructors():
     d = zoo.corollary4_degrading_map()
     assert (d.dim_in, d.dim_out) == (3, 3)
     assert len(d.kraus) == 5
-    r = zoo.corollary4_rank_one_channel((0, 2, 0))
+    assert d.name == "corollary4_degrading(n=(0, 0, 0))"
+    r = zoo.corollary4_rank_one_channel(2, 0)
+    assert r.name == "corollary4_rank_one(n=(0, 2, 0))"
     assert len(r.kraus) == 6
     for op in r.kraus:
         s = np.linalg.svd(op, compute_uv=False)
         assert s[1] <= 1e-10 * s[0]
     with pytest.raises(DomainError):
-        zoo.corollary4_degrading_map((1, 0, 0))
+        zoo.corollary4_degrading_map(n3=4)
     with pytest.raises(DomainError):
-        zoo.corollary4_rank_one_channel((0, 4, 0))
+        zoo.corollary4_rank_one_channel(4, 0)
 
 
 def test_baselines_are_tp():
