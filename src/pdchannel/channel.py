@@ -58,16 +58,32 @@ class KrausChannel:
         return float(np.max(np.abs(self.completeness() - np.eye(self.dim_in))))
 
 
-def validate(ch: KrausChannel) -> dict:
-    """Report trace preservation and Choi positivity as
-    {tp_residual, cp_ok, choi_min_eig, flagged}; never raises on TP failure."""
+def inspect(ch: KrausChannel) -> dict:
+    """The ``inspect`` report: shape, trace preservation, and the least
+    eigenvalue and numerical rank of the Choi matrix, both from one
+    eigendecomposition."""
     w, _ = qmat.eigh(to_choi(ch))
+    rank = qmat.numerical_rank(w)
     return {
+        "name": ch.name,
+        "dim_in": ch.dim_in,
+        "dim_out": ch.dim_out,
+        "kraus_count": len(ch.kraus),
         "tp_residual": ch.tp_residual(),
-        "cp_ok": True,  # Kraus form is CP by construction
         "choi_min_eig": float(w[0]),
+        "choi_rank": rank,
         "flagged": ch.flagged,
+        # the minimal environment never exceeds the input-output product
+        "dim_product_bound_ok": ch.dim_in * ch.dim_out >= rank,
     }
+
+
+def validate(ch: KrausChannel) -> dict:
+    """Report trace preservation and Choi positivity as {tp_residual, cp_ok,
+    choi_min_eig, flagged}, read from :func:`inspect` (Kraus form is CP by
+    construction); never raises on TP failure."""
+    report = {**inspect(ch), "cp_ok": True}
+    return {k: report[k] for k in ("tp_residual", "cp_ok", "choi_min_eig", "flagged")}
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:

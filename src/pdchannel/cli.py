@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: inspect, classify, capacity, polar, zoo. All analyses emit a
-JSON report (text format is a rendering of the same report) whose ``env``
-echoes the tolerances and size limit, and for ``capacity``, the only
-subcommand that takes them, ``--seed``, ``--restarts`` and ``--tol``.
-Exit codes: 0 success, 2 input error, 3 indeterminate result or invariant
-violation.
+Subcommands: inspect, classify, capacity, polar, zoo. Each command loads
+its input, runs one library analysis and returns ``(report, exit code)``;
+:func:`main` alone writes the report, as JSON or as text (a rendering of
+the same report), with an ``env`` that echoes the tolerances and size
+limit, and for ``capacity``, the only subcommand that takes them,
+``--seed``, ``--restarts`` and ``--tol``. Exit codes: 0 success, 2 input
+error, 3 indeterminate result or invariant violation.
 
 Each command imports the package modules it runs when it runs, so
 ``polar``, ``--help`` and usage errors start without numpy. :func:`run` is
@@ -29,14 +30,10 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 
 
-def _report_env() -> dict:
-    return {"tolerances": TOL.as_dict(), "max_dim": max_dim()}
-
-
-def _emit(report: dict, args) -> None:
-    payload = _render_text(report) if args.format == "text" else _json(report)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
-        f.write(payload + "\n")
+def _report_env(args) -> dict:
+    # the optimizer settings are capacity's flags only
+    settings = {k: getattr(args, k) for k in ("restarts", "seed", "tol") if hasattr(args, k)}
+    return {"tolerances": TOL.as_dict(), "max_dim": max_dim(), **settings}
 
 
 def _json(value, pad: str = "", rows: bool = False) -> str:
@@ -84,85 +81,43 @@ def _load(loader, path: str):
         raise PdChannelError(f"cannot read {path}: JSON nested too deeply")
 
 
-def cmd_inspect(args) -> int:
-    from . import channel as chmod, qmat
-    ch = _load(chmod.load_channel, args.file)
-    # one eigendecomposition of the Choi matrix gives its least eigenvalue and its rank
-    w, _ = qmat.eigh(chmod.to_choi(ch))
-    rank = qmat.numerical_rank(w)
-    out = {
-        "env": _report_env(),
-        "name": ch.name,
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus_count": len(ch.kraus),
-        "tp_residual": ch.tp_residual(),
-        "choi_min_eig": float(w[0]),
-        "choi_rank": rank,
-        "flagged": ch.flagged,
-        # the minimal environment never exceeds the input-output product
-        "dim_product_bound_ok": ch.dim_in * ch.dim_out >= rank,
-    }
-    _emit(out, args)
-    return EXIT_OK
+def cmd_inspect(args) -> tuple:
+    from . import channel as chmod
+    return chmod.inspect(_load(chmod.load_channel, args.file)), EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     from . import channel as chmod, degradability as degmod
     ch = _load(chmod.load_channel, args.file)
     degrading = _load(chmod.load_channel, args.degrading) if args.degrading else None
-    result = degmod.classify_pd(ch, degrading)
-    _emit({"env": _report_env(), **result}, args)
-    return EXIT_INDETERMINATE if result["label"] == "UNDETERMINED" else EXIT_OK
+    report = degmod.classify_pd(ch, degrading)
+    return report, EXIT_INDETERMINATE if report["label"] == "UNDETERMINED" else EXIT_OK
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> tuple:
     from . import capacity as capmod, channel as chmod
     ch = _load(chmod.load_channel, args.file)
     settings = {"restarts": args.restarts, "seed": args.seed, "tol": args.tol}
     if args.tensor is None:
-        result = capmod.maximize_coherent_information(ch, **settings)
-    elif args.tensor == 2:
-        result = capmod.additivity_probe(ch, **settings)
-    else:
-        raise PdChannelError("--tensor only supports 2")
-    _emit({"env": {**_report_env(), **settings}, **result}, args)
-    return EXIT_OK
+        return capmod.maximize_coherent_information(ch, **settings), EXIT_OK
+    if args.tensor == 2:
+        return capmod.additivity_probe(ch, **settings), EXIT_OK
+    raise PdChannelError("--tensor only supports 2")
 
 
-def cmd_polar(args) -> int:
+def cmd_polar(args) -> tuple:
     from . import polar as polmod
-    ledger = _load(polmod.load_ledger, args.file)
-    violations = polmod.validate_partition(ledger)
-    rates = {"delta": str(polmod.delta(ledger))}
-    if ledger.is_degradable_regime:
-        rates["rate_degradable"] = str(polmod.rate_degradable(ledger))
-    if ledger.regime == "DEGRADABLE_PD":
-        rates["rate_pd_degradable"] = str(polmod.rate_pd_degradable(ledger))
-    if ledger.regime == "ANTI_DEGRADABLE_PD":
-        rates["rate_pd_antidegradable"] = {
-            k: str(v) for k, v in polmod.rate_pd_antidegradable(ledger).items()
-        }
-    out = {
-        "env": _report_env(),
-        "regime": ledger.regime,
-        "fractions": polmod.ledger_to_dict(ledger)["fractions"],
-        "rates": rates,
-        "holevo": {k: str(v) for k, v in polmod.holevo_triples(ledger).items()},
-        "violations": violations,
-    }
-    _emit(out, args)
-    return EXIT_INDETERMINATE if violations else EXIT_OK
+    report = polmod.report(_load(polmod.load_ledger, args.file))
+    return report, EXIT_INDETERMINATE if report["violations"] else EXIT_OK
 
 
-def cmd_zoo(args) -> int:
+def cmd_zoo(args) -> tuple:
     from . import channel as chmod, zoo as zoomod
     params = {k: getattr(args, k) for k in zoomod.parameter_types() if getattr(args, k) is not None}
     if args.action == "list":
         if args.id is not None or params:
             raise PdChannelError("zoo list takes no entry id or parameter flags")
-        _emit({"env": _report_env(), "entries": zoomod.list_entries()}, args)
-        return EXIT_OK
+        return {"entries": zoomod.list_entries()}, EXIT_OK
     if not args.id:
         raise PdChannelError("zoo export needs an entry id")
     report, ch = zoomod.build_entry(args.id, **params)
@@ -170,8 +125,7 @@ def cmd_zoo(args) -> int:
         # --out receives the channel file; the report goes to stdout
         chmod.save_channel(ch, args.out)
         args.out = None
-    _emit({"env": _report_env(), **report}, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def build_parser(zoo_flags: bool = True) -> argparse.ArgumentParser:
@@ -222,7 +176,9 @@ def build_parser(zoo_flags: bool = True) -> argparse.ArgumentParser:
                 p.add_argument(f"--{flag}", action="store_true", default=None)
             else:
                 p.add_argument(f"--{flag}", type=kind, default=None)
-    common(p)
+    p.add_argument("--out", default=None, help="zoo list: write the report to this path; zoo export: "
+                   "write the channel file to this path, and the report to stdout")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_zoo)
     return parser
 
@@ -234,7 +190,12 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     args = build_parser(zoo_flags=command == "zoo").parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        report = {"env": _report_env(args), **report}
+        payload = _render_text(report) if args.format == "text" else _json(report)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+            f.write(payload + "\n")
+        return code
     except (PdChannelError, OSError) as exc:
         # OSError: a path that is a directory, or whose directory is missing
         print(f"error: {exc}", file=sys.stderr)

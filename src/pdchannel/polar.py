@@ -11,6 +11,7 @@ by pre-shared entanglement (b).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from fractions import Fraction
 
@@ -140,6 +141,26 @@ def validate_partition(ledger: PolarLedger) -> list:
         if cover != one:
             violations.append(f"anti-degradable cover = {cover} != 1")
     return violations
+
+
+def report(ledger: PolarLedger) -> dict:
+    """The ``polar`` report: the regime, the fractions, the rates the regime
+    has, the Holevo fractions and the :func:`validate_partition` violations,
+    every number an exact rational written as a string."""
+    rates = {"delta": str(delta(ledger))}
+    for rate in (rate_degradable, rate_pd_degradable, rate_pd_antidegradable):
+        # each rate refuses, through _require, the regimes that lack it
+        with contextlib.suppress(DomainError):
+            value = rate(ledger)
+            rates[rate.__name__] = (
+                {k: str(v) for k, v in value.items()} if isinstance(value, dict) else str(value))
+    return {
+        "regime": ledger.regime,
+        "fractions": ledger_to_dict(ledger)["fractions"],
+        "rates": rates,
+        "holevo": {k: str(v) for k, v in holevo_triples(ledger).items()},
+        "violations": validate_partition(ledger),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,9 @@ def test_kraus_from_choi_roundtrip():
     assert rebuilt.tp_residual() <= 1e-10
     rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]], dtype=complex)
     assert np.allclose(ch.apply(rebuilt, rho), ch.apply(c, rho), atol=1e-10)
+    # a zero Choi matrix has rank 0: one zero operator keeps the stack's shape
+    zero = ch.kraus_from_choi(np.zeros((4, 4)), 2, 2)
+    assert zero.shape == (1, 2, 2) and not zero.any()
 
 
 def test_compose_order():

@@ -216,6 +216,12 @@ def test_classify_with_degrading_map(tmp_path, capsys):
     code, out, _ = _run(capsys, ["classify", path, "--degrading", dpath])
     assert code == 0
     assert json.loads(out)["label"] == "DEGRADABLE_PD"
+    # a degrading map must start on the channel's environment: horodecki is
+    # 3 -> 3, amplitude damping's environment is 2-dimensional
+    ad = _save(tmp_path, zoo.amplitude_damping(0.2), "ad.json")
+    horo = _save(tmp_path, zoo.build_entry("horodecki")[1], "horo.json")
+    code, out, err = _run(capsys, ["classify", ad, "--degrading", horo])
+    assert (code, out, err) == (2, "", "error: degrading map dim_in 3 != environment dim 2\n")
 
 
 def test_capacity_report(tmp_path, capsys):
@@ -350,21 +356,31 @@ def test_capacity_respects_the_side_cap_of_the_complement(tmp_path, monkeypatch,
     assert "side 8, above the side cap 6" in err and built == []
 
 
+_BAD_EXPORTS = [
+    ("erasure", ["--d", "0"], None), ("erasure", ["--d", "-1"], None), ("depolarizing", ["--d", "0"], None),
+    ("depolarizing", ["--d", "-1"], None), ("depolarizing", ["--d", "5"], "16"), ("erasure", ["--d", "4"], "16"),
+    # parameters outside the range the builder accepts
+    ("erasure", ["--p", "1.5"], None), ("depolarizing", ["--p", "-0.5"], None),
+    ("amplitude_damping", ["--gamma", "1.5"], None), ("dephasing", ["--p", "2"], None),
+    ("d_e_to_eprime", ["--a1", "2"], None),
+]
+
+
 @pytest.mark.parametrize(
-    "entry, d, max_dim",
-    [("erasure", "0", None), ("erasure", "-1", None), ("depolarizing", "0", None),
-     ("depolarizing", "-1", None), ("depolarizing", "5", "16"), ("erasure", "4", "16")],
+    "entry, flags, max_dim", _BAD_EXPORTS, ids=[f"{e}-{f[-1]}-{m}" for e, f, m in _BAD_EXPORTS]
 )
-def test_zoo_export_bad_side_exits_2(monkeypatch, capsys, entry, d, max_dim):
+def test_zoo_export_bad_side_exits_2(monkeypatch, capsys, entry, flags, max_dim):
     if max_dim is not None:
         monkeypatch.setenv("QPD_MAX_DIM", max_dim)
-    code, out, err = _run(capsys, ["zoo", "export", entry, "--d", d])
+    code, out, err = _run(capsys, ["zoo", "export", entry, *flags])
     assert code == 2 and out == ""
     # one message line, no traceback
     assert err.startswith("error:") and len(err.splitlines()) == 1
     if max_dim is not None:
         # refused by the side-cap check every dense build goes through
         assert f"above the side cap {max_dim}" in err
+    elif flags[0] != "--d":
+        assert "must be in [0, 1]" in err
 
 
 def test_polar_report_and_violation_exit(tmp_path, capsys):
@@ -390,6 +406,19 @@ def test_polar_report_and_violation_exit(tmp_path, capsys):
     code, out, _ = _run(capsys, ["polar", str(path)])
     assert code == 3
     assert json.loads(out)["violations"]
+
+    worse = polar.PolarLedger(
+        g_amp=F(3, 2), g_phase=F(1, 2), p1=F(1, 4), p1_prime=F(1, 8),
+        p2=F(0), p2_prime=F(1, 4), b=F(0), regime="DEGRADABLE",
+    )
+    path.write_text(json.dumps(polar.ledger_to_dict(worse)))
+    code, out, _ = _run(capsys, ["polar", str(path)])
+    assert code == 3
+    assert json.loads(out)["violations"] == [
+        "g_amp = 3/2 outside [0, 1]",
+        "p2_prime > p2",
+        "degradable cover s_in + (p1 - p1_prime) = 3/2 != 1",
+    ]
 
     # parts of 1,000 digits still print: each printed sum adds at most four
     # fields, under Python's 4,300-digit int -> str limit

@@ -394,6 +394,9 @@ def test_verify_pd_identity_exact_and_mismatch():
     assert deg.verify_pd_identity(ad, ident2, comp, ident2) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(DimMismatch):
         deg.verify_pd_identity(n_ab, ident, zoo.amplitude_damping(0.1), ident)
+    # both compositions exist but end on different spaces: 2 -> 2 and 3 -> 3
+    with pytest.raises(DimMismatch, match="composed maps have mismatched endpoints"):
+        deg.verify_pd_identity(ad, ident2, zoo.horodecki_channel(), ch.identity_channel(3))
 
 
 def test_classify_plain_labels():

@@ -4,7 +4,7 @@ import pytest
 from pdchannel import channel as ch
 from pdchannel import entanglement as ent
 from pdchannel import zoo
-from pdchannel.errors import NotDensityMatrix, NotHermitian
+from pdchannel.errors import DimMismatch, NotDensityMatrix, NotHermitian
 
 
 def _bell():
@@ -93,6 +93,8 @@ def test_ppt_check_bell_and_separable(monkeypatch):
     for m in (_not_hermitian(), _not_hermitian().T):
         with pytest.raises(NotHermitian):
             ent.ppt_check(m, (2, 2))
+    with pytest.raises(DimMismatch, match="bipartite"):
+        ent.ppt_check(np.eye(8) / 8, (2, 2, 2))
 
 
 def test_realign_and_ccnr():
@@ -105,6 +107,8 @@ def test_realign_and_ccnr():
     assert r.shape == (4, 4)
     # R[(i,k),(j,l)] = rho[(i,j),(k,l)]
     assert r[0, 3] == pytest.approx(_bell()[1, 1])
+    with pytest.raises(DimMismatch, match="bipartite"):
+        ent.realign(np.eye(8) / 8, (2, 2, 2))
 
 
 def test_bound_entanglement_report_flags_ppt_entangled():

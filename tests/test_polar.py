@@ -94,5 +94,7 @@ def test_ledger_json_roundtrip(tmp_path):
     path.write_text(json.dumps(polar.ledger_to_dict(led)))
     back = polar.load_ledger(str(path))
     assert back == led
+    # a ledger compares unequal to any other type, through NotImplemented
+    assert led.__eq__(1) is NotImplemented and (led == 1) is False
     with pytest.raises(DomainError):
         polar.ledger_from_dict({"regime": "DEGRADABLE"})

@@ -36,6 +36,8 @@ def test_partial_trace_product_state():
     assert np.allclose(qmat.partial_trace(rho, (2, 3), keep=[0]), a)
     assert np.allclose(qmat.partial_trace(rho, (2, 3), keep=[1]), b)
     assert np.allclose(qmat.partial_trace(rho, (2, 3), keep=[0, 1]), rho)
+    with pytest.raises(DimMismatch, match=r"keep indices \[2\] out of range for 2 factors"):
+        qmat.partial_trace(np.eye(4) / 4, (2, 2), [2])
     tr = qmat.partial_trace(rho, (2, 3), keep=[])
     assert np.allclose(tr, [[1.0]])
 

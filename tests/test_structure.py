@@ -3,6 +3,7 @@ module's private (single-underscore) names, and ``import pdchannel`` loads
 a submodule only when it is first read."""
 
 import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdchannel
@@ -228,3 +230,33 @@ def test_every_zoo_entry_is_its_builder():
         params = inspect.signature(builder).parameters.values()
         assert all(p.default is not p.empty for p in params), entry_id
         assert zoo.build_entry(entry_id)[0]["params"] == {p.name: p.default for p in params}, entry_id
+
+
+def test_bench_tracer_wraps_the_names_it_patches(tmp_path):
+    # the bench's per-layer mode patches the optimizer entry point by name and
+    # wraps every public function of the package modules: a renamed or
+    # dropped name breaks it while every other test passes
+    spec = importlib.util.spec_from_file_location("bench_tracer", SRC.parents[1] / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    if not hasattr(tracer_mod.Tracer, "installed"):
+        pytest.skip("the bench tracer no longer patches the package, so no name of it needs to hold")
+    from pdchannel import capacity, channel, cli, polar
+
+    ad = tmp_path / "ad.json"
+    channel.save_channel(zoo.amplitude_damping(0.2), str(ad))
+    ledger = tmp_path / "ledger.json"
+    fractions = dict(g_amp=1, g_phase="1/2", p1="1/4", p1_prime="1/8", p2=0, p2_prime=0, b=0)
+    ledger.write_text(json.dumps(polar.ledger_to_dict(polar.PolarLedger(regime="DEGRADABLE_PD", **fractions))))
+    commands = [["classify", ad], ["capacity", ad, "--tensor", "2"], ["inspect", ad], ["zoo", "list"],
+                ["zoo", "export", "erasure"], ["polar", ledger]]
+    originals = (capacity.optimize.minimize, np.linalg.eigh, cli.main)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed(pdchannel):
+        codes = [cli.main([str(a) for a in argv]) for argv in commands]
+    assert codes == [0] * len(commands)
+    layers = tracer.per_layer()
+    for metric in ("degradability.solve.calls", "kernel.eigh.calls", "zoo.build_entry.calls", "polar.s"):
+        assert layers[metric] > 0, metric
+    assert layers["capacity.maximize.calls"] == 1
+    assert (capacity.optimize.minimize, np.linalg.eigh, cli.main) == originals
