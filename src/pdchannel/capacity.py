@@ -355,10 +355,7 @@ def additivity_probe(
 
 def ssa_check(rho, dims) -> float:
     """Strong-subadditivity slack H(AB) + H(BC) - H(ABC) - H(B)."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise DimMismatch("ssa_check needs exactly three factors")
-    mat = qmat.check_square(rho, dims)
+    mat, dims = qmat.check_factors(rho, dims, 3)
     h_ab = ent.entropy(qmat.partial_trace(mat, dims, [0, 1]))
     h_bc = ent.entropy(qmat.partial_trace(mat, dims, [1, 2]))
     h_b = ent.entropy(qmat.partial_trace(mat, dims, [1]))

@@ -15,7 +15,7 @@ import numpy as np
 from . import channel as chmod
 from . import qmat
 from .config import TOL
-from .errors import DimMismatch, NotDensityMatrix
+from .errors import NotDensityMatrix
 
 # eigenvalue clamping window applied before entropy logs; anything outside
 # it means the input was not a density matrix to begin with
@@ -68,27 +68,17 @@ def entropy_and_log2(rho) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     return -np.sum(w * log_w, axis=-1), (v * log_w[..., None, :]) @ v.conj().swapaxes(-1, -2), w
 
 
-def _resolve(rho, dims: Sequence[int]):
-    return qmat.check_square(rho, dims), tuple(int(d) for d in dims)
-
-
 def ppt_check(rho, dims: Sequence[int]) -> dict:
     """The least eigenvalues of both partial transposes of a bipartite state,
     checked Hermitian: ``min_eig_ta`` and ``min_eig_tb``, one eigensolve as
     rho^{T_B} is the transpose of rho^{T_A}, and ``is_ppt``: both >= ``TOL.psd_tol``."""
-    mat, dims = _resolve(qmat.check_hermitian(rho), dims)
-    if len(dims) != 2:
-        raise DimMismatch("ppt_check needs a bipartite dims annotation")
-    ta = float(qmat.eigvalsh(qmat.partial_transpose(mat, dims))[0])
+    ta = float(qmat.eigvalsh(qmat.partial_transpose(qmat.check_hermitian(rho), dims))[0])
     return {"min_eig_ta": ta, "min_eig_tb": ta, "is_ppt": ta >= TOL.psd_tol}
 
 
 def realign(rho, dims: Sequence[int]) -> np.ndarray:
     """Realigned matrix R with R[(i,k),(j,l)] = rho[(i,j),(k,l)]."""
-    mat, dims = _resolve(rho, dims)
-    if len(dims) != 2:
-        raise DimMismatch("realignment needs a bipartite dims annotation")
-    d0, d1 = dims
+    mat, (d0, d1) = qmat.check_factors(rho, dims, 2)
     t = mat.reshape(d0, d1, d0, d1)  # indices (i, j, k, l)
     return t.transpose(0, 2, 1, 3).reshape(d0 * d0, d1 * d1)
 

@@ -17,10 +17,6 @@ class NotHermitian(PdChannelError):
     """Input expected to be Hermitian exceeds the Hermiticity tolerance."""
 
 
-class Unsupported(PdChannelError):
-    """Requested operation is outside the supported scope (e.g. >2 tensor factors)."""
-
-
 class NotTracePreserving(PdChannelError):
     """Channel violates trace preservation beyond tolerance."""
 

@@ -10,13 +10,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import TOL
-from .errors import DimMismatch, NotHermitian, Unsupported
+from .errors import DimMismatch, NotHermitian
 
 
 def as_matrix(m) -> np.ndarray:
@@ -30,13 +31,31 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_square(m: np.ndarray, dims: Sequence[int] | None = None) -> np.ndarray:
+def check_square(m) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected square matrix, got {m.shape}")
-    if dims is not None and prod(dims) != m.shape[0]:
-        raise DimMismatch(f"dims {tuple(dims)} inconsistent with side {m.shape[0]}")
     return m
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise DimMismatch(f"{what} must be a sequence of integers, got {values!r}") from None
+
+
+def check_factors(m, dims: Sequence[int], count: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``(m, dims)`` of a square matrix and its tensor-factor annotation, the
+    package's one reader of one: :class:`DimMismatch` unless the factors are
+    integers >= 1, ``count`` of them when given, whose product is the side."""
+    dims = _integers(dims, "dims")
+    if count is not None and len(dims) != count:
+        raise DimMismatch(f"dims {dims} have {len(dims)} factors, expected {count}")
+    m = check_square(m)
+    if min(dims, default=1) < 1 or prod(dims) != m.shape[0]:
+        raise DimMismatch(f"dims {dims} are not factors >= 1 of side {m.shape[0]}")
+    return m, dims
 
 
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -51,10 +70,9 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     keep : iterable of int
         Indices (into dims) of the factors to keep, in their original order.
     """
-    dims = tuple(int(d) for d in dims)
-    m = check_square(m, dims)
+    m, dims = check_factors(m, dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_integers(keep, "keep indices")))
     if any(k < 0 or k >= n for k in keep):
         raise DimMismatch(f"keep indices {keep} out of range for {n} factors")
     t = m.reshape(dims + dims)
@@ -69,11 +87,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
 def partial_transpose(m, dims: Sequence[int]) -> np.ndarray:
     """Partial transpose of a bipartite matrix on its first factor; the
     transpose of the result is the partial transpose on the second."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise Unsupported("partial_transpose supports exactly two tensor factors")
-    m = check_square(m, dims)
-    d0, d1 = dims
+    m, (d0, d1) = check_factors(m, dims, 2)
     return m.reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, d0 * d1)
 
 

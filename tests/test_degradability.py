@@ -374,6 +374,22 @@ def test_rotated_channels_keep_their_statuses():
             where = (d_in, d_out, k)
             assert report(deg.is_antidegradable(comp)) == report(deg.is_degradable(c)), where
             assert report(deg.is_degradable(comp)) == report(deg.is_antidegradable(c)), where
+    # zoo channels too, drawn after the random ones so those keep their draws
+    rng = np.random.default_rng(15)
+    entries = [
+        ("amplitude_damping", {"gamma": 0.2}), ("amplitude_damping", {"gamma": 0.7}),
+        ("dephasing", {"p": 0.3}), ("erasure", {"p": 0.25}), ("erasure", {"p": 0.75}),
+        ("horodecki", {"alpha": 3.5}), ("symmetric_pd", {}), ("depolarizing", {"p": 0.5}),
+        ("m_ae", {"repair": True}), ("composite_complementary", {"repair": True}),
+        ("d_e_to_eprime", {"repair": True}), ("nab_ae", {}),
+    ]
+    for entry_id, params in entries:
+        c = zoo.build_entry(entry_id, **params)[1]
+        k, d_out, d_in = c.kraus.shape
+        u, v, w = (_random_isometry(rng, n, n) for n in (d_in, d_out, k))
+        rotated = ch.KrausChannel(np.tensordot(w, v @ c.kraus @ u, axes=1))
+        for solve in (deg.is_degradable, deg.is_antidegradable):
+            assert report(solve(rotated))["status"] == report(solve(c))["status"], (entry_id, params, solve.__name__)
 
 
 def test_verify_pd_identity_exact_and_mismatch():
@@ -639,6 +655,7 @@ def _plain_farkas_score(w, t_from, t_to):
 
 
 def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
+    rng = np.random.default_rng(7)
     seen = 0
     for key, (record, report) in zoo_reports.items():
         kraus = _complex(record["kraus"])
@@ -652,6 +669,15 @@ def test_zoo_witnesses_recompute_from_the_report(zoo_reports):
             score = _plain_farkas_score(w, t_from, t_to)
             assert score < -w["margin"], (key, direction, score)
             assert score == pytest.approx(w["score"], abs=1e-9), (key, direction)
+            # for every CPTP D, Re<Y, T_D T_from - T_to> >= -score, and Y is
+            # part of a unit pair, so no map composes within |score| in norm
+            y = _complex(w["Y"])
+            d_mid, d_out = isqrt(t_from.shape[0]), isqrt(t_to.shape[0])
+            for _ in range(50):
+                k = -(-d_mid // d_out) + int(rng.integers(0, 3))
+                err = _plain_transfer(_random_channel(rng, d_mid, d_out, k).kraus) @ t_from - t_to
+                assert np.vdot(y, err).real >= -score - 1e-12, (key, direction)
+                assert np.linalg.norm(err) >= -score - 1e-12, (key, direction)
             seen += 1
     assert seen == 10
 
@@ -731,6 +757,20 @@ def _random_family() -> dict:
     rng = np.random.default_rng(0)
     shapes = ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (2, 2, 4))
     return {(shape, i): _random_channel(rng, *shape) for shape in shapes for i in range(60)}
+
+
+def test_qubit_channels_of_kraus_rank_two_are_decided_one_way():
+    # every qubit channel with a qubit environment is degradable or
+    # anti-degradable (Wolf and Perez-Garcia, PRA 75, 012303, 2007): each of
+    # the 60 (2, 2, 2) draws is certified one way and proved impossible the other
+    family = _random_family()
+    degradable = 0
+    for i in range(60):
+        c = family[(2, 2, 2), i]
+        statuses = (deg.is_degradable(c)[0]["status"], deg.is_antidegradable(c)[0]["status"])
+        assert sorted(statuses) == ["certified", "impossible"], (i, statuses)
+        degradable += statuses[0] == "certified"
+    assert degradable == 32
 
 
 # the solves of the random family that once ran the refinement to its round

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdchannel import qmat
-from pdchannel.errors import DimMismatch, NotHermitian, Unsupported
+from pdchannel.errors import DimMismatch, NotHermitian
 
 
 def test_as_matrix_takes_only_finite_2d_arrays():
@@ -20,8 +20,8 @@ def test_check_square_dims():
     with pytest.raises(DimMismatch):
         qmat.check_square(np.zeros((2, 3)))
     with pytest.raises(DimMismatch):
-        qmat.check_square(np.eye(4), dims=(2, 3))
-    qmat.check_square(np.eye(6), dims=(2, 3))
+        qmat.check_factors(np.eye(4), (2, 3))
+    qmat.check_factors(np.eye(6), (2, 3))
 
 
 def test_partial_trace_product_state():
@@ -38,6 +38,8 @@ def test_partial_trace_product_state():
     assert np.allclose(qmat.partial_trace(rho, (2, 3), keep=[0, 1]), rho)
     with pytest.raises(DimMismatch, match=r"keep indices \[2\] out of range for 2 factors"):
         qmat.partial_trace(np.eye(4) / 4, (2, 2), [2])
+    with pytest.raises(DimMismatch, match=r"keep indices must be a sequence of integers, got \[0\.9\]"):
+        qmat.partial_trace(np.diag([0.7, 0.1, 0.1, 0.1]), (2, 2), keep=[0.9])
     tr = qmat.partial_trace(rho, (2, 3), keep=[])
     assert np.allclose(tr, [[1.0]])
 
@@ -61,7 +63,7 @@ def test_partial_transpose_bell_state():
     for pt in (ta, ta.T):
         w = np.linalg.eigvalsh(pt)
         assert w.min() == pytest.approx(-0.5, abs=1e-12)
-    with pytest.raises(Unsupported):
+    with pytest.raises(DimMismatch, match="have 3 factors, expected 2"):
         qmat.partial_transpose(np.eye(8), (2, 2, 2))
 
 

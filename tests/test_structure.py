@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import pdchannel
-from pdchannel import zoo
+from pdchannel import capacity, qmat, zoo
+from pdchannel import entanglement as ent
 from pdchannel.config import TOL
+from pdchannel.errors import DimMismatch
 
 SRC = Path(pdchannel.__file__).parent
 
@@ -112,6 +114,47 @@ def test_only_qmat_calls_the_eigensolvers():
     # qmat.eigvalsh, which alone call numpy's solvers
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _eigensolver_calls(path)]
     assert [hit.split(":")[0] for hit in found] == ["qmat", "qmat"]
+
+
+# every public function of the package with a ``dims`` parameter: a call on
+# a state and an annotation, and the number of factors that call takes
+DIMS_CALLS = {
+    "qmat.check_factors": (lambda m, dims: qmat.check_factors(m, dims, 2), 2),
+    "qmat.partial_trace": (lambda m, dims: qmat.partial_trace(m, dims, [0, 1]), 2),
+    "qmat.partial_transpose": (qmat.partial_transpose, 2),
+    "entanglement.ppt_check": (ent.ppt_check, 2),
+    "entanglement.realign": (ent.realign, 2),
+    "entanglement.ccnr": (ent.ccnr, 2),
+    "entanglement.bound_entanglement_report": (ent.bound_entanglement_report, 2),
+    "capacity.ssa_check": (capacity.ssa_check, 3),
+}
+
+
+def _dims_readers() -> set:
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"pdchannel.{path.stem}")
+        for name, obj in vars(mod).items():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__ and not name.startswith("_"):
+                if "dims" in inspect.signature(obj).parameters:
+                    found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_dims_reader_refuses_a_bad_annotation():
+    # qmat.check_factors reads every tensor-factor annotation: a factor that
+    # is no integer, factors below 1 whose product is the side, or the wrong
+    # number of factors end in DimMismatch, never in numpy's ValueError
+    assert set(DIMS_CALLS) == _dims_readers()
+    for call, count in DIMS_CALLS.values():
+        call(np.eye(2**count) / 2**count, (2,) * count)
+        # each bad annotation but the last has the call's number of factors
+        ones = (1,) * (count - 2)
+        for dims in ((2.5, 1.6) + ones, (-2, -2) + ones, ("2", "2") + ones, (2.0, 2.0) + ones, (4,)):
+            with pytest.raises(DimMismatch):
+                call(np.eye(4) / 4, dims)
+    m, dims = qmat.check_factors(np.eye(4), np.array([2, 2]))
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
 
 
 def test_lockstep_runs_end_through_one_exit():
