@@ -25,7 +25,7 @@ for key, sol in res["solutions"].items():
 # a lossy degraded environment breaks the reverse direction
 d_rep = zoo.d_e_to_eprime(repair=True)
 print(f"\ndegrading map: {d_rep.name} ({d_rep.dim_in} -> {d_rep.dim_out})")
-resid = deg.verify_pd_identity(n_ab, d_rep, n_ae, d_rep)
+resid = deg.verify_pd_identity(n_ab, d_rep, d_rep)
 print(f"partial-degradability identity residual: {resid:.2e}")
 res = deg.classify_pd(n_ab, d_rep)
 print(f"classification with the lossy map: {res['label']}")

@@ -13,7 +13,6 @@ from pdchannel import degradability as deg
 from pdchannel import zoo
 
 n_ab = zoo.symmetric_pd_channel()
-n_ae = ch.complementary(n_ab)
 
 print("case 1: identity degradings on the self-complementary symmetric channel")
 ident = ch.identity_channel(8)
@@ -25,7 +24,7 @@ print(f"  standard I_coh      : {cap.coherent_information(n_ab, rho):+.9f}")
 
 print("\ncase 2: repaired 8->2 degrading on both legs, input on its support")
 d_rep = zoo.d_e_to_eprime(repair=True)
-resid = deg.verify_pd_identity(n_ab, d_rep, n_ae, d_rep)
+resid = deg.verify_pd_identity(n_ab, d_rep, d_rep)
 print(f"  identity residual: {resid:.2e}")
 rho0 = np.zeros((4, 4), dtype=complex)
 rho0[0, 0] = 1.0

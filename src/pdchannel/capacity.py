@@ -17,7 +17,7 @@ from . import degradability as deg
 from . import entanglement as ent
 from . import optimize, qmat
 from .config import TOL, check_side
-from .errors import DimMismatch, DomainError, NotTracePreserving, SizeLimit
+from .errors import DomainError, NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
 # restarts advanced in lockstep by one optimize.minimize_many call; a
@@ -48,28 +48,23 @@ def coherent_information_pd(n_ab, d_e_to_eprime, d_b_to_eprime, rho) -> dict:
     h_h_given_g = H(E) - H(G) and h_rf_given_eprime = H(E) - H(E').
 
     A channel that is not trace preserving raises :class:`NotTracePreserving`,
-    a degrading that acts on neither E nor B as placed :class:`DimMismatch`,
     a non-Hermitian ``rho`` :class:`NotHermitian`, and a ``rho`` or output
     whose spectrum leaves the entropy clamping window :class:`NotDensityMatrix`,
     so a negative eigenvalue is not clipped, nor a trace of 3 renormalized.
+    A leg that does not act on E or B as placed, or a ``rho`` of another
+    side than N_AB's input, raises :class:`DimMismatch` in
+    :func:`channel.compose` or :func:`channel.apply`.
     """
+    # compose takes a flagged map as it is, so the legs are refused here
     for c in (n_ab, d_e_to_eprime, d_b_to_eprime):
         if c.flagged:
             raise NotTracePreserving(f"{c.name or 'channel'}: tp_residual {c.tp_residual():.3e}")
-    if d_e_to_eprime.dim_in != n_ab.dim_env:
-        raise DimMismatch("the E->E' degrading must act on the environment of N_AB")
-    if d_b_to_eprime.dim_in != n_ab.dim_out:
-        raise DimMismatch("the B->E' degrading must act on the output of N_AB")
     rho = qmat.check_hermitian(rho)
-    if rho.shape[0] != n_ab.dim_in:
-        raise DimMismatch("state side does not match the chain input")
     # rho itself must pass the window, not only the outputs it gives
     ent.clamped(qmat.eigvalsh(rho))
     n_ae = chmod.complementary(n_ab)
-    h_b = ent.entropy(chmod.apply(n_ab, rho))
-    h_e = ent.entropy(chmod.apply(n_ae, rho))
-    h_ep = ent.entropy(chmod.apply(chmod.compose(n_ab, d_b_to_eprime), rho))
-    h_g = ent.entropy(chmod.apply(chmod.compose(n_ae, d_e_to_eprime), rho))
+    chain = (n_ab, n_ae, chmod.compose(n_ab, d_b_to_eprime), chmod.compose(n_ae, d_e_to_eprime))
+    h_b, h_e, h_ep, h_g = (ent.entropy(chmod.apply(c, rho)) for c in chain)
     return {
         "h_f_given_eprime": h_b - h_ep,
         "h_h_given_g": h_e - h_g,

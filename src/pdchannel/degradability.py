@@ -285,11 +285,14 @@ def is_antidegradable(ch: chmod.KrausChannel) -> tuple:
     return solve_degrading_map(chmod.complementary(ch), ch)
 
 
-def verify_pd_identity(n_ab, d_b_to_eprime, n_ae, d_e_to_eprime) -> float:
-    """Max action mismatch of N_AB o D^{B->E'} versus N_AE o D^{E->E'}."""
+def verify_pd_identity(n_ab, d_e_to_eprime, d_b_to_eprime) -> float:
+    """Max action mismatch of D^{B->E'} o N_AB versus D^{E->E'} o N_AE, with
+    N_AE the complementary channel of N_AB; a leg that does not act on the
+    output it follows raises :class:`DimMismatch` in :func:`channel.compose`."""
     left = chmod.compose(n_ab, d_b_to_eprime)
-    right = chmod.compose(n_ae, d_e_to_eprime)
-    if left.dim_in != right.dim_in or left.dim_out != right.dim_out:
+    right = chmod.compose(chmod.complementary(n_ab), d_e_to_eprime)
+    # both legs start at n_ab.dim_in
+    if left.dim_out != right.dim_out:
         raise DimMismatch("composed maps have mismatched endpoints")
     return _probe_residual(transfer_matrix(left) - transfer_matrix(right), left.dim_in)
 
@@ -305,8 +308,8 @@ def _choi_report(ch: chmod.KrausChannel) -> dict:
     return ent.bound_entanglement_report(chmod.to_choi(ch), (ch.dim_in, ch.dim_out))
 
 
-def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None = None) -> dict:
-    """Label N_AB = ``ch`` by four degrading solves between its output B,
+def classify_pd(n_ab: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None = None) -> dict:
+    """Label N_AB = ``n_ab`` by four degrading solves between its output B,
     its environment E and E', the image of ``d_e_to_eprime`` (E if None).
 
     Returns ``label``; ``solutions``, the report of each solve
@@ -314,8 +317,7 @@ def classify_pd(ch: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | None
     and ``reports``, the bound-entanglement reports of the Choi states of N_AE (``choi_n_ae``) and N_AE'
     (``sigma_eprime_r``). Without a degrading map the primed entries are
     the unprimed ones, the same objects."""
-    n_ab = ch
-    n_ae = chmod.complementary(ch)
+    n_ae = chmod.complementary(n_ab)
     if d_e_to_eprime is not None and d_e_to_eprime.dim_in != n_ae.dim_out:
         raise DimMismatch(
             f"degrading map dim_in {d_e_to_eprime.dim_in} != environment dim {n_ae.dim_out}"

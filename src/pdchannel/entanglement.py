@@ -26,7 +26,10 @@ def clamped(w: np.ndarray) -> np.ndarray:
     """A spectrum, or a stack of spectra along the last axis, held to the
     clamping window: clipped to [0, 1]. An eigenvalue more than ``_CLAMP``
     outside it, or a spectrum of d values whose sum is more than
-    d * ``_CLAMP`` away from 1, raises :class:`NotDensityMatrix`."""
+    d * ``_CLAMP`` away from 1, raises :class:`NotDensityMatrix`, and so
+    does an empty spectrum."""
+    if w.size == 0:
+        raise NotDensityMatrix("empty spectrum: a 0 x 0 matrix is no state")
     if w.min() < -_CLAMP or w.max() > 1.0 + _CLAMP:
         raise NotDensityMatrix(
             f"eigenvalues [{w.min():.3e}, {w.max():.3e}] outside clamping window"

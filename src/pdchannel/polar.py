@@ -113,7 +113,6 @@ def validate_partition(ledger: PolarLedger) -> list:
     """Exact-arithmetic consistency checks; returns a list of violations
     (empty when the ledger is consistent)."""
     violations = []
-    one = Fraction(1)
     for name in _FIELDS:
         value = getattr(ledger, name)
         if not 0 <= value <= 1:
@@ -127,18 +126,16 @@ def validate_partition(ledger: PolarLedger) -> list:
     if ledger.is_degradable_regime:
         if ledger.b != 0:
             violations.append("b must be 0 in degradable regimes")
-        s_in = ledger.g_amp - (ledger.p1 - ledger.p1_prime)
-        if s_in + (ledger.p1 - ledger.p1_prime) != one:
-            violations.append(
-                f"degradable cover s_in + (p1 - p1_prime) = "
-                f"{s_in + ledger.p1 - ledger.p1_prime} != 1"
-            )
+        # s_in = g_amp - (p1 - p1_prime) is the input set, so the cover
+        # s_in + (p1 - p1_prime) is g_amp
+        if ledger.g_amp != 1:
+            violations.append(f"degradable cover s_in + (p1 - p1_prime) = {ledger.g_amp} != 1")
     else:
-        s_in = ledger.g_amp - (ledger.p1 - ledger.p1_prime) - ledger.b
-        # the entanglement-covered fraction is counted in both the amplitude
-        # and the phase accounting, hence the doubled b
-        cover = s_in + (ledger.p1 - ledger.p1_prime) + 2 * ledger.b
-        if cover != one:
+        # s_in = g_amp - (p1 - p1_prime) - b, and the entanglement-covered
+        # fraction is counted in both the amplitude and the phase accounting,
+        # so the cover s_in + (p1 - p1_prime) + 2 b is g_amp + b
+        cover = ledger.g_amp + ledger.b
+        if cover != 1:
             violations.append(f"anti-degradable cover = {cover} != 1")
     return violations
 

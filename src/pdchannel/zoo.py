@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -36,11 +38,33 @@ def _ket(i: int, d: int) -> np.ndarray:
     return v
 
 
-def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
-    """Right-rescale by (sum N^dag N)^{-1/2} on its support, the span of its
-    top :func:`qmat.numerical_rank` eigenvectors; complete the untouched
-    input subspace with trace-collecting terms into |0><0| so the result
-    is TP."""
+def _is_number(value, kind=numbers.Real) -> bool:
+    """True for a number of ``kind`` other than a bool, numpy scalars included."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_range(name: str, value, hi: float = 1.0) -> None:
+    """Refuse anything but a real ``value`` in [0, hi], NaN included."""
+    if not (_is_number(value) and 0 <= value <= hi):
+        raise DomainError(f"{name} must be in [0, {hi:g}], got {value!r}")
+
+
+def _check_index(name: str, value) -> int:
+    """``value`` through ``operator.index``, refusing a bool or any non-integer."""
+    if not _is_number(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _repair(ch: chmod.KrausChannel, repair: bool) -> chmod.KrausChannel:
+    """``ch`` unless ``repair``; then right-rescale by (sum N^dag N)^{-1/2} on
+    its support, the span of its top :func:`qmat.numerical_rank`
+    eigenvectors, and complete the untouched input subspace with
+    trace-collecting terms into |0><0| so the result is TP."""
+    if not isinstance(repair, bool):
+        raise DomainError(f"repair must be a bool, got {repair!r}")
+    if not repair:
+        return ch
     s = ch.completeness()
     w, v = (a[..., ::-1] for a in qmat.eigh(s))
     inv_sqrt = np.zeros_like(s)
@@ -61,8 +85,7 @@ def _repair(ch: chmod.KrausChannel) -> chmod.KrausChannel:
 def horodecki_channel(alpha: float = 3.5) -> chmod.KrausChannel:
     """Qutrit channel mixing the identity with the two cyclic-shift
     conjugation families, weights (2/7, alpha/7, (5-alpha)/7)."""
-    if not 0.0 <= alpha <= 5.0:
-        raise DomainError(f"alpha must be in [0, 5], got {alpha}")
+    _check_range("alpha", alpha, 5.0)
     ops = [np.sqrt(2.0 / 7.0) * np.eye(3, dtype=np.complex128)]
     for k in range(3):
         j = (k + 1) % 3
@@ -75,8 +98,7 @@ def horodecki_channel(alpha: float = 3.5) -> chmod.KrausChannel:
 
 def horodecki_state(alpha: float) -> np.ndarray:
     """3(x)3 state: 2/7 maximally entangled + alpha/7 sigma_+ + (5-alpha)/7 sigma_-."""
-    if not 0.0 <= alpha <= 5.0:
-        raise DomainError(f"alpha must be in [0, 5], got {alpha}")
+    _check_range("alpha", alpha, 5.0)
     psi = np.zeros(9, dtype=np.complex128)
     for i in range(3):
         psi[i * 3 + i] = 1.0 / np.sqrt(3.0)
@@ -120,15 +142,14 @@ def m_ae_channel(repair: bool = False) -> chmod.KrausChannel:
         w56 * np.kron(_Y, d6),
     ]
     ch = chmod.KrausChannel(ops, "m_ae")
-    return _repair(ch) if repair else ch
+    return _repair(ch, repair)
 
 
 def _flag_sum(x: float, first, second, spread: int = 1) -> list:
     """Kraus operators of rho -> x |0><0| (x) A(rho) + (1-x) |1><1| (x) B(rho),
     flag slow, from the stacks ``first`` of A, each operator weighted by
     sqrt(x / spread), and ``second`` of B; a branch of weight 0 is left out."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must be in [0, 1], got {x}")
+    _check_range("x", x)
     ops = []
     if x > 0:
         ops += [np.sqrt(x / spread) * np.kron(_ket(0, 2), k) for k in first]
@@ -163,16 +184,12 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     verbatim entry cannot be TP and ships FLAGGED; the repaired variant
     adds the kernel completion.
     """
-    if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0):
-        raise DomainError("weights must be in [0, 1]")
-    n0 = np.zeros((2, 8), dtype=np.complex128)
-    n0[0, 0] = np.sqrt(a1)
-    n0[1, 1] = np.sqrt(a2)
-    n1 = np.zeros((2, 8), dtype=np.complex128)
-    n1[0, 0] = np.sqrt(1.0 - a1)
-    n1[1, 1] = np.sqrt(1.0 - a2)
-    ch = chmod.KrausChannel([n0, n1], f"d_e_to_eprime(a1={a1},a2={a2})")
-    return _repair(ch) if repair else ch
+    _check_range("a1", a1)
+    _check_range("a2", a2)
+    ops = np.zeros((2, 2, 8), dtype=np.complex128)
+    ops[:, [0, 1], [0, 1]] = np.sqrt([[a1, a2], [1.0 - a1, 1.0 - a2]])
+    ch = chmod.KrausChannel(ops, f"d_e_to_eprime(a1={a1},a2={a2})")
+    return _repair(ch, repair)
 
 
 def d_b_to_eprime(x: float = 0.75) -> chmod.KrausChannel:
@@ -182,29 +199,15 @@ def d_b_to_eprime(x: float = 0.75) -> chmod.KrausChannel:
     blocks inside a 12-column operator), so the blocks are placed on the
     flag-0 columns; the entry is FLAGGED and kept for inspection only.
     """
-    if not (0.0 < x <= 1.0 and np.isfinite(2.0 / x)):
-        raise DomainError(f"x must be in (0, 1] with 2 / x, the scale of sum_i N_i^dag N_i, finite; got {x}")
-    blocks = []
-    for w1, w2 in ((1.0 / SQ2, 1.0 / SQ2), (1.0 - 1.0 / SQ2, 1.0 - 1.0 / SQ2)):
-        b = np.zeros((2, 4), dtype=np.complex128)
-        b[0, 0] = np.sqrt(w1)
-        b[1, 1] = np.sqrt(w2)
-        blocks.append(b)
-    ops = []
-    for j in range(6):
-        a = np.zeros((2, 12), dtype=np.complex128)
-        a[0, 6 + j] = 1.0  # flag-1 block, column j
-        ops.append(a)
+    if not (_is_number(x) and 0 < x <= 1 and np.isfinite(2.0 / x)):
+        raise DomainError(f"x must be in (0, 1] with 2 / x, the scale of sum_i N_i^dag N_i, finite; got {x!r}")
+    ops = np.zeros((14, 2, 12), dtype=np.complex128)
+    ops[range(6), 0, range(6, 12)] = 1.0  # |0><6 + j|, the flag-1 block
+    # two weight blocks sqrt(w) (|0><0| + |1><1|) on the flag-0 columns, then |0><j|
     coef_b = np.sqrt(complex((1.0 - x) / x))
-    for b in blocks:
-        op = np.zeros((2, 12), dtype=np.complex128)
-        op[:, : b.shape[1]] = coef_b * b
-        ops.append(op)
-    coef_c = np.sqrt(complex((2.0 * x - 1.0) / x))
-    for j in range(6):
-        c = np.zeros((2, 12), dtype=np.complex128)
-        c[0, j] = coef_c
-        ops.append(c)
+    for k, w in enumerate((1.0 / SQ2, 1.0 - 1.0 / SQ2)):
+        ops[6 + k, [0, 1], [0, 1]] = coef_b * np.sqrt(w)
+    ops[range(8, 14), 0, range(6)] = np.sqrt(complex((2.0 * x - 1.0) / x))
     return chmod.KrausChannel(ops, f"d_b_to_eprime(x={x})")
 
 
@@ -240,7 +243,7 @@ def symmetric_pd_channel() -> chmod.KrausChannel:
 
 def _phases(n2: int, n3: int) -> tuple:
     """The printed exponent vector (0, n2, n3), with n2 and n3 in {0, 1, 2, 3}."""
-    n_vec = (0, int(n2), int(n3))
+    n_vec = (0, _check_index("n2", n2), _check_index("n3", n3))
     if any(n not in (0, 1, 2, 3) for n in n_vec):
         raise DomainError("n2, n3 must be in {0, 1, 2, 3}")
     return n_vec
@@ -280,18 +283,19 @@ def corollary4_rank_one_channel(n2: int = 0, n3: int = 0) -> chmod.KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def _check_side(d: int, d_out: int) -> None:
-    """A baseline of input side d needs d >= 1 and a Choi side d * d_out
-    within the side cap; checked before any operator is built."""
+def _check_side(d: int, extra_out: int = 0) -> int:
+    """``d`` as an int: a baseline of input side d and output side d +
+    ``extra_out`` needs d >= 1 and a Choi side within the side cap."""
+    d = _check_index("d", d)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    check_side(f"baseline of d = {d}", d * d_out)
+    check_side(f"baseline of d = {d}", d * (d + extra_out))
+    return d
 
 
 def erasure(p: float = 0.25, d: int = 2) -> chmod.KrausChannel:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    _check_side(d, d + 1)
+    _check_range("p", p)
+    d = _check_side(d, 1)
     embed = np.zeros((d + 1, d), dtype=np.complex128)
     embed[:d, :d] = np.eye(d)
     ops = [np.sqrt(1.0 - p) * embed]
@@ -301,9 +305,8 @@ def erasure(p: float = 0.25, d: int = 2) -> chmod.KrausChannel:
 
 
 def depolarizing(p: float = 0.5, d: int = 2) -> chmod.KrausChannel:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    _check_side(d, d)
+    _check_range("p", p)
+    d = _check_side(d)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
@@ -319,16 +322,14 @@ def depolarizing(p: float = 0.5, d: int = 2) -> chmod.KrausChannel:
 
 
 def amplitude_damping(gamma: float = 0.2) -> chmod.KrausChannel:
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must be in [0, 1], got {gamma}")
+    _check_range("gamma", gamma)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
     return chmod.KrausChannel([k0, k1], f"amplitude_damping(gamma={gamma})")
 
 
 def dephasing(p: float = 0.3) -> chmod.KrausChannel:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
+    _check_range("p", p)
     return chmod.KrausChannel([np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z], f"dephasing(p={p})")
 
 

@@ -83,11 +83,10 @@ def test_05_additivity_probe():
 def test_06_entropy_identity_chain():
     start = time.monotonic()
     n_ab = zoo.symmetric_pd_channel()
-    n_ae = ch.complementary(n_ab)
 
     # degenerate case: identity degradings on a self-complementary channel
     ident = ch.identity_channel(8)
-    assert deg.verify_pd_identity(n_ab, ident, n_ae, ident) <= 1e-8
+    assert deg.verify_pd_identity(n_ab, ident, ident) <= 1e-8
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     out = cap.coherent_information_pd(n_ab, ident, ident, rho)
     assert abs(out["h_f_given_eprime"] - out["h_h_given_g"]) <= 1e-6
@@ -99,7 +98,7 @@ def test_06_entropy_identity_chain():
     # nontrivial case: repaired 8->2 degrading on both legs of the identity,
     # input supported where the degrading acts isometrically
     d_rep = zoo.d_e_to_eprime(repair=True)
-    assert deg.verify_pd_identity(n_ab, d_rep, n_ae, d_rep) <= 1e-8
+    assert deg.verify_pd_identity(n_ab, d_rep, d_rep) <= 1e-8
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     out = cap.coherent_information_pd(n_ab, d_rep, d_rep, rho0)

@@ -637,9 +637,9 @@ def test_two_copy_residual_bounds_the_exact_residual():
         d_in, d_out, k, k_d = rng.integers(2, 4, size=4)
         n = _random_channel(rng, d_in, d_out, k)
         d = _random_channel(rng, d_out, k, k_d)
-        r = deg.verify_pd_identity(n, d, ch.complementary(n), ch.identity_channel(k))
+        r = deg.verify_pd_identity(n, ch.identity_channel(k), d)
         n2 = ch.tensor(n, n)
-        exact = deg.verify_pd_identity(n2, ch.tensor(d, d), ch.complementary(n2), ch.identity_channel(k * k))
+        exact = deg.verify_pd_identity(n2, ch.identity_channel(k * k), ch.tensor(d, d))
         assert exact <= cap._two_copy_residual(n, r)
 
 

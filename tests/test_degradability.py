@@ -5,6 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from pdchannel import capacity as cap
 from pdchannel import channel as ch
 from pdchannel import cli
 from pdchannel import degradability as deg
@@ -394,9 +395,8 @@ def test_rotated_channels_keep_their_statuses():
 
 def test_verify_pd_identity_exact_and_mismatch():
     n_ab = zoo.symmetric_pd_channel()
-    n_ae = ch.complementary(n_ab)
     ident = ch.identity_channel(8)
-    assert deg.verify_pd_identity(n_ab, ident, n_ae, ident) == 0.0
+    assert deg.verify_pd_identity(n_ab, ident, ident) == 0.0
     # composites that differ: the residual is the largest action mismatch
     # over the probe states
     ad = zoo.amplitude_damping(0.2)
@@ -407,12 +407,28 @@ def test_verify_pd_identity_exact_and_mismatch():
         for rho in deg.probe_states(2)
     )
     assert expected > 0.1
-    assert deg.verify_pd_identity(ad, ident2, comp, ident2) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(DimMismatch):
-        deg.verify_pd_identity(n_ab, ident, zoo.amplitude_damping(0.1), ident)
-    # both compositions exist but end on different spaces: 2 -> 2 and 3 -> 3
+    assert deg.verify_pd_identity(ad, ident2, ident2) == pytest.approx(expected, abs=1e-15)
+    # an E->E' map that does not act on the 8-dimensional environment
+    with pytest.raises(DimMismatch, match=r"first\.dim_out=8 != then\.dim_in=3"):
+        deg.verify_pd_identity(n_ab, ch.identity_channel(3), ident)
+    # both compositions exist but end on different spaces: 2 -> 3 and 2 -> 2
     with pytest.raises(DimMismatch, match="composed maps have mismatched endpoints"):
-        deg.verify_pd_identity(ad, ident2, zoo.horodecki_channel(), ch.identity_channel(3))
+        deg.verify_pd_identity(ad, zoo.erasure(0.25), ident2)
+
+
+def test_pd_identity_and_chain_agree_on_the_argument_order():
+    # AD(0.2) is degradable: with the identity as E->E' map and its
+    # certified degrading map D as B->E' map, D o N_AB = N_AE, so the
+    # identity holds and the degraded environment is the environment
+    c = zoo.amplitude_damping(0.2)
+    sol, d = deg.is_degradable(c)
+    assert sol["status"] == "certified"
+    ident2 = ch.identity_channel(2)
+    assert deg.verify_pd_identity(c, ident2, d) <= 1e-8
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    out = cap.coherent_information_pd(c, ident2, d, rho)
+    assert abs(out["h_rf_given_eprime"]) <= 1e-9
+    assert abs(out["h_h_given_g"]) <= 1e-9
 
 
 def test_classify_plain_labels():

@@ -39,6 +39,10 @@ def test_entropy_rejects_non_states():
     # every eigenvalue inside [0, 1], but the trace is 0.7
     with pytest.raises(NotDensityMatrix):
         ent.entropy(np.diag([0.5, 0.2]))
+    # a 0 x 0 matrix passes check_hermitian, and has no spectrum to clamp
+    for f in (ent.entropy, ent.entropy_and_log2):
+        with pytest.raises(NotDensityMatrix, match="empty spectrum"):
+            f(np.zeros((0, 0)))
     for m in (_not_hermitian(), _not_hermitian().T):
         for f in (ent.entropy, ent.entropy_and_log2):
             with pytest.raises(NotHermitian):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pdchannel
-from pdchannel import capacity, qmat, zoo
+from pdchannel import capacity, degradability, qmat, zoo
 from pdchannel import entanglement as ent
 from pdchannel.config import TOL
 from pdchannel.errors import DimMismatch
@@ -155,6 +155,15 @@ def test_every_dims_reader_refuses_a_bad_annotation():
                 call(np.eye(4) / 4, dims)
     m, dims = qmat.check_factors(np.eye(4), np.array([2, 2]))
     assert dims == (2, 2) and all(type(d) is int for d in dims)
+
+
+def test_pd_layer_takes_one_argument_order():
+    # N_AB, then the E->E' map, then the B->E' map, wherever the PD
+    # identity D^{B->E'} o N_AB = D^{E->E'} o N_AE is read
+    want = ["n_ab", "d_e_to_eprime", "d_b_to_eprime"]
+    for f, count in ((degradability.verify_pd_identity, 3), (capacity.coherent_information_pd, 3),
+                     (degradability.classify_pd, 2)):
+        assert list(inspect.signature(f).parameters)[:count] == want[:count], f.__name__
 
 
 def test_lockstep_runs_end_through_one_exit():

@@ -191,6 +191,30 @@ def test_registry_listing_and_build():
             zoo.build_entry(entry_id, **params)
 
 
+@pytest.mark.parametrize("build, params", [
+    (zoo.corollary4_degrading_map, {"n2": 1.7}), (zoo.corollary4_rank_one_channel, {"n2": "1"}),
+    (zoo.corollary4_rank_one_channel, {"n3": True}), (zoo.m_ae_channel, {"repair": "no"}),
+    (zoo.composite_complementary, {"repair": 1}), (zoo.d_e_to_eprime, {"repair": None}),
+    (zoo.horodecki_channel, {"alpha": True}), (zoo.horodecki_state, {"alpha": "3"}),
+    (zoo.erasure, {"p": "0.3"}), (zoo.erasure, {"d": 2.5}), (zoo.depolarizing, {"d": True}),
+    (zoo.nab_ae_channel, {"x": None}), (zoo.amplitude_damping, {"gamma": 0.2 + 0j}),
+    (zoo.d_b_to_eprime, {"x": "0.5"}), (zoo.d_e_to_eprime, {"a2": float("nan")}),
+    (zoo.dephasing, {"p": np.float64(1.5)}),
+])
+def test_builders_refuse_a_parameter_of_the_wrong_type_or_range(build, params):
+    # each builder called directly, without build_entry's type rule
+    with pytest.raises(DomainError, match=next(iter(params))):
+        build(**params)
+
+
+def test_builders_take_numpy_scalars():
+    assert zoo.erasure(d=np.int64(3)).dim_in == 3
+    assert zoo.horodecki_channel(np.float64(3.5)).tp_residual() <= 1e-12
+    assert zoo.corollary4_rank_one_channel(np.int32(2)).name == "corollary4_rank_one(n=(0, 2, 0))"
+    with pytest.raises(DomainError, match=r"^a1 must be in \[0, 1\], got 2\.0$"):
+        zoo.d_e_to_eprime(a1=2.0)
+
+
 def test_list_entries_covers_registry():
     entries = zoo.list_entries()
     assert [e["id"] for e in entries] == zoo.zoo_ids()
