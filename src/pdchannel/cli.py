@@ -100,9 +100,7 @@ def cmd_capacity(args) -> tuple:
     settings = {"restarts": args.restarts, "seed": args.seed, "tol": args.tol}
     if args.tensor is None:
         return capmod.maximize_coherent_information(ch, **settings), EXIT_OK
-    if args.tensor == 2:
-        return capmod.additivity_probe(ch, **settings), EXIT_OK
-    raise PdChannelError("--tensor only supports 2")
+    return capmod.additivity_probe(ch, **settings), EXIT_OK
 
 
 def cmd_polar(args) -> tuple:
@@ -153,7 +151,7 @@ def build_parser(zoo_flags: bool = True) -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="maximize coherent information")
     p.add_argument("file")
-    p.add_argument("--tensor", type=int, default=None)
+    p.add_argument("--tensor", type=int, choices=(2,), default=None)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--restarts", type=int, default=32)

@@ -318,26 +318,17 @@ def classify_pd(n_ab: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | No
     (``sigma_eprime_r``). Without a degrading map the primed entries are
     the unprimed ones, the same objects."""
     n_ae = chmod.complementary(n_ab)
-    if d_e_to_eprime is not None and d_e_to_eprime.dim_in != n_ae.dim_out:
-        raise DimMismatch(
-            f"degrading map dim_in {d_e_to_eprime.dim_in} != environment dim {n_ae.dim_out}"
-        )
+    # the default E->E' map is the identity: E' is E, so the primed problems
+    # are the unprimed ones and share their reports; a map that does not
+    # start on E is refused here, before any solve
+    n_aep = n_ae if d_e_to_eprime is None else chmod.compose(n_ae, d_e_to_eprime)
     solutions = {
         "B->E": solve_degrading_map(n_ab, n_ae)[0],
         "E->B": solve_degrading_map(n_ae, n_ab)[0],
     }
-    if d_e_to_eprime is None:
-        # the default E->E' map is the identity: E' is E, so the primed
-        # problems are the unprimed ones and share their reports
-        n_aep = n_ae
-        solutions["B->E'"] = solutions["B->E"]
-        solutions["E'->B"] = solutions["E->B"]
-        trivial_degrading = True
-    else:
-        n_aep = chmod.compose(n_ae, d_e_to_eprime)
-        solutions["B->E'"] = solve_degrading_map(n_ab, n_aep)[0]
-        solutions["E'->B"] = solve_degrading_map(n_aep, n_ab)[0]
-        trivial_degrading = _acts_as_identity(d_e_to_eprime)
+    solutions["B->E'"] = solutions["B->E"] if n_aep is n_ae else solve_degrading_map(n_ab, n_aep)[0]
+    solutions["E'->B"] = solutions["E->B"] if n_aep is n_ae else solve_degrading_map(n_aep, n_ab)[0]
+    trivial_degrading = d_e_to_eprime is None or _acts_as_identity(d_e_to_eprime)
     ok = {k: v["success"] for k, v in solutions.items()}
 
     if ok["B->E'"] and ok["E'->B"]:
@@ -356,16 +347,15 @@ def classify_pd(n_ab: chmod.KrausChannel, d_e_to_eprime: chmod.KrausChannel | No
     reports = {"choi_n_ae": _choi_report(n_ae)}
     # the state of reference and degraded environment when N_AE' acts on one
     # half of a maximally entangled input is the Choi state of N_AE'
-    reports["sigma_eprime_r"] = (
-        reports["choi_n_ae"] if d_e_to_eprime is None else _choi_report(n_aep)
-    )
+    reports["sigma_eprime_r"] = reports["choi_n_ae"] if n_aep is n_ae else _choi_report(n_aep)
     return {"label": label, "solutions": solutions, "reports": reports}
 
 
 def check_theorem3_exclusions(d_e_to_eprime: chmod.KrausChannel) -> dict:
-    """Findings that each disqualify a candidate E->E' map from giving a
-    proper PD structure: acting as the identity, being entanglement
-    breaking, or being degradable itself."""
+    """Findings on a candidate E->E' map. ``disqualified``, the verdict that
+    it gives no proper PD structure, counts acting as the identity and being
+    entanglement breaking; ``degradable``, whether the map is degradable
+    itself, is reported beside it and not counted."""
     identity = _acts_as_identity(d_e_to_eprime)
     eb = ent.is_entanglement_breaking(d_e_to_eprime)
     return {

@@ -221,7 +221,7 @@ def test_classify_with_degrading_map(tmp_path, capsys):
     ad = _save(tmp_path, zoo.amplitude_damping(0.2), "ad.json")
     horo = _save(tmp_path, zoo.build_entry("horodecki")[1], "horo.json")
     code, out, err = _run(capsys, ["classify", ad, "--degrading", horo])
-    assert (code, out, err) == (2, "", "error: degrading map dim_in 3 != environment dim 2\n")
+    assert (code, out, err) == (2, "", "error: cannot compose: first.dim_out=2 != then.dim_in=3\n")
 
 
 def test_capacity_report(tmp_path, capsys):
@@ -323,10 +323,6 @@ def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
     calls, built = [], []
     monkeypatch.setattr(capacity, "maximize_coherent_information", lambda *a, **k: calls.append(1))
     monkeypatch.setattr(deg, "transfer_matrix", lambda *a: built.append(1))
-    path = _save(tmp_path, zoo.dephasing(0.3))
-    for value in ("3", "0"):
-        code, _, err = _run(capsys, ["capacity", path, "--tensor", value])
-        assert code == 2 and "--tensor" in err
     # dim_in = 5: one copy fits MAX_OPT_DIM, two copies (25) do not
     path = _save(tmp_path, zoo.depolarizing(0.3, d=5), "d5.json")
     code, _, err = _run(capsys, ["capacity", path, "--tensor", "2"])
@@ -339,6 +335,19 @@ def test_capacity_tensor_gate(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "side 10000, above the side cap 4096" in err
     assert calls == [] and built == []
+
+
+@pytest.mark.parametrize("value", ["3", "0", "1", "-2"])
+def test_capacity_tensor_is_a_parser_choice(tmp_path, capsys, value):
+    # a --tensor other than 2 is a usage error, refused before the channel
+    # file is read: a missing file still reports the --tensor error
+    for path in (_save(tmp_path, zoo.dephasing(0.3)), str(tmp_path / "missing.json")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["capacity", path, "--tensor", value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"argument --tensor: invalid choice: {value}" in err
+        assert "Traceback" not in err and "no such file" not in err
 
 
 def test_capacity_respects_the_side_cap_of_the_complement(tmp_path, monkeypatch, capsys):

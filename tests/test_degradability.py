@@ -498,6 +498,31 @@ def test_classify_degradable_pd_with_lossy_degrading(monkeypatch):
     assert not res["solutions"]["E'->B"]["success"]
 
 
+def test_classify_refuses_a_map_off_the_environment_before_any_solve(monkeypatch):
+    # horodecki is 3 -> 3, amplitude damping's environment is 2-dimensional:
+    # compose refuses N_AE' before the first solve
+    def no_solve(*args):
+        raise AssertionError("solve_degrading_map ran")
+
+    monkeypatch.setattr(deg, "solve_degrading_map", no_solve)
+    with pytest.raises(DimMismatch, match=r"^cannot compose: first\.dim_out=2 != then\.dim_in=3$"):
+        deg.classify_pd(zoo.amplitude_damping(0.2), zoo.horodecki_channel())
+
+
+def test_classify_explicit_identity_map_keeps_the_plain_labels(monkeypatch):
+    # an identity E->E' map given explicitly is solved again, not aliased,
+    # and leaves the plain label, not DEGRADABLE_PD
+    calls = _count_solves(monkeypatch)
+    res = deg.classify_pd(zoo.amplitude_damping(0.2), ch.identity_channel(2))
+    assert len(calls) == 4
+    assert res["label"] == "DEGRADABLE"
+    sol = res["solutions"]
+    assert [sol[k]["status"] for k in ("B->E", "E->B", "B->E'", "E'->B")] == [
+        "certified", "impossible", "certified", "impossible"]
+    assert sol["B->E'"] is not sol["B->E"] and sol["E'->B"] is not sol["E->B"]
+    assert res["reports"]["sigma_eprime_r"] is not res["reports"]["choi_n_ae"]
+
+
 def test_theorem3_exclusions():
     findings = deg.check_theorem3_exclusions(ch.identity_channel(2))
     assert findings["identity"] and findings["disqualified"]

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -312,3 +313,13 @@ def test_bench_tracer_wraps_the_names_it_patches(tmp_path):
         assert layers[metric] > 0, metric
     assert layers["capacity.maximize.calls"] == 1
     assert (capacity.optimize.minimize, np.linalg.eigh, cli.main) == originals
+    # per_layer reads calls (c) and seconds (s) by "<module>.<name>": a name
+    # that is no longer a public function of that module reads 0, not an error
+    keys = re.findall(r'\b[cs]\["(\w+)\.(\w+)"\]', inspect.getsource(tracer_mod.Tracer.per_layer))
+    keys = {(m, n) for m, n in keys if m in tracer_mod.MODULES}
+    assert ("degradability", "solve_degrading_map") in keys
+    for mod_name, name in sorted(keys):
+        mod = importlib.import_module(f"pdchannel.{mod_name}")
+        fn = getattr(mod, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn), f"{mod_name}.{name}"
+        assert fn.__module__ == mod.__name__, f"{mod_name}.{name}"
