@@ -7,8 +7,9 @@ Frank-Wolfe gap proves the optimum of a certified degradable channel.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import islice
-from math import isfinite, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import degradability as deg
 from . import entanglement as ent
 from . import optimize, qmat
 from .config import TOL, check_side
-from .errors import DomainError, NotTracePreserving, SizeLimit
+from .errors import NotTracePreserving, SizeLimit
 
 MAX_OPT_DIM = 16
 # restarts advanced in lockstep by one optimize.minimize_many call; a
@@ -196,19 +197,15 @@ def _starts(d: int, restarts: int, seed: int, seed_states=()):
         yield _factor_to_params(real + 1j * imag)
 
 
-def _check_settings(ch: chmod.KrausChannel, copies: int, restarts: int, tol: float, seed: int) -> None:
-    """Refuse ``copies`` copies of ``ch`` with an input side d above ``MAX_OPT_DIM``
-    or a Choi side of N or N_c (d d_out, d d_env) above the side cap, then bad settings."""
+def _check_settings(ch: chmod.KrausChannel, copies: int, restarts: int, tol: float, seed: int) -> tuple:
+    """Refuse ``copies`` copies of ``ch`` with an input side d above ``MAX_OPT_DIM`` or a Choi
+    side of N or N_c (d d_out, d d_env) above the side cap, then read ``(restarts, tol, seed)``."""
     d = ch.dim_in**copies
     if d > MAX_OPT_DIM:
         raise SizeLimit(f"input side {d} exceeds the optimizer's limit {MAX_OPT_DIM}")
     check_side(f"the {copies}-copy objective", d * ch.dim_out**copies, d * ch.dim_env**copies)
-    if type(restarts) is not int or restarts < 1:
-        raise DomainError(f"restarts must be an integer >= 1, got {restarts!r}")
-    if type(seed) is not int or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if type(tol) not in (int, float) or not (isfinite(tol) and tol >= 0):
-        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+    return (qmat.check_integer("restarts", restarts, 1), qmat.check_real("tol", tol, sys.float_info.max),
+            qmat.check_integer("seed", seed, 0))
 
 
 def _degrading_residual(ch: chmod.KrausChannel):
@@ -259,10 +256,10 @@ def maximize_coherent_information(
     10 * max(tol, 1e-6); it says nothing about any single L-BFGS run.
 
     A d above ``MAX_OPT_DIM`` or a Choi side of N or N_c above the side cap raises
-    :class:`SizeLimit` before the degrading-map solve; ``restarts`` not an int >= 1, ``seed``
-    not an int >= 0 and ``tol`` not a finite int or float >= 0, a bool included, raise
-    :class:`DomainError`."""
-    _check_settings(ch, 1, restarts, tol, seed)
+    :class:`SizeLimit` before the degrading-map solve; ``restarts`` not an integer >= 1, ``seed``
+    not an integer >= 0 and ``tol`` not a finite real >= 0, numpy scalars accepted and a bool
+    refused (:func:`qmat.check_integer`, :func:`qmat.check_real`), raise :class:`DomainError`."""
+    restarts, tol, seed = _check_settings(ch, 1, restarts, tol, seed)
     return _maximize(ch, restarts, tol, seed, (), _degrading_residual(ch))
 
 
@@ -335,7 +332,7 @@ def additivity_probe(
     largest entries, so each entry is at most 2 r (2 m + 2 r); (4) a
     two-copy probe is a product unit E_aa or
     1/2 (E_aa + phi* E_ab + phi E_ba + E_bb), hence 4 r (2 m + 2 r)."""
-    _check_settings(ch, 2, restarts, tol, seed)
+    restarts, tol, seed = _check_settings(ch, 2, restarts, tol, seed)
     report = maximize_coherent_information(ch, restarts=restarts, tol=tol, seed=seed)
     r = report["certificate"]["map_residual"]
     bound = None if r is None else _two_copy_residual(ch, r)

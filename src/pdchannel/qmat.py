@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 import operator
 from math import prod
 from typing import Iterable, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import TOL
-from .errors import DimMismatch, NotHermitian
+from .errors import DimMismatch, DomainError, NotHermitian
 
 
 def as_matrix(m) -> np.ndarray:
@@ -38,11 +39,37 @@ def check_square(m) -> np.ndarray:
     return m
 
 
+def _is_number(value, kind) -> bool:
+    """True for a ``kind`` (a :mod:`numbers` class) other than a bool, numpy scalars included."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, the package's one reader of an integer parameter: :class:`DomainError`
+    unless it is an integer other than a bool, numpy scalars included, in [lo, hi] (hi None: no cap)."""
+    if not (_is_number(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return operator.index(value)
+
+
+def check_real(name: str, value, hi: float) -> float:
+    """``value`` as a float, the package's one reader of a real parameter:
+    :class:`DomainError` unless it is a real other than a bool, numpy scalars
+    included, in [0, hi]. NaN fails the comparison."""
+    if not (_is_number(value, numbers.Real) and 0 <= value <= hi):
+        raise DomainError(f"{name} must be in [0, {hi:g}], got {value!r}")
+    return float(value)
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     try:
-        return tuple(operator.index(v) for v in values)
+        ints = tuple(values)
+        if all(_is_number(v, numbers.Integral) for v in ints):
+            return tuple(map(operator.index, ints))
     except TypeError:
-        raise DimMismatch(f"{what} must be a sequence of integers, got {values!r}") from None
+        pass
+    raise DimMismatch(f"{what} must be a sequence of integers, got {values!r}")
 
 
 def check_factors(m, dims: Sequence[int], count: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:

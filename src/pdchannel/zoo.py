@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
-import operator
 
 import numpy as np
 
@@ -36,24 +34,6 @@ def _ket(i: int, d: int) -> np.ndarray:
     v = np.zeros((d, 1), dtype=np.complex128)
     v[i, 0] = 1.0
     return v
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """True for a number of ``kind`` other than a bool, numpy scalars included."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_range(name: str, value, hi: float = 1.0) -> None:
-    """Refuse anything but a real ``value`` in [0, hi], NaN included."""
-    if not (_is_number(value) and 0 <= value <= hi):
-        raise DomainError(f"{name} must be in [0, {hi:g}], got {value!r}")
-
-
-def _check_index(name: str, value) -> int:
-    """``value`` through ``operator.index``, refusing a bool or any non-integer."""
-    if not _is_number(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _repair(ch: chmod.KrausChannel, repair: bool) -> chmod.KrausChannel:
@@ -85,7 +65,7 @@ def _repair(ch: chmod.KrausChannel, repair: bool) -> chmod.KrausChannel:
 def horodecki_channel(alpha: float = 3.5) -> chmod.KrausChannel:
     """Qutrit channel mixing the identity with the two cyclic-shift
     conjugation families, weights (2/7, alpha/7, (5-alpha)/7)."""
-    _check_range("alpha", alpha, 5.0)
+    alpha = qmat.check_real("alpha", alpha, 5.0)
     ops = [np.sqrt(2.0 / 7.0) * np.eye(3, dtype=np.complex128)]
     for k in range(3):
         j = (k + 1) % 3
@@ -98,7 +78,7 @@ def horodecki_channel(alpha: float = 3.5) -> chmod.KrausChannel:
 
 def horodecki_state(alpha: float) -> np.ndarray:
     """3(x)3 state: 2/7 maximally entangled + alpha/7 sigma_+ + (5-alpha)/7 sigma_-."""
-    _check_range("alpha", alpha, 5.0)
+    alpha = qmat.check_real("alpha", alpha, 5.0)
     psi = np.zeros(9, dtype=np.complex128)
     for i in range(3):
         psi[i * 3 + i] = 1.0 / np.sqrt(3.0)
@@ -148,8 +128,8 @@ def m_ae_channel(repair: bool = False) -> chmod.KrausChannel:
 def _flag_sum(x: float, first, second, spread: int = 1) -> list:
     """Kraus operators of rho -> x |0><0| (x) A(rho) + (1-x) |1><1| (x) B(rho),
     flag slow, from the stacks ``first`` of A, each operator weighted by
-    sqrt(x / spread), and ``second`` of B; a branch of weight 0 is left out."""
-    _check_range("x", x)
+    sqrt(x / spread), and ``second`` of B, for an x in [0, 1] the caller read;
+    a branch of weight 0 is left out."""
     ops = []
     if x > 0:
         ops += [np.sqrt(x / spread) * np.kron(_ket(0, 2), k) for k in first]
@@ -160,6 +140,7 @@ def _flag_sum(x: float, first, second, spread: int = 1) -> list:
 
 def composite_complementary(x: float = 0.75, repair: bool = False) -> chmod.KrausChannel:
     """4->8 flag construction: x |0><0| (x) rho + (1-x) |1><1| (x) m_ae(rho)."""
+    x = qmat.check_real("x", x, 1.0)
     ops = _flag_sum(x, [np.eye(4, dtype=np.complex128)], m_ae_channel(repair=repair).kraus)
     name = f"composite_complementary(x={x})" + (" [repaired]" if repair else "")
     return chmod.KrausChannel(ops, name)
@@ -173,6 +154,7 @@ def nab_ae_channel(x: float = 0.75) -> chmod.KrausChannel:
     the variant whose complementary is read against the degraded
     environment.
     """
+    x = qmat.check_real("x", x, 1.0)
     units = np.eye(24, dtype=np.complex128).reshape(24, 6, 4)
     return chmod.KrausChannel(_flag_sum(x, units, [np.eye(6, 4)], spread=6), f"nab_ae(x={x})")
 
@@ -184,8 +166,8 @@ def d_e_to_eprime(a1: float = 1.0 / SQ2, a2: float = 1.0 / SQ2, repair: bool = F
     verbatim entry cannot be TP and ships FLAGGED; the repaired variant
     adds the kernel completion.
     """
-    _check_range("a1", a1)
-    _check_range("a2", a2)
+    a1 = qmat.check_real("a1", a1, 1.0)
+    a2 = qmat.check_real("a2", a2, 1.0)
     ops = np.zeros((2, 2, 8), dtype=np.complex128)
     ops[:, [0, 1], [0, 1]] = np.sqrt([[a1, a2], [1.0 - a1, 1.0 - a2]])
     ch = chmod.KrausChannel(ops, f"d_e_to_eprime(a1={a1},a2={a2})")
@@ -199,7 +181,8 @@ def d_b_to_eprime(x: float = 0.75) -> chmod.KrausChannel:
     blocks inside a 12-column operator), so the blocks are placed on the
     flag-0 columns; the entry is FLAGGED and kept for inspection only.
     """
-    if not (_is_number(x) and 0 < x <= 1 and np.isfinite(2.0 / x)):
+    x = qmat.check_real("x", x, 1.0)
+    if not (x > 0 and np.isfinite(2.0 / x)):
         raise DomainError(f"x must be in (0, 1] with 2 / x, the scale of sum_i N_i^dag N_i, finite; got {x!r}")
     ops = np.zeros((14, 2, 12), dtype=np.complex128)
     ops[range(6), 0, range(6, 12)] = 1.0  # |0><6 + j|, the flag-1 block
@@ -242,11 +225,8 @@ def symmetric_pd_channel() -> chmod.KrausChannel:
 
 
 def _phases(n2: int, n3: int) -> tuple:
-    """The printed exponent vector (0, n2, n3), with n2 and n3 in {0, 1, 2, 3}."""
-    n_vec = (0, _check_index("n2", n2), _check_index("n3", n3))
-    if any(n not in (0, 1, 2, 3) for n in n_vec):
-        raise DomainError("n2, n3 must be in {0, 1, 2, 3}")
-    return n_vec
+    """The printed exponent vector (0, n2, n3), with n2 and n3 integers in [0, 3]."""
+    return (0, qmat.check_integer("n2", n2, 0, 3), qmat.check_integer("n3", n3, 0, 3))
 
 
 def corollary4_degrading_map(n2: int = 0, n3: int = 0) -> chmod.KrausChannel:
@@ -286,15 +266,13 @@ def corollary4_rank_one_channel(n2: int = 0, n3: int = 0) -> chmod.KrausChannel:
 def _check_side(d: int, extra_out: int = 0) -> int:
     """``d`` as an int: a baseline of input side d and output side d +
     ``extra_out`` needs d >= 1 and a Choi side within the side cap."""
-    d = _check_index("d", d)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    d = qmat.check_integer("d", d, 1)
     check_side(f"baseline of d = {d}", d * (d + extra_out))
     return d
 
 
 def erasure(p: float = 0.25, d: int = 2) -> chmod.KrausChannel:
-    _check_range("p", p)
+    p = qmat.check_real("p", p, 1.0)
     d = _check_side(d, 1)
     embed = np.zeros((d + 1, d), dtype=np.complex128)
     embed[:d, :d] = np.eye(d)
@@ -305,7 +283,7 @@ def erasure(p: float = 0.25, d: int = 2) -> chmod.KrausChannel:
 
 
 def depolarizing(p: float = 0.5, d: int = 2) -> chmod.KrausChannel:
-    _check_range("p", p)
+    p = qmat.check_real("p", p, 1.0)
     d = _check_side(d)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
@@ -322,14 +300,14 @@ def depolarizing(p: float = 0.5, d: int = 2) -> chmod.KrausChannel:
 
 
 def amplitude_damping(gamma: float = 0.2) -> chmod.KrausChannel:
-    _check_range("gamma", gamma)
+    gamma = qmat.check_real("gamma", gamma, 1.0)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
     return chmod.KrausChannel([k0, k1], f"amplitude_damping(gamma={gamma})")
 
 
 def dephasing(p: float = 0.3) -> chmod.KrausChannel:
-    _check_range("p", p)
+    p = qmat.check_real("p", p, 1.0)
     return chmod.KrausChannel([np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z], f"dephasing(p={p})")
 
 
@@ -383,19 +361,17 @@ def parameter_types() -> dict:
 def build_entry(entry_id: str, **params) -> tuple:
     """Build entry ``entry_id`` with ``params`` over its builder's defaults.
     Returns ``(report, channel)``: the report ``zoo export`` prints, and the channel.
-    A value not of its default's type, bar an int for a float, raises :class:`DomainError`."""
+    An unknown id or parameter name raises :class:`DomainError`; the builder
+    reads each value, and the report echoes it as its default's type."""
     if entry_id not in _REGISTRY:
         raise DomainError(f"unknown zoo id: {entry_id}")
     builder, notes = _REGISTRY[entry_id]
-    merged = _defaults(builder)
-    for key, value in params.items():
-        if key not in merged:
+    defaults = _defaults(builder)
+    for key in params:
+        if key not in defaults:
             raise DomainError(f"unknown parameter {key!r} for {entry_id}")
-        kind = type(merged[key])
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise DomainError(f"parameter {key!r} of {entry_id} must be {kind.__name__}, got {value!r}")
-        merged[key] = kind(value)
-    ch = builder(**merged)
+    ch = builder(**{**defaults, **params})
+    merged = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
     validation = chmod.validate(ch)
     report = {
         "id": entry_id,

@@ -401,6 +401,20 @@ def test_maximizer_rejects_bad_settings():
                 cap.maximize_coherent_information(c, **{name: value})
 
 
+def test_settings_take_numpy_scalars():
+    # one rule for each setting: an integer or a finite real, numpy scalars
+    # included, never a bool
+    c = zoo.amplitude_damping(0.2)
+    for run in (cap.maximize_coherent_information, cap.additivity_probe):
+        plain = run(c, restarts=4, seed=7, tol=1e-6)
+        assert run(c, restarts=np.int64(4), seed=np.int64(7), tol=np.float64(1e-6)) == plain
+        for name, values in (("restarts", (True, 2.0, "2", 1e-6j)), ("seed", (False, 2.0, "2", 1e-6j)),
+                             ("tol", (True, False, "2", 1e-6j))):
+            for value in values:
+                with pytest.raises(DomainError, match=name):
+                    run(c, **{"restarts": 4, name: value})
+
+
 def test_settings_are_keyword_only_in_one_order():
     # positional settings once ran additivity_probe(c, 32, 1e-6) with
     # seed = 1e-6 and tol = 42

@@ -40,6 +40,10 @@ def test_partial_trace_product_state():
         qmat.partial_trace(np.eye(4) / 4, (2, 2), [2])
     with pytest.raises(DimMismatch, match=r"keep indices must be a sequence of integers, got \[0\.9\]"):
         qmat.partial_trace(np.diag([0.7, 0.1, 0.1, 0.1]), (2, 2), keep=[0.9])
+    # a bool is no tensor factor and no index, though operator.index takes it
+    for dims, keep in (((True, 4), [1]), ((2, 2), [True])):
+        with pytest.raises(DimMismatch, match="must be a sequence of integers"):
+            qmat.partial_trace(np.eye(4) / 4, dims, keep)
     tr = qmat.partial_trace(rho, (2, 3), keep=[])
     assert np.allclose(tr, [[1.0]])
 

@@ -151,11 +151,45 @@ def test_every_dims_reader_refuses_a_bad_annotation():
         call(np.eye(2**count) / 2**count, (2,) * count)
         # each bad annotation but the last has the call's number of factors
         ones = (1,) * (count - 2)
-        for dims in ((2.5, 1.6) + ones, (-2, -2) + ones, ("2", "2") + ones, (2.0, 2.0) + ones, (4,)):
+        for dims in ((2.5, 1.6) + ones, (-2, -2) + ones, ("2", "2") + ones, (2.0, 2.0) + ones,
+                     (True, 4) + ones, (4,)):
             with pytest.raises(DimMismatch):
                 call(np.eye(4) / 4, dims)
     m, dims = qmat.check_factors(np.eye(4), np.array([2, 2]))
     assert dims == (2, 2) and all(type(d) is int for d in dims)
+
+
+def _scalar_rule_copies(path: Path) -> list:
+    """``module.function`` for each import of ``numbers`` and each comparison
+    of ``type(...)`` with ``int`` or ``float`` in ``path``, named by the
+    innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names] or (
+                isinstance(node, ast.ImportFrom) and node.module == "numbers" and node.level == 0):
+            found.append(f"{path.stem}.{where}: import numbers")
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            names = {n.id for side in sides for n in ast.walk(side) if isinstance(n, ast.Name)}
+            if any(isinstance(s, ast.Call) and ast.unparse(s.func) == "type" for s in sides) and (
+                    names & {"int", "float"}):
+                found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_scalar_parameters_are_read_in_qmat():
+    # qmat.check_integer and qmat.check_real hold the one rule for a scalar
+    # parameter (numpy scalars pass, a bool never), so no other module
+    # imports numbers or tests type(...) against int or float
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _scalar_rule_copies(path)]
+    assert found == ["qmat.<module>: import numbers"]
 
 
 def test_pd_layer_takes_one_argument_order():

@@ -178,9 +178,13 @@ def test_registry_listing_and_build():
         zoo.build_entry("nope")
     with pytest.raises(DomainError):
         zoo.build_entry("horodecki", gamma=0.1)
-    # a value of the default's type, or an int for a float, and nothing else
+    # the builder reads each value; the report echoes it as its default's
+    # type, and a direct call names the channel as build_entry does
     report, _ = zoo.build_entry("horodecki", alpha=4)
     assert report["params"]["alpha"] == 4.0 and type(report["params"]["alpha"]) is float
+    assert report["name"] == zoo.horodecki_channel(4).name == "horodecki(alpha=4.0)"
+    report, _ = zoo.build_entry("dephasing", p=np.float64(0.3))
+    assert report["params"]["p"] == 0.3 and type(report["params"]["p"]) is float
     report, _ = zoo.build_entry("erasure", d=3)
     assert report["params"]["d"] == 3 and report["dim_in"] == 3
     for entry_id, params in (("m_ae", {"repair": "False"}), ("m_ae", {"repair": 0}),
